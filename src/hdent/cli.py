@@ -9,6 +9,11 @@ Subcommands::
     resample        Poisson error bars for one tag-file pair
     link-budget     loss budget <-> fiber distance table
 
+``sweep-noise``, ``certify-et`` and ``resample`` certify HV/DA stream pairs
+through one path, ``_certify_streams``.  The INI config drives
+``simulate-tags`` and ``sweep-noise`` and rejects unknown sections or keys;
+``mub-sweep`` is configured by its flags.
+
 All outputs are plain CSV/JSON with schema-versioned headers, written
 atomically; identical configs and seeds reproduce them bit for bit,
 independent of the worker count.
@@ -44,7 +49,7 @@ SWEEP_COLUMNS = (
 MANIFEST_SCHEMA = "# hdent-manifest-csv v1"
 
 _DEFAULTS = {
-    "run": {"experiment": "timebin", "output": "out"},
+    "run": {"output": "out"},
     "clock": {
         "tick_seconds": "82.3e-12",
         "frame_ticks": "320",
@@ -60,19 +65,12 @@ _DEFAULTS = {
         "state_dim": "80",
     },
     "binning": {"dims": "10, 20, 40, 80"},
-    "mub": {
-        "dim": "3",
-        "k_list": "2, 3, 4",
-        "nf_grid": "0:0.9:10",
-        "counts_per_basis": "1e6",
-    },
     "sweep": {"n_frames": "100000", "seed": "1", "resamples": "150"},
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    experiment: str
     clock: tagstream.ClockConfig
     state_dim: int
     pair_rate: float
@@ -81,26 +79,16 @@ class RunConfig:
     p_mix: float
     franson_phase: float
     dims: tuple
-    mub_dim: int
-    k_list: tuple
-    nf_grid: tuple
-    counts_per_basis: float
     n_frames: int
     seed: int
     resamples: int
     output: str
 
     def __post_init__(self):
-        if self.experiment not in ("timebin", "mub"):
-            raise ValueError("experiment must be timebin or mub")
-        if self.experiment == "timebin":
-            if self.clock.frame_ticks % self.state_dim:
-                raise ValueError("state_dim must divide frame_ticks")
-            for d in self.dims:
-                tagstream.BinningConfig.for_dimension(self.clock, d)
-        else:
-            if not mub.is_prime(self.mub_dim):
-                raise ValueError(f"the mub experiment needs a prime dimension, got {self.mub_dim}")
+        if self.clock.frame_ticks % self.state_dim:
+            raise ValueError("state_dim must divide frame_ticks")
+        for d in self.dims:
+            tagstream.BinningConfig.for_dimension(self.clock, d)
 
 
 def _parse_floats(text: str) -> tuple:
@@ -121,18 +109,26 @@ def _parse_phase(text: str) -> float:
 
 
 def load_run_config(path=None) -> RunConfig:
+    """Built-in defaults overlaid with ``path``; unknown sections or keys are errors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.read_dict(_DEFAULTS)
     if path is not None:
         with open(path) as fh:
             parser.read_file(fh)
+        for key in parser.defaults():
+            raise ValueError(f"unknown config key [{parser.default_section}] {key} in {path}")
+        for section in parser.sections():
+            if section not in _DEFAULTS:
+                raise ValueError(f"unknown config section [{section}] in {path}")
+            for key in parser.options(section):
+                if key not in _DEFAULTS[section]:
+                    raise ValueError(f"unknown config key [{section}] {key} in {path}")
     clock = tagstream.ClockConfig(
         parser.getfloat("clock", "tick_seconds"),
         parser.getint("clock", "frame_ticks"),
         parser.getint("clock", "imbalance_ticks"),
     )
     return RunConfig(
-        experiment=parser.get("run", "experiment"),
         clock=clock,
         state_dim=parser.getint("source", "state_dim"),
         pair_rate=parser.getfloat("source", "pair_rate"),
@@ -141,10 +137,6 @@ def load_run_config(path=None) -> RunConfig:
         p_mix=parser.getfloat("source", "p_mix"),
         franson_phase=_parse_phase(parser.get("source", "franson_phase")),
         dims=_parse_ints(parser.get("binning", "dims")),
-        mub_dim=parser.getint("mub", "dim"),
-        k_list=_parse_ints(parser.get("mub", "k_list")),
-        nf_grid=_parse_grid(parser.get("mub", "nf_grid")),
-        counts_per_basis=parser.getfloat("mub", "counts_per_basis"),
         n_frames=parser.getint("sweep", "n_frames"),
         seed=parser.getint("sweep", "seed"),
         resamples=parser.getint("sweep", "resamples"),
@@ -204,25 +196,42 @@ def _point_models(cfg: RunConfig, rate: float):
     return hv, replace(hv, basis=tagstream.BASIS_DA)
 
 
-def _certify_one(hv_counts, da_counts, d, f, eta_hwp, resamples, seed):
-    """Witness report, resampled error, and both NF estimates for one d."""
-    report = witness.witness_from_counts(hv_counts, da_counts, d, f, eta_hwp)
+def _certify_streams(hv_stream, da_stream, dims, eta_hwp, resamples, seed_of):
+    """Per d: sift both bases, evaluate and resample the witness, estimate NF.
 
-    def statistic(pair):
-        return witness.witness_from_counts(pair[0], pair[1], d, f, eta_hwp).witness_lower_bound
+    Yields ``(report, summary, row)``; ``row`` is a sweep row plus its scan
+    ``margin``, with ``noise_setting`` left to the caller.
+    """
+    if hv_stream.clock != da_stream.clock:
+        raise ValueError("HV and DA tag files use different clock configs")
+    for d in dims:
+        binning = tagstream.BinningConfig.for_dimension(hv_stream.clock, d)
+        hv = tagstream.sift_and_bin(hv_stream, binning, tagstream.BASIS_HV)
+        da = tagstream.sift_and_bin(da_stream, binning, tagstream.BASIS_DA)
+        f = binning.f_shift
+        report = witness.witness_from_counts(hv, da, d, f, eta_hwp)
 
-    summary = analysis.poisson_resample((hv_counts, da_counts), statistic, resamples, seed)
-    merged_kept = hv_counts.frames_kept + da_counts.frames_kept
-    nf_true = None
-    if (
-        hv_counts.noise_coincidences is not None
-        and da_counts.noise_coincidences is not None
-        and merged_kept > 0
-    ):
-        nf_true = (hv_counts.noise_coincidences + da_counts.noise_coincidences) / merged_kept
-    stacked = np.concatenate([hv_counts.matrices, da_counts.matrices])
-    nf_est = analysis.noise_fraction(stacked, analysis.ACCIDENTAL_MODEL).nf_estimated
-    return report, summary, nf_true, nf_est
+        def statistic(pair):
+            return witness.witness_from_counts(pair[0], pair[1], d, f, eta_hwp).witness_lower_bound
+
+        summary = analysis.poisson_resample((hv, da), statistic, resamples, seed_of(d))
+        merged_kept = hv.frames_kept + da.frames_kept
+        nf_true = None
+        if hv.noise_coincidences is not None and da.noise_coincidences is not None and merged_kept:
+            nf_true = (hv.noise_coincidences + da.noise_coincidences) / merged_kept
+        stacked = np.concatenate([hv.matrices, da.matrices])
+        nf_est = analysis.noise_fraction(stacked, analysis.ACCIDENTAL_MODEL).nf_estimated
+        row = {
+            "d_or_k": d,
+            "noise_setting": None,
+            "nf_true": nf_true,
+            "nf_estimated": nf_est,
+            "witness_or_visibility_sum": report.witness_lower_bound,
+            "margin": report.witness_lower_bound,
+            "sigma": summary.std,
+            "certified": report.certified,
+        }
+        yield report, summary, row
 
 
 def _timebin_point(task):
@@ -234,32 +243,11 @@ def _timebin_point(task):
     da_stream = tagstream.generate_stream(
         da_model, cfg.clock, cfg.n_frames, _stream_seed(cfg.seed, point, True)
     )
-    rows = []
-    for d in cfg.dims:
-        binning = tagstream.BinningConfig.for_dimension(cfg.clock, d)
-        hv_counts = tagstream.sift_and_bin(hv_stream, binning, tagstream.BASIS_HV)
-        da_counts = tagstream.sift_and_bin(da_stream, binning, tagstream.BASIS_DA)
-        report, summary, nf_true, nf_est = _certify_one(
-            hv_counts,
-            da_counts,
-            d,
-            binning.f_shift,
-            1.0,
-            cfg.resamples,
-            _derived_seed(cfg.seed, point, d),
-        )
-        rows.append(
-            {
-                "d_or_k": d,
-                "noise_setting": rate,
-                "nf_true": nf_true,
-                "nf_estimated": nf_est,
-                "witness_or_visibility_sum": report.witness_lower_bound,
-                "sigma": summary.std,
-                "certified": report.certified,
-            }
-        )
-    return rows
+    results = _certify_streams(
+        hv_stream, da_stream, cfg.dims, 1.0, cfg.resamples,
+        lambda d: _derived_seed(cfg.seed, point, d),
+    )
+    return [dict(row, noise_setting=rate) for _, _, row in results]
 
 
 def run_timebin_sweep(cfg: RunConfig, workers: int = 1):
@@ -380,45 +368,28 @@ def cmd_simulate_tags(args) -> int:
 def cmd_certify_et(args) -> int:
     hv_stream = tagstream.read_tags(args.hv)
     da_stream = tagstream.read_tags(args.da)
-    if hv_stream.clock != da_stream.clock:
-        raise ValueError("HV and DA tag files use different clock configs")
     dims = _parse_ints(args.dims)
     out = Path(args.out) if args.out else None
     rows = []
     reports = {}
-    for d in dims:
-        binning = tagstream.BinningConfig.for_dimension(hv_stream.clock, d)
-        hv_counts = tagstream.sift_and_bin(hv_stream, binning, tagstream.BASIS_HV)
-        da_counts = tagstream.sift_and_bin(da_stream, binning, tagstream.BASIS_DA)
-        report, summary, nf_true, nf_est = _certify_one(
-            hv_counts, da_counts, d, binning.f_shift, args.eta_hwp,
-            args.resamples, _derived_seed(args.seed, d),
-        )
-        payload = report.to_dict()
-        payload.update(
-            {
-                "sigma": summary.std,
-                "three_sigma": summary.three_sigma,
-                "resample_mean": summary.mean,
-                "n_resamples": summary.n_resamples,
-                "nf_true": nf_true,
-                "nf_estimated": nf_est,
-            }
-        )
+    for report, summary, row in _certify_streams(
+        hv_stream, da_stream, dims, args.eta_hwp, args.resamples,
+        lambda d: _derived_seed(args.seed, d),
+    ):
+        d = row["d_or_k"]
+        payload = {
+            **report.to_dict(),
+            "sigma": summary.std,
+            "three_sigma": summary.three_sigma,
+            "resample_mean": summary.mean,
+            "n_resamples": summary.n_resamples,
+            "nf_true": row["nf_true"],
+            "nf_estimated": row["nf_estimated"],
+        }
         reports[str(d)] = payload
         if out is not None:
             _write_atomic(out / f"witness_d{d}.json", json.dumps(payload, sort_keys=True, indent=2))
-        rows.append(
-            {
-                "d_or_k": d,
-                "noise_setting": None,
-                "nf_true": nf_true,
-                "nf_estimated": nf_est,
-                "witness_or_visibility_sum": report.witness_lower_bound,
-                "sigma": summary.std,
-                "certified": report.certified,
-            }
-        )
+        rows.append(row)
     if out is not None:
         _write_atomic(out / "certify_summary.csv", sweep_rows_to_csv(rows))
     print(json.dumps(reports, sort_keys=True))
@@ -456,8 +427,6 @@ def cmd_sweep_noise(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     out = Path(args.out or cfg.output)
     rows = run_timebin_sweep(cfg, workers=args.workers)
-    for row in rows:
-        row["margin"] = row["witness_or_visibility_sum"]
     thresholds = {}
     for d in cfg.dims:
         try:
@@ -473,13 +442,10 @@ def cmd_sweep_noise(args) -> int:
 def cmd_resample(args) -> int:
     hv_stream = tagstream.read_tags(args.hv)
     da_stream = tagstream.read_tags(args.da)
-    binning = tagstream.BinningConfig.for_dimension(hv_stream.clock, args.dim)
-    hv_counts = tagstream.sift_and_bin(hv_stream, binning, tagstream.BASIS_HV)
-    da_counts = tagstream.sift_and_bin(da_stream, binning, tagstream.BASIS_DA)
-    report, summary, nf_true, nf_est = _certify_one(
-        hv_counts, da_counts, args.dim, binning.f_shift, args.eta_hwp,
-        args.resamples, args.seed,
-    )
+    report, summary, row = next(_certify_streams(
+        hv_stream, da_stream, (args.dim,), args.eta_hwp, args.resamples,
+        lambda d: args.seed,
+    ))
     print(
         json.dumps(
             {
@@ -490,8 +456,8 @@ def cmd_resample(args) -> int:
                 "sigma": summary.std,
                 "three_sigma": summary.three_sigma,
                 "n_resamples": summary.n_resamples,
-                "nf_true": nf_true,
-                "nf_estimated": nf_est,
+                "nf_true": row["nf_true"],
+                "nf_estimated": row["nf_estimated"],
             },
             sort_keys=True,
         )

@@ -21,14 +21,12 @@ separable bound below applies unchanged.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .states import NoisyState, Pairing
 
-MUB_TOL = 1e-10
 THRESHOLD_TOL = 1e-6
 
 
@@ -230,27 +228,3 @@ def correlation_to_csv(matrix: np.ndarray, path, *, dim: int, alpha: int, beta: 
         writer.writerow(["alice_m"] + [f"bob_{n}" for n in range(matrix.shape[1])])
         for m, row in enumerate(matrix):
             writer.writerow([m] + [f"{v:.12g}" for v in row])
-
-
-def correlation_to_json(matrix: np.ndarray, *, dim: int, alpha: int, beta: int) -> str:
-    return json.dumps(
-        {"d": dim, "alpha": alpha, "beta": beta,
-         "matrix": [[float(v) for v in row] for row in np.asarray(matrix)]},
-        sort_keys=True,
-    )
-
-
-def ideal_threshold_noise_weight(d: int) -> float:
-    """Tolerated white-noise weight 1 - p* = d/(d+1) for the full MUB set."""
-    return d / (d + 1.0)
-
-
-def _self_test() -> None:  # pragma: no cover - convenience for interactive use
-    for d in (2, 3, 5, 7):
-        dev = build_mubs(d).max_mub_deviation()
-        assert dev < MUB_TOL, (d, dev)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _self_test()
-    print("MUB construction self-test passed for d in {2, 3, 5, 7}")

@@ -30,7 +30,6 @@ stream bit for bit.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import struct
@@ -541,26 +540,6 @@ def read_tags(path) -> TagStream:
             )
     clock = ClockConfig(tick_fs * 1e-15, frame_ticks, imbalance)
     return TagStream(clock, ts.copy(), ch.copy(), og.copy())
-
-
-def count_matrices_to_csv(counts: CountMatrixSet, directory, stem: str) -> list:
-    """One CSV per detector pair, with a schema-versioned header line."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for k, pair in enumerate(PAIR_LABELS):
-        path = directory / f"{stem}_{pair}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(
-                f"# hdent-countmatrix-csv v1 basis={counts.basis} pair={pair} "
-                f"d={counts.binning.d} f={counts.binning.f_shift} "
-                f"frames_total={counts.frames_total} frames_kept={counts.frames_kept}\n"
-            )
-            writer = csv.writer(fh)
-            for row in counts.matrices[k]:
-                writer.writerow([int(v) for v in row])
-        paths.append(path)
-    return paths
 
 
 def scaled_expected_counts(

@@ -293,7 +293,6 @@ def test_criterion_10_format_and_determinism(tmp_path):
     assert path.read_bytes() == (tmp_path / "big2.hdtt").read_bytes()
 
     cfg = RunConfig(
-        experiment="timebin",
         clock=CLOCK,
         state_dim=80,
         pair_rate=3e6,
@@ -302,10 +301,6 @@ def test_criterion_10_format_and_determinism(tmp_path):
         p_mix=1.0,
         franson_phase=math.pi,
         dims=(10, 20),
-        mub_dim=3,
-        k_list=(2, 3, 4),
-        nf_grid=(0.0, 0.5),
-        counts_per_basis=1e5,
         n_frames=4000,
         seed=3,
         resamples=8,

@@ -1,13 +1,15 @@
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from hdent import tagstream, witness
-from hdent.cli import main
+from hdent.cli import load_run_config, main
 
 SMALL_CONFIG = """
 [run]
-experiment = timebin
 output = {out}
 
 [source]
@@ -58,6 +60,37 @@ class TestErrors:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "section, line, named",
+        [
+            ("[run]", "experiment = mub", "[run] experiment"),
+            ("[sweep]", "resample = 10", "[sweep] resample"),
+            ("[mub]", "dim = 5", "[mub]"),
+            ("[DEFAULT]", "seed = 5", "[DEFAULT] seed"),
+        ],
+    )
+    def test_unknown_key_fails(self, tmp_path, capsys, section, line, named):
+        text = SMALL_CONFIG.format(out=tmp_path / "out")
+        if section in text:
+            text = text.replace(section + "\n", f"{section}\n{line}\n")
+        else:
+            text += f"\n{section}\n{line}\n"
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert run_cli("sweep-noise", "--config", path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert named in err["message"] and str(path) in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_example_is_the_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        assert load_run_config(path) == load_run_config(None)
 
 
 class TestSimulateAndCertify:
@@ -139,6 +172,22 @@ class TestSimulateAndCertify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_resamples"] == 8
         assert payload["three_sigma"] == pytest.approx(3 * payload["sigma"])
+
+    @pytest.mark.parametrize(
+        "argv", [("resample", "--dim", "10"), ("certify-et", "--dims", "10")]
+    )
+    def test_rejects_different_clocks(self, small_config, tmp_path, capsys, argv):
+        out = tmp_path / "tags"
+        run_cli("simulate-tags", "--config", small_config, "--out", out)
+        capsys.readouterr()
+        da = tagstream.read_tags(out / "tags_p000_da.hdtt")
+        other = out / "tags_p000_da_other_tick.hdtt"
+        tagstream.write_tags(replace(da, clock=replace(da.clock, tick_seconds=80e-12)), other)
+        code = run_cli(*argv, "--hv", out / "tags_p000_hv.hdtt", "--da", other)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "different clock configs" in json.loads(captured.err)["message"]
 
 
 class TestMubSweep:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from hdent.mub import (
     build_mubs,
     correlation_matrix,
     correlation_to_csv,
-    correlation_to_json,
     is_prime,
     mub_noise_threshold,
     separable_bound,
@@ -190,5 +187,3 @@ class TestExports:
         assert lines[0].startswith("# hdent-correlation-csv v1")
         assert lines[1] == "alice_m,bob_0,bob_1,bob_2"
         assert len(lines) == 5
-        parsed = json.loads(correlation_to_json(m, dim=3, alpha=1, beta=1))
-        assert np.allclose(parsed["matrix"], m)

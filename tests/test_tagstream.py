@@ -20,7 +20,6 @@ from hdent.tagstream import (
     TagFormatError,
     TagStream,
     _signal_tables,
-    count_matrices_to_csv,
     crosstalk_profile,
     generate_stream,
     read_tags,
@@ -354,16 +353,6 @@ class TestTagFormat:
         with pytest.raises(TagFormatError, match="sorted") as err:
             read_tags(path)
         assert err.value.offset == 30 + 16
-
-    def test_csv_export(self, tmp_path):
-        stream = generate_stream(model(pair_rate=5e6), CLOCK, 2000, seed=2)
-        counts = sift_and_bin(stream, BinningConfig.for_dimension(CLOCK, 10), BASIS_HV)
-        paths = count_matrices_to_csv(counts, tmp_path, "run0")
-        assert len(paths) == 4
-        header = paths[0].read_text().splitlines()[0]
-        assert header.startswith("# hdent-countmatrix-csv v1")
-        for field in ("basis=HV", "pair=A0B0", "d=10", "f=1"):
-            assert field in header
 
 
 class TestCountMatrixSet:
