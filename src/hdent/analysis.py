@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -88,29 +89,43 @@ class ResampleSummary:
         return 3.0 * self.std
 
 
-def _replicate(data, rng: np.random.Generator):
-    if isinstance(data, CountMatrixSet):
-        drawn = rng.poisson(data.matrices.astype(float)).astype(np.int64)
-        return replace(data, matrices=drawn)
-    if isinstance(data, np.ndarray):
-        return rng.poisson(data.astype(float)).astype(float)
-    if isinstance(data, (tuple, list)):
-        return type(data)(_replicate(part, rng) for part in data)
-    raise TypeError(f"cannot resample object of type {type(data).__name__}")
+def _part_sampler(part, mask, n_resamples: int, rng: np.random.Generator, index: int):
+    """Draw the read cells of one part for every replicate; return ``make``.
 
-
-def _check_nonnegative(data) -> None:
-    if isinstance(data, CountMatrixSet):
-        return  # validated on construction
-    if isinstance(data, np.ndarray):
-        if np.any(np.asarray(data) < 0):
+    The cells outside ``mask`` are drawn as one lumped Poisson, placed in
+    the first unread cell, so each read cell and the part total keep their
+    law.  ``make(r)`` returns replicate ``r`` as the part's own type.
+    """
+    if isinstance(part, CountMatrixSet):
+        lam, dtype = part.matrices.astype(float), np.int64
+    elif isinstance(part, np.ndarray):
+        if np.any(part < 0):
             raise ValueError("counts must be non-negative")
-        return
-    if isinstance(data, (tuple, list)):
-        for part in data:
-            _check_nonnegative(part)
-        return
-    raise TypeError(f"cannot resample object of type {type(data).__name__}")
+        lam, dtype = part.astype(float), float
+    else:
+        raise TypeError(f"cannot resample object of type {type(part).__name__}")
+    if mask is None:
+        mask = np.ones(lam.shape, dtype=bool)
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != lam.shape:
+        raise ValueError(
+            f"reads[{index}] must be a bool mask of shape {lam.shape}, "
+            f"got {mask.dtype} of shape {mask.shape}"
+        )
+    read = np.flatnonzero(mask)
+    unread = np.flatnonzero(~mask)
+    cells = rng.poisson(lam.flat[read], (n_resamples, read.size))
+    lumped = rng.poisson(lam.flat[unread].sum(), n_resamples)
+
+    def make(r: int):
+        flat = np.zeros(lam.size, dtype=dtype)
+        flat[read] = cells[r]
+        if unread.size:
+            flat[unread[0]] = lumped[r]
+        drawn = flat.reshape(lam.shape)
+        return replace(part, matrices=drawn) if isinstance(part, CountMatrixSet) else drawn
+
+    return make
 
 
 def poisson_resample(
@@ -118,23 +133,41 @@ def poisson_resample(
     statistic: Callable,
     n_resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
+    reads: Optional[Sequence] = None,
 ) -> ResampleSummary:
     """Spread of a statistic under Poisson fluctuations of the counts.
 
     Each observed count is taken as the Poisson mean; ``statistic`` is
-    re-evaluated on ``n_resamples`` replicate data sets (count-matrix sets,
-    bare arrays, or tuples thereof).  Replicates use counter-keyed
-    generators, so results are independent of evaluation order.
+    re-evaluated on ``n_resamples`` replicates of ``data`` (a count-matrix
+    set, a bare array, or a tuple or list of them), each of the same type
+    as ``data``.  One generator keyed by ``seed`` draws every replicate.
+
+    ``reads`` holds one bool mask per part of ``data`` (shaped like its
+    counts) naming the cells ``statistic`` reads besides the part's total;
+    ``None`` means every cell.  Only those cells are drawn one by one; the
+    rest of a part is one lumped Poisson in its first unread cell.  The
+    joint law of the read cells and the part totals is exact, so the result
+    is correct only if ``statistic`` depends on nothing else.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
-    _check_nonnegative(data)
+    single = not isinstance(data, (tuple, list))
+    parts = (data,) if single else data
+    masks = (None,) * len(parts) if reads is None else tuple(reads)
+    if len(masks) != len(parts):
+        raise ValueError(
+            f"reads[{min(len(masks), len(parts))}]: need one mask per part of data, "
+            f"got {len(masks)} masks for {len(parts)} parts"
+        )
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
+    makers = [
+        _part_sampler(part, mask, n_resamples, rng, index)
+        for index, (part, mask) in enumerate(zip(parts, masks))
+    ]
     values = np.empty(n_resamples)
     for r in range(n_resamples):
-        rng = np.random.Generator(
-            np.random.Philox(key=int(seed) & ((1 << 128) - 1), counter=r << 128)
-        )
-        values[r] = statistic(_replicate(data, rng))
+        drawn = [make(r) for make in makers]
+        values[r] = statistic(drawn[0] if single else type(data)(drawn))
     return ResampleSummary(float(values.mean()), float(values.std(ddof=1)), n_resamples)
 
 
@@ -215,11 +248,23 @@ def threshold_scan(points: Sequence[SweepPoint]) -> ThresholdResult:
 
 def fiber_distance(loss_db: float, attenuation_db_per_km: float = 0.2) -> float:
     """Fiber length whose attenuation equals the tolerable loss budget."""
-    if loss_db < 0:
-        raise ValueError("loss budget must be non-negative")
-    if attenuation_db_per_km <= 0:
-        raise ValueError("attenuation must be positive")
+    if not 0 <= loss_db < math.inf:
+        raise ValueError(f"loss budget must be non-negative and finite, got {loss_db}")
+    _check_attenuation(attenuation_db_per_km)
     return loss_db / attenuation_db_per_km
+
+
+def fiber_loss(distance_km: float, attenuation_db_per_km: float = 0.2) -> float:
+    """Attenuation in dB of a fiber of the given length; inverse of ``fiber_distance``."""
+    if not 0 <= distance_km < math.inf:
+        raise ValueError(f"fiber distance must be non-negative and finite, got {distance_km}")
+    _check_attenuation(attenuation_db_per_km)
+    return distance_km * attenuation_db_per_km
+
+
+def _check_attenuation(attenuation_db_per_km: float) -> None:
+    if not 0 < attenuation_db_per_km < math.inf:
+        raise ValueError(f"attenuation must be positive and finite, got {attenuation_db_per_km}")
 
 
 def isotropic_noise_fraction(p: float) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -214,7 +215,9 @@ def _certify_streams(hv_stream, da_stream, dims, eta_hwp, resamples, seed_of):
         def statistic(pair):
             return witness.witness_from_counts(pair[0], pair[1], d, f, eta_hwp).witness_lower_bound
 
-        summary = analysis.poisson_resample((hv, da), statistic, resamples, seed_of(d))
+        summary = analysis.poisson_resample(
+            (hv, da), statistic, resamples, seed_of(d), witness.witness_read_masks(d, f)
+        )
         merged_kept = hv.frames_kept + da.frames_kept
         nf_true = None
         if hv.noise_coincidences is not None and da.noise_coincidences is not None and merged_kept:
@@ -289,6 +292,15 @@ def _threshold_dict(result: analysis.ThresholdResult) -> dict:
     }
 
 
+def _visibility_excess(mats, bound: float) -> float:
+    """Count-level visibility sum of ``mats`` minus ``bound``.
+
+    Reads each matrix's diagonal and total only, so its resampling masks
+    are diagonal.
+    """
+    return sum(float(np.trace(m)) / float(m.sum()) for m in mats) - bound
+
+
 def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     """Visibility-sum sweep rows and per-k thresholds for the MUB route."""
     mubs = mub.build_mubs(dim)
@@ -306,12 +318,10 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
         for k in k_list:
             report = mub.visibility_sum(state, mubs, k)
 
-            def statistic(mats, bound=report.separable_bound, k=k):
-                vis = sum(float(np.trace(m)) / float(m.sum()) for m in mats[:k])
-                return vis - bound
-
+            statistic = functools.partial(_visibility_excess, bound=report.separable_bound)
             summary = analysis.poisson_resample(
-                tuple(expected), statistic, resamples, _derived_seed(seed, round(nf * 1e6), k)
+                tuple(expected[:k]), statistic, resamples,
+                _derived_seed(seed, round(nf * 1e6), k), (np.eye(dim, dtype=bool),) * k,
             )
             nf_est = analysis.noise_fraction(
                 np.stack(matrices[:k]), analysis.ACCIDENTAL_MODEL
@@ -466,13 +476,13 @@ def cmd_resample(args) -> int:
 
 
 def cmd_link_budget(args) -> int:
+    if args.db is None and args.km is None:
+        raise ValueError("link-budget needs --db or --km")
     lines = ["# hdent-linkbudget-csv v1", "loss_db,distance_km"]
-    if args.db is not None:
-        for db in args.db:
-            lines.append(f"{_fmt(db)},{_fmt(analysis.fiber_distance(db, args.attenuation))}")
-    if args.km is not None:
-        for km in args.km:
-            lines.append(f"{_fmt(km * args.attenuation)},{_fmt(km)}")
+    for db in args.db or ():
+        lines.append(f"{_fmt(db)},{_fmt(analysis.fiber_distance(db, args.attenuation))}")
+    for km in args.km or ():
+        lines.append(f"{_fmt(analysis.fiber_loss(km, args.attenuation))},{_fmt(km)}")
     print("\n".join(lines))
     return 0
 

@@ -115,6 +115,31 @@ def da_coherence_sum(
     return float(np.sum(_da_combination(da)[f:]) / n2)
 
 
+def witness_read_masks(d: int, f: int):
+    """Cells of the (4, d, d) HV and DA matrices that the witness reads.
+
+    Besides these, ``witness_from_counts`` reads only each basis's total,
+    so the masks are the ``reads`` argument of ``poisson_resample`` for a
+    witness statistic.  HV: the four terms ``_reconstruct`` sums into the
+    penalty elements diag[i, i+f] and diag[i+f, i]; DA: the diagonals that
+    ``_da_combination`` reads.
+    """
+    if not 1 <= f < d:
+        raise ValueError(f"bin shift f must satisfy 1 <= f < d, got f={f}")
+    i = np.arange(d - f)
+    penalty = np.zeros((d, d), dtype=bool)
+    penalty[i, i + f] = penalty[i + f, i] = True
+    hv = np.zeros((4, d, d), dtype=bool)
+    hv[0] = penalty                                 # A0B0[i, j]
+    hv[1][:, f:] = penalty[:, : d - f]              # A0B1[i, j+f]
+    hv[2][f:, :] = penalty[: d - f, :]              # A1B0[i+f, j]
+    hv[3][f:, f:] = penalty[: d - f, : d - f]       # A1B1[i+f, j+f]
+    da = np.zeros((4, d, d), dtype=bool)
+    idx = np.arange(d)
+    da[:, idx, idx] = True
+    return hv, da
+
+
 def _da_combination(da: CountMatrixSet) -> np.ndarray:
     m = da.matrices.astype(float)
     idx = np.arange(da.binning.d)

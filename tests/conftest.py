@@ -1,12 +1,14 @@
 """Shared test oracles, independent of the implementation under test."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hdent.analysis import ResampleSummary
 from hdent.states import NoisyState, element
-from hdent.tagstream import BinningConfig, scaled_expected_counts
+from hdent.tagstream import BinningConfig, CountMatrixSet, scaled_expected_counts
 
 
 def exact_hv_probabilities(state: NoisyState, d: int, f: int) -> np.ndarray:
@@ -112,6 +114,36 @@ def spill_probabilities(bin_ticks: int, sigma_ticks: float, max_ticks: int = 400
         per_bin[m] * per_bin.get(m - 1, 0.0) for m in sorted(per_bin)
     )
     return stay, spill
+
+
+def _loop_replicate(data, rng: np.random.Generator):
+    if isinstance(data, CountMatrixSet):
+        return replace(data, matrices=rng.poisson(data.matrices.astype(float)).astype(np.int64))
+    if isinstance(data, np.ndarray):
+        return rng.poisson(data.astype(float)).astype(float)
+    return type(data)(_loop_replicate(part, rng) for part in data)
+
+
+def loop_poisson_resample(data, statistic, n_resamples: int, seed: int) -> ResampleSummary:
+    """Reference resampler: every cell drawn, one counter-keyed generator per replicate.
+
+    Draws each replicate in full, cell by cell, with no knowledge of what
+    ``statistic`` reads; the production resampler must match its law.
+    """
+    values = np.empty(n_resamples)
+    for r in range(n_resamples):
+        rng = np.random.Generator(
+            np.random.Philox(key=int(seed) & ((1 << 128) - 1), counter=r << 128)
+        )
+        values[r] = statistic(_loop_replicate(data, rng))
+    return ResampleSummary(float(values.mean()), float(values.std(ddof=1)), n_resamples)
+
+
+def lump_unread(counts: np.ndarray, mask: np.ndarray, target: int) -> np.ndarray:
+    """``counts`` with all mass outside ``mask`` moved into unread cell number ``target``."""
+    out = np.where(mask, counts, 0)
+    out.flat[np.flatnonzero(~mask)[target]] = counts[~mask].sum()
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from hdent.analysis import (
     NoiseFractionEstimate,
     SweepPoint,
     fiber_distance,
+    fiber_loss,
     isotropic_noise_fraction,
     noise_fraction,
     poisson_resample,
@@ -24,12 +25,13 @@ from hdent.tagstream import (
     generate_stream,
     sift_and_bin,
 )
-from hdent.witness import witness_exact, witness_from_counts
+from hdent.witness import witness_exact, witness_from_counts, witness_read_masks
 
-from conftest import exact_count_sets
+from conftest import exact_count_sets, loop_poisson_resample
 
 CLOCK = ClockConfig()
 B10 = BinningConfig.for_dimension(CLOCK, 10)
+B20 = BinningConfig.for_dimension(CLOCK, 20)
 
 
 def stream_counts(pair_rate, bg, seed, n=40_000):
@@ -141,9 +143,88 @@ class TestPoissonResample:
 
     def test_deterministic_in_seed(self):
         data = np.full((3, 3), 30.0)
-        a = poisson_resample(data, lambda m: float(m.sum()), 20, seed=4)
-        b = poisson_resample(data, lambda m: float(m.sum()), 20, seed=4)
-        assert a == b
+        reads = (np.eye(3, dtype=bool),)
+        a = poisson_resample(data, lambda m: float(m.sum()), 20, seed=4, reads=reads)
+        b = poisson_resample(data, lambda m: float(m.sum()), 20, seed=4, reads=reads)
+        c = poisson_resample(data, lambda m: float(m.sum()), 20, seed=5, reads=reads)
+        assert a == b and a != c
+
+    def test_all_true_mask_is_reads_none(self):
+        hv, da = exact_count_sets(NoisyState(make_max_entangled(10), 0.5), B10, 3e4)
+        everything = tuple(np.ones((4, 10, 10), dtype=bool) for _ in range(2))
+
+        def stat(pair):
+            return witness_from_counts(pair[0], pair[1], 10, 1).witness_lower_bound
+
+        assert poisson_resample((hv, da), stat, 30, 2) == poisson_resample(
+            (hv, da), stat, 30, 2, reads=everything
+        )
+
+    def test_replicates_keep_the_input_type(self):
+        hv, da = exact_count_sets(NoisyState(make_max_entangled(10), 0.5), B10, 1e3)
+        seen = []
+        for data in (hv, hv.matrices.astype(float), (hv, da), [hv, da]):
+            poisson_resample(data, lambda rep: seen.append(rep) or 0.0, 2, 0)
+            assert type(seen[-1]) is type(data)
+        assert seen[0].basis == BASIS_HV and seen[0].matrices.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "reads, message",
+        [
+            ((np.ones((4, 10, 10), dtype=bool),), r"reads\[1\]"),
+            ((np.ones((4, 10, 10), dtype=bool),) * 3, r"reads\[2\]"),
+            ((np.ones((4, 10, 10), dtype=bool), np.ones((10, 10), dtype=bool)), r"reads\[1\]"),
+            ((np.ones((4, 10, 10), dtype=bool), np.ones((4, 10, 10))), r"reads\[1\]"),
+        ],
+        ids=["too-few", "too-many", "shape", "not-bool"],
+    )
+    def test_rejects_bad_masks_naming_the_part(self, reads, message):
+        hv, da = exact_count_sets(NoisyState(make_max_entangled(10), 0.5), B10, 1e3)
+        with pytest.raises(ValueError, match=message):
+            poisson_resample((hv, da), lambda pair: 0.0, 10, 0, reads=reads)
+
+    def test_rejects_unsupported_types(self):
+        with pytest.raises(TypeError):
+            poisson_resample({"counts": np.ones(3)}, lambda m: 0.0, 10, 0)
+        with pytest.raises(TypeError):
+            poisson_resample(((np.ones(3),),), lambda m: 0.0, 10, 0)
+
+    def test_witness_masks_match_the_full_draw_in_law(self):
+        """Masked draws against the every-cell loop at d = 20, 2000 replicates each.
+
+        Mean and sigma must agree within 5 standard errors of their
+        difference (sigma's from the sample kurtosis); for a correct
+        resampler each check then fails with probability 5.7e-7, about 1e-6
+        for the pair.
+        """
+        hv, da = exact_count_sets(NoisyState(make_max_entangled(20), 0.5), B20, 3e4)
+        n = 2000
+        samples = {}
+        for name, resample in (
+            ("masked", lambda s: poisson_resample(
+                (hv, da), s, n, 11, reads=witness_read_masks(20, 2))),
+            ("loop", lambda s: loop_poisson_resample((hv, da), s, n, 11)),
+        ):
+            values = []
+
+            def stat(pair):
+                values.append(witness_from_counts(pair[0], pair[1], 20, 2).witness_lower_bound)
+                return values[-1]
+
+            resample(stat)
+            samples[name] = np.array(values)
+
+        def moments(x):
+            var = x.var(ddof=1)
+            m4 = np.mean((x - x.mean()) ** 4)
+            var_of_var = (m4 - var ** 2 * (n - 3) / (n - 1)) / n
+            return x.mean(), math.sqrt(var), var / n, var_of_var / (4 * var)
+
+        (mean_a, sd_a, se2_mean_a, se2_sd_a), (mean_b, sd_b, se2_mean_b, se2_sd_b) = (
+            moments(samples["masked"]), moments(samples["loop"])
+        )
+        assert abs(mean_a - mean_b) < 5 * math.sqrt(se2_mean_a + se2_mean_b)
+        assert abs(sd_a - sd_b) < 5 * math.sqrt(se2_sd_a + se2_sd_b)
 
 
 class TestThresholdScan:
@@ -199,3 +280,11 @@ class TestFiberDistance:
             fiber_distance(-1.0)
         with pytest.raises(ValueError):
             fiber_distance(10.0, 0.0)
+
+    def test_loss_inverts_distance(self):
+        assert fiber_loss(410.0) == 82.0
+        assert fiber_distance(fiber_loss(510.0, 0.2), 0.2) == 510.0
+        with pytest.raises(ValueError, match="distance"):
+            fiber_loss(-5.0)
+        with pytest.raises(ValueError, match="attenuation"):
+            fiber_loss(5.0, -0.2)

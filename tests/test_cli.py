@@ -3,10 +3,15 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdent import tagstream, witness
-from hdent.cli import load_run_config, main
+from hdent.cli import _visibility_excess, load_run_config, main
+
+from conftest import lump_unread
 
 SMALL_CONFIG = """
 [run]
@@ -51,6 +56,24 @@ class TestLinkBudget:
     def test_km_to_db(self, capsys):
         assert run_cli("link-budget", "--km", "410") == 0
         assert "82,410" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), "--db or --km"),
+            (("--km", "-5", "--attenuation", "-0.2"), "distance"),
+            (("--km", "5", "--attenuation", "-0.2"), "attenuation"),
+            (("--db", "10", "--attenuation", "0"), "attenuation"),
+            (("--db", "nan"), "loss budget"),
+            (("--km", "inf"), "distance"),
+            (("--km", "5", "--attenuation", "nan"), "attenuation"),
+        ],
+    )
+    def test_bad_input_fails_with_json_error(self, argv, message, capsys):
+        assert run_cli("link-budget", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in json.loads(captured.err)["message"]
 
 
 class TestErrors:
@@ -240,6 +263,29 @@ class TestMubSweep:
         )
         exported = sorted(p.name for p in tmp_path.glob("corr_*.csv"))
         assert len(exported) == 6  # 2 grid points x 3 bases
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from((3, 5, 7, 11)),
+    k=st.integers(2, 12),
+    high=st.integers(1, 1000),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=60)
+def test_visibility_statistic_reads_only_diagonals_and_totals(seed, dim, k, high, data):
+    """The MUB resampling masks: unread mass moved into one off-diagonal cell."""
+    rng = np.random.default_rng(seed)
+    mask = np.eye(dim, dtype=bool)
+    observed = []
+    for _ in range(k):
+        counts = rng.integers(0, high + 1, (dim, dim)).astype(float)
+        counts[0, 0] += 1.0
+        observed.append(counts)
+    lumped = [
+        lump_unread(m, mask, data.draw(st.integers(0, dim * dim - dim - 1))) for m in observed
+    ]
+    assert _visibility_excess(lumped, 1.5) == _visibility_excess(observed, 1.5)
 
 
 class TestSweepNoise:

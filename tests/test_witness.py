@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdent.states import NoisyState, SchmidtState, element, make_max_entangled, materialize
 from hdent.tagstream import (
@@ -9,6 +11,7 @@ from hdent.tagstream import (
     BASIS_HV,
     BinningConfig,
     ClockConfig,
+    CountMatrixSet,
     SourceModel,
     generate_stream,
     scaled_expected_counts,
@@ -19,12 +22,24 @@ from hdent.witness import (
     reconstruct_hv_diagonals,
     witness_exact,
     witness_from_counts,
+    witness_read_masks,
 )
 
-from conftest import exact_count_sets, exact_da_probabilities
+from conftest import exact_count_sets, exact_da_probabilities, lump_unread
 
 CLOCK = ClockConfig()
 TABLE = [(10, 1), (20, 2), (40, 4), (80, 8)]  # supported (d, f) pairs
+
+
+def _usable(d):
+    try:
+        BinningConfig.for_dimension(CLOCK, d)
+    except ValueError:
+        return False
+    return True
+
+
+CLOCK_DIMS = [d for d in range(1, CLOCK.frame_ticks + 1) if _usable(d)]
 
 
 def isotropic(d, p):
@@ -278,3 +293,42 @@ class TestWitnessFromCounts:
         assert report.witness_lower_bound == pytest.approx(
             report.prefactor * (report.coherence_sum - report.penalty_sum)
         )
+
+
+class TestReadMasks:
+    def test_cell_counts(self):
+        assert CLOCK_DIMS == [10, 20, 40, 80, 160, 320]
+        hv, da = witness_read_masks(80, 8)
+        assert hv.shape == da.shape == (4, 80, 80)
+        assert hv.sum() == 544 and da.sum() == 320
+
+    def test_rejects_bad_shift(self):
+        with pytest.raises(ValueError, match="bin shift"):
+            witness_read_masks(10, 10)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        high=st.integers(1, 60),
+        zero_share=st.floats(0.0, 0.95),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=25)
+    def test_witness_reads_only_masked_cells_and_totals(self, seed, high, zero_share, data):
+        """Moving every unread count of a basis into one unread cell keeps the report."""
+        rng = np.random.default_rng(seed)
+        for d in CLOCK_DIMS:
+            binning = binning_for(d)
+            f = binning.f_shift
+            observed, lumped = [], []
+            for basis, mask in zip((BASIS_HV, BASIS_DA), witness_read_masks(d, f)):
+                counts = rng.integers(0, high + 1, (4, d, d))
+                counts[rng.random(counts.shape) < zero_share] = 0
+                counts[0, 0, 0] += 1
+                target = data.draw(st.integers(0, int((~mask).sum()) - 1))
+                for out, m in ((observed, counts), (lumped, lump_unread(counts, mask, target))):
+                    total = int(m.sum())
+                    out.append(CountMatrixSet(basis, binning, m, total, total))
+            for eta_hwp in (1.0, 0.7):
+                assert witness_from_counts(*lumped, d, f, eta_hwp) == witness_from_counts(
+                    *observed, d, f, eta_hwp
+                )
