@@ -13,7 +13,6 @@ from .analysis import (
     SweepPoint,
     ThresholdResult,
     fiber_distance,
-    isotropic_noise_fraction,
     noise_fraction,
     poisson_resample,
     threshold_scan,
@@ -42,7 +41,6 @@ from .tagstream import (
     BASIS_DA,
     BASIS_HV,
     BinningConfig,
-    Channel,
     ClockConfig,
     CountMatrixSet,
     Origin,
@@ -57,8 +55,6 @@ from .tagstream import (
 )
 from .witness import (
     WitnessReport,
-    da_coherence_sum,
-    reconstruct_hv_diagonals,
     witness_exact,
     witness_from_counts,
     witness_read_masks,
@@ -71,7 +67,6 @@ __all__ = [
     "BASIS_DA",
     "BASIS_HV",
     "BinningConfig",
-    "Channel",
     "ClockConfig",
     "CountMatrixSet",
     "DensityMatrix",
@@ -93,12 +88,10 @@ __all__ = [
     "build_mubs",
     "correlation_matrix",
     "crosstalk_profile",
-    "da_coherence_sum",
     "element",
     "fiber_distance",
     "generate_stream",
     "is_prime",
-    "isotropic_noise_fraction",
     "joint_probability",
     "make_max_entangled",
     "materialize",
@@ -106,7 +99,6 @@ __all__ = [
     "noise_fraction",
     "poisson_resample",
     "read_tags",
-    "reconstruct_hv_diagonals",
     "separable_bound",
     "sift_and_bin",
     "threshold_scan",

@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .tagstream import BinningConfig, CountMatrixSet, TagStream, sift_and_bin
+from .tagstream import CountMatrixSet
 
 GROUND_TRUTH = "ground_truth"
 ACCIDENTAL_MODEL = "accidental_model"
@@ -47,9 +47,8 @@ def _pedestal_estimate(matrices: np.ndarray) -> float:
     return float(min(1.0, max(0.0, level * n_mat * d * d / total)))
 
 
-def noise_fraction(data, mode: str = GROUND_TRUTH, binning: Optional[BinningConfig] = None,
-                   basis: str = "HV") -> NoiseFractionEstimate:
-    """Noise fraction of a count-matrix set (or a stream, sifted on the fly).
+def noise_fraction(data, mode: str = GROUND_TRUTH) -> NoiseFractionEstimate:
+    """Noise fraction of a count-matrix set or a bare stack of count matrices.
 
     GROUND_TRUTH counts a kept coincidence as noise when either photon is
     labelled background; it is unavailable for unknown-origin data.
@@ -58,10 +57,6 @@ def noise_fraction(data, mode: str = GROUND_TRUTH, binning: Optional[BinningConf
     and extrapolates it under the diagonals; on exact isotropic-state
     matrices it returns 1 - p.
     """
-    if isinstance(data, TagStream):
-        if binning is None:
-            raise ValueError("a binning is required to sift a stream")
-        data = sift_and_bin(data, binning, basis)
     if mode == GROUND_TRUTH:
         if not isinstance(data, CountMatrixSet):
             raise ValueError("ground-truth noise fraction needs origin labels")
@@ -265,10 +260,3 @@ def fiber_loss(distance_km: float, attenuation_db_per_km: float = 0.2) -> float:
 def _check_attenuation(attenuation_db_per_km: float) -> None:
     if not 0 < attenuation_db_per_km < math.inf:
         raise ValueError(f"attenuation must be positive and finite, got {attenuation_db_per_km}")
-
-
-def isotropic_noise_fraction(p: float) -> float:
-    """NF of an isotropic mixture at the probability level: exactly 1 - p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    return 1.0 - p

@@ -57,13 +57,6 @@ _RECORD_DTYPE = np.dtype(
 )
 
 
-class Channel(enum.IntEnum):
-    A0 = 0
-    A1 = 1
-    B0 = 2
-    B1 = 3
-
-
 class Origin(enum.IntEnum):
     SIGNAL = 0
     NOISE = 1
@@ -217,9 +210,6 @@ class CountMatrixSet:
             raise ValueError(f"basis must be {BASIS_HV!r} or {BASIS_DA!r}")
         m.setflags(write=False)
         object.__setattr__(self, "matrices", m)
-
-    def matrix(self, pair: str) -> np.ndarray:
-        return self.matrices[PAIR_LABELS.index(pair)]
 
     def total_counts(self) -> int:
         return int(self.matrices.sum())

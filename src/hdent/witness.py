@@ -1,4 +1,4 @@
-"""Coherence witness: exact evaluation and reconstruction from count matrices.
+"""Coherence witness: exact evaluation and estimation from count matrices.
 
 The witness for a d-dimensional state rho with bin shift f is
 
@@ -7,12 +7,15 @@ The witness for a d-dimensional state rho with bin shift f is
 
 and certifies entanglement when positive.  ``witness_exact`` evaluates it
 analytically; ``witness_from_counts`` estimates a lower bound from measured
-count matrices in the two bases.
+count matrices in the two bases.  It reads only the cells listed in one
+table per (d, f), ``_read_table``, plus the two basis totals;
+``witness_read_masks`` turns the same table into the resampler's masks.
 
 Index conventions (0-based recorded bins):
 
 * HV matrices: detector 1 on either side is recorded one f-shift late, so
-  the state-level diagonal element <ij|rho|ij> is estimated by
+  the state-level diagonal element <ij|rho|ij> (needed only at the penalty
+  elements j = i+f and i = j+f) is estimated by
 
       ( A0B0[i, j] + A0B1[i, j+f] + A1B0[i+f, j] + A1B1[i+f, j+f] ) / N1,
 
@@ -32,10 +35,9 @@ Index conventions (0-based recorded bins):
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -60,59 +62,40 @@ def witness_exact(state: NoisyState, d: int, f: int) -> float:
     return (coherence - penalty) / math.sqrt(d - 1)
 
 
-def _reconstruct(hv: CountMatrixSet, d: int, f: int):
-    m = hv.matrices.astype(float)
-    n1 = float(m.sum())
-    if n1 == 0:
-        raise ValueError("HV count matrices are empty")
-    diag = np.zeros((d, d))
-    diag += m[0]                                   # A0B0[i, j]
-    diag[:, : d - f] += m[1][:, f:]                # A0B1[i, j+f]
-    diag[: d - f, :] += m[2][f:, :]                # A1B0[i+f, j]
-    diag[: d - f, : d - f] += m[3][f:, f:]         # A1B1[i+f, j+f]
-    diag /= n1
-    dropped = 3 * d * d - (2 * d * (d - f) + (d - f) ** 2)
-    return diag, dropped, n1
+@functools.lru_cache(maxsize=None)
+def _read_table(d: int, f: int):
+    """Flat indices into a (4, d, d) count array of every cell the witness reads.
 
-
-def reconstruct_hv_diagonals(hv: CountMatrixSet, d: int, f: int) -> np.ndarray:
-    """Estimated diagonal elements <ij|rho|ij> from the four HV matrices.
-
-    Entries sum to at most 1; mass recorded beyond the frame edge by the
-    delayed detectors is unrecoverable and simply truncated.
+    Returns read-only ``(hv_cells, hv_slots, da_cells)``.  The penalty
+    elements are diag[i, i+f] for i = 0..d-f-1, then diag[i+f, i]; HV cell
+    ``hv_cells[n]`` is one of the up to four terms summed into element
+    ``hv_slots[n]``.  ``da_cells[m, t]`` is the diagonal cell [t, t] of DA
+    matrix ``m``.  The witness sums only t = f..d-1; the bins below f stay
+    in the table so that the DA read mask, and with it the resampler's
+    draws, keep their layout.
     """
-    if hv.basis != BASIS_HV:
-        raise ValueError(f"expected an HV count set, got basis {hv.basis!r}")
-    _check_counts(hv, d, f)
-    diag, _, _ = _reconstruct(hv, d, f)
-    return diag
-
-
-def da_coherence_sum(
-    da: CountMatrixSet,
-    d: int,
-    f: int,
-    eta_hwp: float = 1.0,
-    n1: Optional[float] = None,
-) -> float:
-    """Interference combination sum_t (A0B0 + A1B1 - A0B1 - A1B0)[t, t] / N2.
-
-    The sum runs over recorded bins t = f..d-1 (bin pairs fully inside the
-    frame).  N2 = n1 * eta_hwp^2; when ``n1`` is not given the DA set's own
-    total count is used, which matches runs of equal length at eta_hwp = 1.
-    """
-    if da.basis != BASIS_DA:
-        raise ValueError(f"expected a DA count set, got basis {da.basis!r}")
-    _check_counts(da, d, f)
-    if not 0.0 < eta_hwp <= 1.0:
-        raise ValueError(f"eta_hwp must be in (0, 1], got {eta_hwp}")
-    total = da.total_counts()
-    if total == 0:
-        raise ValueError("DA count matrices are empty")
-    if n1 is None:
-        n1 = float(total)
-    n2 = n1 * eta_hwp ** 2
-    return float(np.sum(_da_combination(da)[f:]) / n2)
+    if not 1 <= f < d:
+        raise ValueError(f"bin shift f must satisfy 1 <= f < d, got f={f}")
+    i = np.arange(d - f)
+    rows = np.concatenate([i, i + f])
+    cols = np.concatenate([i + f, i])
+    slots = np.arange(rows.size)
+    cells, owners = [], []
+    # A0B0[a, b], A0B1[a, b+f], A1B0[a+f, b], A1B1[a+f, b+f]
+    for m, (dr, dc) in enumerate(((0, 0), (0, f), (f, 0), (f, f))):
+        r, c = rows + dr, cols + dc
+        inside = (r < d) & (c < d)
+        cells.append((m * d + r[inside]) * d + c[inside])
+        owners.append(slots[inside])
+    t = np.arange(d)
+    table = (
+        np.concatenate(cells),
+        np.concatenate(owners),
+        (np.arange(4)[:, None] * d + t) * d + t,
+    )
+    for part in table:
+        part.setflags(write=False)
+    return table
 
 
 def witness_read_masks(d: int, f: int):
@@ -120,30 +103,12 @@ def witness_read_masks(d: int, f: int):
 
     Besides these, ``witness_from_counts`` reads only each basis's total,
     so the masks are the ``reads`` argument of ``poisson_resample`` for a
-    witness statistic.  HV: the four terms ``_reconstruct`` sums into the
-    penalty elements diag[i, i+f] and diag[i+f, i]; DA: the diagonals that
-    ``_da_combination`` reads.
+    witness statistic.
     """
-    if not 1 <= f < d:
-        raise ValueError(f"bin shift f must satisfy 1 <= f < d, got f={f}")
-    i = np.arange(d - f)
-    penalty = np.zeros((d, d), dtype=bool)
-    penalty[i, i + f] = penalty[i + f, i] = True
-    hv = np.zeros((4, d, d), dtype=bool)
-    hv[0] = penalty                                 # A0B0[i, j]
-    hv[1][:, f:] = penalty[:, : d - f]              # A0B1[i, j+f]
-    hv[2][f:, :] = penalty[: d - f, :]              # A1B0[i+f, j]
-    hv[3][f:, f:] = penalty[: d - f, : d - f]       # A1B1[i+f, j+f]
-    da = np.zeros((4, d, d), dtype=bool)
-    idx = np.arange(d)
-    da[:, idx, idx] = True
-    return hv, da
-
-
-def _da_combination(da: CountMatrixSet) -> np.ndarray:
-    m = da.matrices.astype(float)
-    idx = np.arange(da.binning.d)
-    return (m[0] + m[3] - m[1] - m[2])[idx, idx]
+    hv_cells, _, da_cells = _read_table(d, f)
+    masks = np.zeros((2, 4 * d * d), dtype=bool)
+    masks[0, hv_cells] = masks[1, da_cells] = True
+    return tuple(masks.reshape(2, 4, d, d))
 
 
 def _check_counts(counts: CountMatrixSet, d: int, f: int) -> None:
@@ -183,9 +148,6 @@ class WitnessReport:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def witness_from_counts(
     hv: CountMatrixSet,
@@ -203,12 +165,16 @@ def witness_from_counts(
         raise ValueError(f"eta_hwp must be in (0, 1], got {eta_hwp}")
     if da.total_counts() == 0:
         raise ValueError("DA count matrices are empty")
-    diag, dropped, n1 = _reconstruct(hv, d, f)
+    hv_cells, hv_slots, da_cells = _read_table(d, f)
+    n1 = float(hv.total_counts())
+    if n1 == 0:
+        raise ValueError("HV count matrices are empty")
     n2 = n1 * eta_hwp ** 2
 
-    i = np.arange(d - f)
-    coherence = _da_combination(da)[f:] / n2          # index i = t - f
-    penalty = np.sqrt(diag[i, i + f] * diag[i + f, i])
+    diag = np.bincount(hv_slots, weights=hv.matrices.take(hv_cells)) / n1
+    penalty = np.sqrt(diag[: d - f] * diag[d - f :])
+    a0b0, a0b1, a1b0, a1b1 = da.matrices.take(da_cells[:, f:])   # index i = t - f
+    coherence = (a0b0 + a1b1 - a0b1 - a1b0) / n2
     terms = coherence - penalty
     prefactor = 1.0 / math.sqrt(d - 1)
 
@@ -235,6 +201,6 @@ def witness_from_counts(
         terms_wide=d - f,
         terms_narrow=n_narrow,
         conservative_range=which,
-        dropped_hv_terms=dropped,
+        dropped_hv_terms=3 * d * d - (2 * d * (d - f) + (d - f) ** 2),
         prefactor=prefactor,
     )

@@ -9,6 +9,7 @@ import pytest
 from hdent.analysis import ResampleSummary
 from hdent.states import NoisyState, element
 from hdent.tagstream import BinningConfig, CountMatrixSet, scaled_expected_counts
+from hdent.witness import WitnessReport
 
 
 def exact_hv_probabilities(state: NoisyState, d: int, f: int) -> np.ndarray:
@@ -137,6 +138,51 @@ def loop_poisson_resample(data, statistic, n_resamples: int, seed: int) -> Resam
         )
         values[r] = statistic(_loop_replicate(data, rng))
     return ResampleSummary(float(values.mean()), float(values.std(ddof=1)), n_resamples)
+
+
+def dense_witness_report(hv: CountMatrixSet, da: CountMatrixSet, d: int, f: int,
+                         eta_hwp: float = 1.0) -> WitnessReport:
+    """Reference witness estimator on dense float copies of every cell.
+
+    Reconstructs the full d x d diagonal-element estimate from the four
+    shifted HV matrices and the interference combination on the whole DA
+    diagonal, then picks the penalty and coherence terms out of them.
+    Inputs are assumed valid; the production estimator must match it bit
+    for bit.
+    """
+    m = hv.matrices.astype(float)
+    n1 = float(m.sum())
+    diag = np.zeros((d, d))
+    diag += m[0]                                   # A0B0[i, j]
+    diag[:, : d - f] += m[1][:, f:]                # A0B1[i, j+f]
+    diag[: d - f, :] += m[2][f:, :]                # A1B0[i+f, j]
+    diag[: d - f, : d - f] += m[3][f:, f:]         # A1B1[i+f, j+f]
+    diag /= n1
+    n2 = n1 * eta_hwp ** 2
+    a = da.matrices.astype(float)
+    idx = np.arange(d)
+    i = np.arange(d - f)
+    coherence = (a[0] + a[3] - a[1] - a[2])[idx, idx][f:] / n2
+    penalty = np.sqrt(diag[i, i + f] * diag[i + f, i])
+    terms = coherence - penalty
+    prefactor = 1.0 / math.sqrt(d - 1)
+    n_narrow = max(d - 2 * f, 0)
+    value_wide = prefactor * float(terms.sum())
+    value_narrow = prefactor * float(terms[:n_narrow].sum())
+    which, n_cons = ("narrow", n_narrow) if value_narrow <= value_wide else ("wide", d - f)
+    value = min(value_wide, value_narrow)
+    return WitnessReport(
+        d=d, f=f,
+        coherence_sum=float(coherence[:n_cons].sum()),
+        penalty_sum=float(penalty[:n_cons].sum()),
+        witness_lower_bound=value, certified=bool(value > 0.0),
+        n1=n1, n2=n2, eta_hwp=eta_hwp,
+        value_wide=value_wide, value_narrow=value_narrow,
+        terms_wide=d - f, terms_narrow=n_narrow,
+        conservative_range=which,
+        dropped_hv_terms=3 * d * d - (m[1][:, f:].size + m[2][f:, :].size + m[3][f:, f:].size),
+        prefactor=prefactor,
+    )
 
 
 def lump_unread(counts: np.ndarray, mask: np.ndarray, target: int) -> np.ndarray:

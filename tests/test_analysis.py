@@ -10,7 +10,6 @@ from hdent.analysis import (
     SweepPoint,
     fiber_distance,
     fiber_loss,
-    isotropic_noise_fraction,
     noise_fraction,
     poisson_resample,
     threshold_scan,
@@ -69,7 +68,6 @@ class TestNoiseFraction:
             m = correlation_matrix(NoisyState(make_max_entangled(5), p), mubs, 1, 1)
             est = noise_fraction(m, ACCIDENTAL_MODEL).nf_estimated
             assert abs(est - (1.0 - p)) < 1e-12
-            assert abs(isotropic_noise_fraction(p) - (1.0 - p)) < 1e-15
 
     def test_isotropic_pedestal_is_exact_hv_set(self):
         for p in (0.2, 0.65):
@@ -80,13 +78,6 @@ class TestNoiseFraction:
     def test_ground_truth_needs_labels(self):
         with pytest.raises(ValueError):
             noise_fraction(np.ones((4, 3, 3)), GROUND_TRUTH)
-
-    def test_stream_input_needs_binning(self):
-        m = SourceModel(make_max_entangled(10), 1e6, 0.0, 0.0, 1.0, BASIS_HV)
-        stream = generate_stream(m, CLOCK, 2000, 5)
-        with pytest.raises(ValueError, match="binning"):
-            noise_fraction(stream)
-        assert noise_fraction(stream, binning=B10).nf_true == 0.0
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from hdent.tagstream import (
     BASIS_HV,
     CHUNK_FRAMES,
     FWHM_TO_SIGMA,
+    PAIR_LABELS,
     BinningConfig,
     ClockConfig,
     CountMatrixSet,
@@ -181,7 +182,7 @@ class TestSifting:
         stream = TagStream(CLOCK, ts, ch, og)
         counts = sift_and_bin(stream, BinningConfig.for_dimension(CLOCK, 10), BASIS_HV)
         assert counts.frames_total == 2 and counts.frames_kept == 1
-        assert counts.matrix("A0B1")[0, 7] == 1
+        assert counts.matrices[PAIR_LABELS.index("A0B1")][0, 7] == 1
         assert counts.total_counts() == 1
 
     def test_conservation_and_rebinning(self):

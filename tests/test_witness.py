@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,15 +18,9 @@ from hdent.tagstream import (
     scaled_expected_counts,
     sift_and_bin,
 )
-from hdent.witness import (
-    da_coherence_sum,
-    reconstruct_hv_diagonals,
-    witness_exact,
-    witness_from_counts,
-    witness_read_masks,
-)
+from hdent.witness import witness_exact, witness_from_counts, witness_read_masks
 
-from conftest import exact_count_sets, exact_da_probabilities, lump_unread
+from conftest import dense_witness_report, exact_count_sets, exact_da_probabilities, lump_unread
 
 CLOCK = ClockConfig()
 TABLE = [(10, 1), (20, 2), (40, 4), (80, 8)]  # supported (d, f) pairs
@@ -115,40 +110,75 @@ class TestWitnessExact:
             witness_exact(st, 5, 1)
 
 
+def exact_penalty(state, i, f):
+    return math.sqrt(
+        element(state, (i, i + f), (i, i + f)).real
+        * element(state, (i + f, i), (i + f, i)).real
+    )
+
+
+def exact_coherence(state, i, f):
+    return abs(element(state, (i, i), (i + f, i + f)))
+
+
+def wide_coherence_sum(da, d, f):
+    """Coherence sum over i < d-f, read through a report whose penalty is zero."""
+    hv, _ = exact_count_sets(isotropic(d, 1.0), binning_for(d), da.total_counts())
+    report = witness_from_counts(hv, da, d, f)
+    assert report.penalty_sum == 0.0
+    return report.value_wide / report.prefactor
+
+
 class TestReconstruction:
     def test_exact_counts_reproduce_diagonal_elements(self):
+        # every penalty element of the narrow range has all four HV terms
+        # and is exact; the f wide-only elements lose half their mass
         d, f = 10, 1
         state = isotropic(d, 0.62)
-        hv, _ = exact_count_sets(state, binning_for(d), 1e8)
-        diag = reconstruct_hv_diagonals(hv, d, f)
-        for i in range(d - f):
-            for j in range(d - f):
-                expected = element(state, (i, j), (i, j)).real
-                assert abs(diag[i, j] - expected) < 1e-3
+        hv, da = exact_count_sets(state, binning_for(d), 1e8)
+        report = witness_from_counts(hv, da, d, f)
+        narrow = sum(exact_penalty(state, i, f) for i in range(d - 2 * f))
+        tail = sum(exact_penalty(state, i, f) for i in range(d - 2 * f, d - f))
+        coherence = [exact_coherence(state, i, f) for i in range(d - f)]
+        assert report.conservative_range == "narrow"
+        assert abs(report.penalty_sum - narrow) < 1e-6
+        assert abs(report.value_narrow / report.prefactor
+                   - (sum(coherence[: d - 2 * f]) - narrow)) < 1e-6
+        assert abs(report.value_wide / report.prefactor
+                   - (sum(coherence) - narrow - 0.5 * tail)) < 1e-6
 
     def test_ideal_run_concentrates_on_diagonal(self):
         d, f = 10, 1
-        hv, _ = exact_count_sets(isotropic(d, 1.0), binning_for(d), 1e6)
-        diag = reconstruct_hv_diagonals(hv, d, f)
-        for i in range(d - f):
-            assert abs(diag[i, i] - 1 / d) < 1e-3
-        off = diag - np.diag(np.diagonal(diag))
-        assert np.all(np.abs(off) < 1e-6)
+        hv, da = exact_count_sets(isotropic(d, 1.0), binning_for(d), 1e6)
+        report = witness_from_counts(hv, da, d, f)
+        assert report.penalty_sum == 0.0
+        assert report.value_narrow == report.prefactor * report.coherence_sum
 
     def test_uniform_background_reconstruction(self, rng):
+        # equal DA matrices cancel the coherence exactly, so the values are
+        # pure penalty: 1/d^2 per element with all four HV terms, half that
+        # in the f wide-only elements
         d, f = 10, 1
         n = 100_000
         matrices = rng.poisson(n / (4 * d * d), size=(4, d, d)).astype(np.int64)
         hv = scaled_expected_counts(matrices / matrices.sum(), binning_for(d), BASIS_HV, matrices.sum())
-        diag = reconstruct_hv_diagonals(hv, d, f)
+        flat_da = np.repeat(matrices[:1], 4, axis=0)
+        da = CountMatrixSet(BASIS_DA, binning_for(d), flat_da, flat_da.sum(), flat_da.sum())
+        report = witness_from_counts(hv, da, d, f)
+        narrow = -report.value_narrow / report.prefactor
+        tail = (report.value_narrow - report.value_wide) / report.prefactor
+        assert report.conservative_range == "wide"
+        assert report.coherence_sum == 0.0
+        assert abs(report.penalty_sum - (narrow + tail)) < 1e-12
         sigma_cell = math.sqrt(4 * n / (4 * d * d)) / n
-        interior = diag[: d - f, : d - f]
-        assert np.all(np.abs(interior - 1 / d ** 2) < 5 * sigma_cell)
+        assert abs(narrow - (d - 2 * f) / d ** 2) < 5 * math.sqrt(d - 2 * f) * sigma_cell
+        assert abs(tail - f / (2 * d ** 2)) < 5 * math.sqrt(f) * sigma_cell
 
     def test_empty_counts_rejected(self):
         hv = scaled_expected_counts(np.zeros((4, 10, 10)), binning_for(10), BASIS_HV, 0)
-        with pytest.raises(ValueError, match="empty"):
-            reconstruct_hv_diagonals(hv, 10, 1)
+        _, da = exact_count_sets(isotropic(10, 1.0), binning_for(10), 1e6)
+        with pytest.raises(ValueError, match="HV count matrices are empty"):
+            witness_from_counts(hv, da, 10, 1)
 
 
 class TestDaCoherenceSum:
@@ -157,11 +187,12 @@ class TestDaCoherenceSum:
         d, f = 10, 1
         for p in (1.0, 0.7):
             state = isotropic(d, p)
-            _, da = exact_count_sets(state, binning_for(d), 1e8)
-            expected = sum(
-                abs(element(state, (i, i), (i + f, i + f))) for i in range(d - f)
-            )
-            assert abs(da_coherence_sum(da, d, f) - expected) < 1e-4
+            hv, da = exact_count_sets(state, binning_for(d), 1e8)
+            expected = [exact_coherence(state, i, f) for i in range(d - f)]
+            assert abs(wide_coherence_sum(da, d, f) - sum(expected)) < 1e-4
+            report = witness_from_counts(hv, da, d, f)
+            n_cons = report.terms_narrow if report.conservative_range == "narrow" else report.terms_wide
+            assert abs(report.coherence_sum - sum(expected[:n_cons])) < 1e-4
 
     def test_white_noise_averages_to_zero(self, rng):
         d, f = 10, 1
@@ -169,7 +200,7 @@ class TestDaCoherenceSum:
         n = 200_000
         sampled = rng.poisson(probs * n).astype(np.int64)
         da = scaled_expected_counts(sampled / sampled.sum(), binning_for(d), BASIS_DA, sampled.sum())
-        value = da_coherence_sum(da, d, f)
+        value = wide_coherence_sum(da, d, f)
         sigma = math.sqrt(sampled[:, np.arange(d), np.arange(d)][:, f:].sum()) / sampled.sum()
         assert abs(value) < 5 * sigma
 
@@ -182,8 +213,8 @@ class TestDaCoherenceSum:
         da_zero = scaled_expected_counts(
             exact_da_probabilities(state, f, 0.0), binning_for(d), BASIS_DA, 1e8
         )
-        a = da_coherence_sum(da_pi, d, f)
-        b = da_coherence_sum(da_zero, d, f)
+        a = wide_coherence_sum(da_pi, d, f)
+        b = wide_coherence_sum(da_zero, d, f)
         assert a > 0 > b and abs(a + b) < 1e-6
 
 
@@ -287,12 +318,38 @@ class TestWitnessFromCounts:
         d, f = 10, 1
         hv, da = exact_count_sets(isotropic(d, 0.9), binning_for(d), 1e6)
         report = witness_from_counts(hv, da, d, f)
-        payload = report.to_json()
+        payload = json.dumps(report.to_dict())
         assert '"witness_lower_bound"' in payload
         assert report.witness_lower_bound == min(report.value_wide, report.value_narrow)
         assert report.witness_lower_bound == pytest.approx(
             report.prefactor * (report.coherence_sum - report.penalty_sum)
         )
+
+
+class TestDenseOracle:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        high=st.sampled_from([1, 3, 60, 10**4, 10**7]),
+        zero_share=st.floats(0.0, 0.95),
+    )
+    @settings(deadline=None, max_examples=25)
+    def test_report_equals_dense_estimator(self, seed, high, zero_share):
+        """Integer counts sum exactly in any order, so every field matches bit for bit."""
+        rng = np.random.default_rng(seed)
+        for d in CLOCK_DIMS:
+            binning = binning_for(d)
+            f = binning.f_shift
+            sets = []
+            for basis in (BASIS_HV, BASIS_DA):
+                counts = rng.integers(0, high + 1, (4, d, d))
+                counts[rng.random(counts.shape) < zero_share] = 0
+                counts[0, 0, 0] += 1
+                total = int(counts.sum())
+                sets.append(CountMatrixSet(basis, binning, counts, total, total))
+            for eta_hwp in (1.0, 0.7):
+                assert witness_from_counts(*sets, d, f, eta_hwp) == dense_witness_report(
+                    *sets, d, f, eta_hwp
+                )
 
 
 class TestReadMasks:
