@@ -6,16 +6,13 @@ visibility sums over complete sets of mutually unbiased bases.
 """
 
 from .analysis import (
-    ACCIDENTAL_MODEL,
-    GROUND_TRUTH,
-    NoiseFractionEstimate,
     ResampleSummary,
-    SweepPoint,
     ThresholdResult,
     fiber_distance,
     noise_fraction,
     poisson_resample,
     threshold_scan,
+    true_noise_fraction,
 )
 from .mub import (
     MubSet,
@@ -63,23 +60,19 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACCIDENTAL_MODEL",
     "BASIS_DA",
     "BASIS_HV",
     "BinningConfig",
     "ClockConfig",
     "CountMatrixSet",
     "DensityMatrix",
-    "GROUND_TRUTH",
     "MubSet",
-    "NoiseFractionEstimate",
     "NoisyState",
     "Origin",
     "Pairing",
     "ResampleSummary",
     "SchmidtState",
     "SourceModel",
-    "SweepPoint",
     "TagFormatError",
     "TagStream",
     "ThresholdResult",
@@ -102,6 +95,7 @@ __all__ = [
     "separable_bound",
     "sift_and_bin",
     "threshold_scan",
+    "true_noise_fraction",
     "visibility_sum",
     "witness_exact",
     "witness_from_counts",

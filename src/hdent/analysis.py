@@ -10,31 +10,17 @@ import numpy as np
 
 from .tagstream import CountMatrixSet
 
-GROUND_TRUTH = "ground_truth"
-ACCIDENTAL_MODEL = "accidental_model"
 DEFAULT_RESAMPLES = 150
 
 
-@dataclass(frozen=True)
-class NoiseFractionEstimate:
-    """Fraction of kept coincidences attributable to noise, in [0, 1].
+def noise_fraction(matrices) -> float:
+    """Label-free noise fraction of one count matrix or a stack of them.
 
-    ``nf_true`` uses simulation origin labels; ``nf_estimated`` is the
-    label-free uniform-pedestal estimate.  Only the requested one is set.
+    Assumes background counts land uniformly across bins and detector
+    pairs: the pedestal level of all off-diagonal cells is extrapolated
+    under the diagonals.  On exact isotropic-state matrices it returns
+    1 - p.
     """
-
-    nf_true: Optional[float]
-    nf_estimated: Optional[float]
-    method: str
-
-    @property
-    def value(self) -> float:
-        return self.nf_true if self.nf_true is not None else self.nf_estimated
-
-
-def _pedestal_estimate(matrices: np.ndarray) -> float:
-    """NF under a uniform-background model: off-diagonal pedestal level
-    extrapolated under the diagonal."""
     m = np.asarray(matrices, dtype=float)
     if m.ndim == 2:
         m = m[None, :, :]
@@ -47,30 +33,16 @@ def _pedestal_estimate(matrices: np.ndarray) -> float:
     return float(min(1.0, max(0.0, level * n_mat * d * d / total)))
 
 
-def noise_fraction(data, mode: str = GROUND_TRUTH) -> NoiseFractionEstimate:
-    """Noise fraction of a count-matrix set or a bare stack of count matrices.
+def true_noise_fraction(*counts: CountMatrixSet) -> Optional[float]:
+    """Share of the kept coincidences of all ``counts`` together in which
+    either photon is labelled background.
 
-    GROUND_TRUTH counts a kept coincidence as noise when either photon is
-    labelled background; it is unavailable for unknown-origin data.
-    ACCIDENTAL_MODEL assumes background counts land uniformly across bins
-    and detector pairs, estimates the pedestal from all off-diagonal cells,
-    and extrapolates it under the diagonals; on exact isotropic-state
-    matrices it returns 1 - p.
+    None when any set carries unknown origins or no frame is kept.
     """
-    if mode == GROUND_TRUTH:
-        if not isinstance(data, CountMatrixSet):
-            raise ValueError("ground-truth noise fraction needs origin labels")
-        if data.noise_coincidences is None:
-            raise ValueError("stream carries unknown origins; ground truth unavailable")
-        if data.frames_kept == 0:
-            raise ValueError("no kept coincidences")
-        return NoiseFractionEstimate(
-            data.noise_coincidences / data.frames_kept, None, GROUND_TRUTH
-        )
-    if mode == ACCIDENTAL_MODEL:
-        matrices = data.matrices if isinstance(data, CountMatrixSet) else data
-        return NoiseFractionEstimate(None, _pedestal_estimate(matrices), ACCIDENTAL_MODEL)
-    raise ValueError(f"unknown mode {mode!r}")
+    kept = sum(c.frames_kept for c in counts)
+    if not kept or any(c.noise_coincidences is None for c in counts):
+        return None
+    return sum(c.noise_coincidences for c in counts) / kept
 
 
 @dataclass(frozen=True)
@@ -167,21 +139,6 @@ def poisson_resample(
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One noise setting of a sweep: certification statistic and its error."""
-
-    noise_setting: float
-    nf: NoiseFractionEstimate
-    witness_value: float
-    sigma: float
-    certified: bool
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-
-
-@dataclass(frozen=True)
 class ThresholdResult:
     """Largest noise fraction with a positive certification statistic.
 
@@ -207,35 +164,42 @@ def _interp_root(x0, y0, x1, y1) -> Optional[float]:
     return x0 + t * (x1 - x0)
 
 
-def threshold_scan(points: Sequence[SweepPoint]) -> ThresholdResult:
+def threshold_scan(
+    nf: Sequence[float], margin: Sequence[float], sigma: Sequence[float]
+) -> ThresholdResult:
     """Locate the certification threshold along a noise sweep.
 
-    Points must be sorted by noise fraction; the threshold is the linear
+    ``nf``, ``margin`` and ``sigma`` hold, per sweep point, the noise
+    fraction, the certification statistic and its standard error; points
+    must be sorted by noise fraction.  The threshold is the linear
     interpolation of the statistic's sign change, with an uncertainty band
     from interpolating the +/- 1 sigma offsets of the same segment.
     """
-    if len(points) < 2:
+    if not len(nf) == len(margin) == len(sigma):
+        raise ValueError(
+            f"nf, margin and sigma need equal lengths, got {len(nf)}, {len(margin)}, {len(sigma)}"
+        )
+    if any(s < 0 for s in sigma):
+        raise ValueError("sigma must be non-negative")
+    if len(nf) < 2:
         raise ValueError("need at least two sweep points")
-    xs = [p.nf.value for p in points]
-    if any(b < a for a, b in zip(xs, xs[1:])):
+    if any(b < a for a, b in zip(nf, nf[1:])):
         raise ValueError("sweep points must be sorted by noise fraction")
-    ys = [p.witness_value for p in points]
     crossings = []
-    for k in range(len(points) - 1):
-        if (ys[k] > 0) != (ys[k + 1] > 0):
-            root = _interp_root(xs[k], ys[k], xs[k + 1], ys[k + 1])
+    for k in range(len(nf) - 1):
+        if (margin[k] > 0) != (margin[k + 1] > 0):
+            root = _interp_root(nf[k], margin[k], nf[k + 1], margin[k + 1])
             if root is not None:
                 crossings.append((k, root))
     if not crossings:
-        censored = "above" if ys[0] > 0 else "below"
+        censored = "above" if margin[0] > 0 else "below"
         return ThresholdResult(None, None, None, (), False, censored)
     ambiguous = len(crossings) > 1
     # threshold = first certified -> uncertified transition, else first crossing
-    chosen = next(((k, r) for k, r in crossings if ys[k] > 0), crossings[0])
-    k, nf_star = chosen
-    a, b = points[k], points[k + 1]
-    lower = _interp_root(xs[k], ys[k] - a.sigma, xs[k + 1], ys[k + 1] - b.sigma)
-    upper = _interp_root(xs[k], ys[k] + a.sigma, xs[k + 1], ys[k + 1] + b.sigma)
+    k, nf_star = next(((k, r) for k, r in crossings if margin[k] > 0), crossings[0])
+    x0, x1 = nf[k], nf[k + 1]
+    lower = _interp_root(x0, margin[k] - sigma[k], x1, margin[k + 1] - sigma[k + 1])
+    upper = _interp_root(x0, margin[k] + sigma[k], x1, margin[k + 1] + sigma[k + 1])
     return ThresholdResult(
         nf_star, lower, upper, tuple(r for _, r in crossings), ambiguous, "none"
     )

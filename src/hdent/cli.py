@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import hashlib
 import json
@@ -96,8 +97,14 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(v) for v in text.replace(",", " ").split())
+def _parse_ints(text: str, name: str) -> tuple:
+    """Distinct integers from a comma- or space-separated list; errors name ``name``."""
+    values = tuple(int(v) for v in text.replace(",", " ").split())
+    if not values:
+        raise ValueError(f"{name} needs at least one value")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} repeats a value: {text.strip()}")
+    return values
 
 
 def _parse_grid(text: str) -> tuple:
@@ -137,7 +144,7 @@ def load_run_config(path=None) -> RunConfig:
         jitter_fwhm_seconds=parser.getfloat("source", "jitter_fwhm_seconds"),
         p_mix=parser.getfloat("source", "p_mix"),
         franson_phase=_parse_phase(parser.get("source", "franson_phase")),
-        dims=_parse_ints(parser.get("binning", "dims")),
+        dims=_parse_ints(parser.get("binning", "dims"), "[binning] dims"),
         n_frames=parser.getint("sweep", "n_frames"),
         seed=parser.getint("sweep", "seed"),
         resamples=parser.getint("sweep", "resamples"),
@@ -197,9 +204,10 @@ def _point_models(cfg: RunConfig, rate: float):
     return hv, replace(hv, basis=tagstream.BASIS_DA)
 
 
-def _certify_streams(hv_stream, da_stream, dims, eta_hwp, resamples, seed_of):
+def _certify_streams(hv_stream, da_stream, dims, eta_hwp, resamples, seed):
     """Per d: sift both bases, evaluate and resample the witness, estimate NF.
 
+    The resampling generator of each d is keyed by ``_derived_seed(seed, d)``.
     Yields ``(report, summary, row)``; ``row`` is a sweep row plus its scan
     ``margin``, with ``noise_setting`` left to the caller.
     """
@@ -216,19 +224,15 @@ def _certify_streams(hv_stream, da_stream, dims, eta_hwp, resamples, seed_of):
             return witness.witness_from_counts(pair[0], pair[1], d, f, eta_hwp).witness_lower_bound
 
         summary = analysis.poisson_resample(
-            (hv, da), statistic, resamples, seed_of(d), witness.witness_read_masks(d, f)
+            (hv, da), statistic, resamples, _derived_seed(seed, d),
+            witness.witness_read_masks(d, f),
         )
-        merged_kept = hv.frames_kept + da.frames_kept
-        nf_true = None
-        if hv.noise_coincidences is not None and da.noise_coincidences is not None and merged_kept:
-            nf_true = (hv.noise_coincidences + da.noise_coincidences) / merged_kept
         stacked = np.concatenate([hv.matrices, da.matrices])
-        nf_est = analysis.noise_fraction(stacked, analysis.ACCIDENTAL_MODEL).nf_estimated
         row = {
             "d_or_k": d,
             "noise_setting": None,
-            "nf_true": nf_true,
-            "nf_estimated": nf_est,
+            "nf_true": analysis.true_noise_fraction(hv, da),
+            "nf_estimated": analysis.noise_fraction(stacked),
             "witness_or_visibility_sum": report.witness_lower_bound,
             "margin": report.witness_lower_bound,
             "sigma": summary.std,
@@ -247,8 +251,7 @@ def _timebin_point(task):
         da_model, cfg.clock, cfg.n_frames, _stream_seed(cfg.seed, point, True)
     )
     results = _certify_streams(
-        hv_stream, da_stream, cfg.dims, 1.0, cfg.resamples,
-        lambda d: _derived_seed(cfg.seed, point, d),
+        hv_stream, da_stream, cfg.dims, 1.0, cfg.resamples, _derived_seed(cfg.seed, point)
     )
     return [dict(row, noise_setting=rate) for _, _, row in results]
 
@@ -264,32 +267,15 @@ def run_timebin_sweep(cfg: RunConfig, workers: int = 1):
     return [row for rows in per_point for row in rows]
 
 
-def _rows_to_threshold(rows, key):
-    """Threshold scan over the sweep rows of one d (or one k)."""
-    points = [
-        analysis.SweepPoint(
-            noise_setting=row["noise_setting"],
-            nf=analysis.NoiseFractionEstimate(row["nf_true"], row["nf_estimated"], "row"),
-            witness_value=row["margin"],
-            sigma=row["sigma"],
-            certified=bool(row["certified"]),
-        )
-        for row in rows
-        if row["d_or_k"] == key
-    ]
-    points.sort(key=lambda p: p.nf.value)
-    return analysis.threshold_scan(points)
-
-
-def _threshold_dict(result: analysis.ThresholdResult) -> dict:
-    return {
-        "nf_star": result.nf_star,
-        "lower": result.lower,
-        "upper": result.upper,
-        "crossings": list(result.crossings),
-        "ambiguous": result.ambiguous,
-        "censored": result.censored,
-    }
+def _rows_to_threshold(rows, key) -> dict:
+    """Threshold scan over the sweep rows of one d (or one k), as a JSON-ready dict."""
+    picked = sorted((row for row in rows if row["d_or_k"] == key), key=lambda r: r["nf_true"])
+    result = analysis.threshold_scan(
+        [row["nf_true"] for row in picked],
+        [row["margin"] for row in picked],
+        [row["sigma"] for row in picked],
+    )
+    return dataclasses.asdict(result)
 
 
 def _visibility_excess(mats, bound: float) -> float:
@@ -323,15 +309,12 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
                 tuple(expected[:k]), statistic, resamples,
                 _derived_seed(seed, round(nf * 1e6), k), (np.eye(dim, dtype=bool),) * k,
             )
-            nf_est = analysis.noise_fraction(
-                np.stack(matrices[:k]), analysis.ACCIDENTAL_MODEL
-            ).nf_estimated
             rows.append(
                 {
                     "d_or_k": k,
                     "noise_setting": nf,
                     "nf_true": nf,
-                    "nf_estimated": nf_est,
+                    "nf_estimated": analysis.noise_fraction(np.stack(matrices[:k])),
                     "witness_or_visibility_sum": report.visibility_sum,
                     "margin": report.visibility_sum - report.separable_bound,
                     "sigma": summary.std,
@@ -340,10 +323,9 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
             )
     thresholds = {}
     for k in k_list:
-        scan = _rows_to_threshold(rows, k)
         exact = mub.mub_noise_threshold(dim, k)
         thresholds[str(k)] = {
-            "scan": _threshold_dict(scan),
+            "scan": _rows_to_threshold(rows, k),
             "exact_nf_star": None if exact is None else 1.0 - exact,
         }
     return rows, thresholds
@@ -378,13 +360,12 @@ def cmd_simulate_tags(args) -> int:
 def cmd_certify_et(args) -> int:
     hv_stream = tagstream.read_tags(args.hv)
     da_stream = tagstream.read_tags(args.da)
-    dims = _parse_ints(args.dims)
+    dims = _parse_ints(args.dims, "--dims")
     out = Path(args.out) if args.out else None
     rows = []
     reports = {}
     for report, summary, row in _certify_streams(
-        hv_stream, da_stream, dims, args.eta_hwp, args.resamples,
-        lambda d: _derived_seed(args.seed, d),
+        hv_stream, da_stream, dims, args.eta_hwp, args.resamples, args.seed
     ):
         d = row["d_or_k"]
         payload = {
@@ -407,7 +388,7 @@ def cmd_certify_et(args) -> int:
 
 
 def cmd_mub_sweep(args) -> int:
-    k_list = _parse_ints(args.k)
+    k_list = _parse_ints(args.k, "--k")
     nf_grid = _parse_grid(args.grid)
     rows, thresholds = run_mub_sweep(
         args.dim, k_list, nf_grid, args.counts, args.resamples, args.seed
@@ -440,7 +421,7 @@ def cmd_sweep_noise(args) -> int:
     thresholds = {}
     for d in cfg.dims:
         try:
-            thresholds[str(d)] = _threshold_dict(_rows_to_threshold(rows, d))
+            thresholds[str(d)] = _rows_to_threshold(rows, d)
         except ValueError as exc:
             thresholds[str(d)] = {"error": str(exc)}
     _write_atomic(out / "sweep.csv", sweep_rows_to_csv(rows))
@@ -453,8 +434,7 @@ def cmd_resample(args) -> int:
     hv_stream = tagstream.read_tags(args.hv)
     da_stream = tagstream.read_tags(args.da)
     report, summary, row = next(_certify_streams(
-        hv_stream, da_stream, (args.dim,), args.eta_hwp, args.resamples,
-        lambda d: args.seed,
+        hv_stream, da_stream, (args.dim,), args.eta_hwp, args.resamples, args.seed
     ))
     print(
         json.dumps(

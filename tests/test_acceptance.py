@@ -10,13 +10,11 @@ import numpy as np
 import pytest
 
 from hdent.analysis import (
-    ACCIDENTAL_MODEL,
-    NoiseFractionEstimate,
-    SweepPoint,
     fiber_distance,
     noise_fraction,
     poisson_resample,
     threshold_scan,
+    true_noise_fraction,
 )
 from hdent.cli import RunConfig, run_timebin_sweep, sweep_rows_to_csv
 from hdent.mub import build_mubs, mub_noise_threshold, visibility_sum
@@ -113,21 +111,14 @@ def test_criterion_4_noise_region_grows_with_k():
     d = 3
     mubs = build_mubs(d)
     pure = make_max_entangled(d)
+    grid = np.linspace(0.0, 0.9, 19)
     thresholds = []
     for k in (2, 3, 4):
-        points = []
-        for nf in np.linspace(0.0, 0.9, 19):
+        margins = []
+        for nf in grid:
             report = visibility_sum(NoisyState(pure, 1.0 - nf), mubs, k)
-            points.append(
-                SweepPoint(
-                    float(nf),
-                    NoiseFractionEstimate(float(nf), None, "exact"),
-                    report.visibility_sum - report.separable_bound,
-                    0.0,
-                    report.certified,
-                )
-            )
-        thresholds.append(threshold_scan(points).nf_star)
+            margins.append(report.visibility_sum - report.separable_bound)
+        thresholds.append(threshold_scan(grid, margins, [0.0] * len(grid)).nf_star)
     assert thresholds[0] < thresholds[1] < thresholds[2]
     print(f"ACCEPTANCE 4 PASS: d=3 certified-NF region grows with k=2,3,4: "
           f"{[round(t, 4) for t in thresholds]}")
@@ -166,7 +157,7 @@ def test_criterion_6a_certifies_at_zero_noise():
         assert hv_c.frames_kept >= 30_000
         assert report.certified
         # wide range matches witness_exact's index range; p inferred from NF
-        p_inferred = 1.0 - noise_fraction(hv_c).nf_true
+        p_inferred = 1.0 - true_noise_fraction(hv_c)
         exact = witness_exact(isotropic(d, p_inferred), d, report.f)
         assert abs(report.value_wide - exact) < 0.10 * exact
     print("ACCEPTANCE 6a PASS: zero-noise streams certified for d in "
@@ -189,15 +180,12 @@ def test_criterion_6c_jitterless_threshold_ordering():
         hv, da = stream_pair(7.7e5, rate, 0.0, 200_000, seed=1000 + 2 * i)
         for d in DIMS:
             hv_c, _, report = certify(hv, da, d)
-            nf = noise_fraction(hv_c).nf_true
+            nf = true_noise_fraction(hv_c)
             margins[d].append((nf, report.witness_lower_bound))
     thresholds = []
     for d in DIMS:
-        points = [
-            SweepPoint(nf, NoiseFractionEstimate(nf, None, "sim"), w, 0.0, w > 0)
-            for nf, w in sorted(margins[d])
-        ]
-        result = threshold_scan(points)
+        nf, w = zip(*sorted(margins[d]))
+        result = threshold_scan(nf, w, [0.0] * len(nf))
         assert result.censored == "none"
         thresholds.append(result.nf_star)
     assert all(b >= a for a, b in zip(thresholds, thresholds[1:]))
@@ -216,8 +204,8 @@ def test_criterion_6d_jitter_signatures():
     nf_est = {}
     for d in (10, 40, 80):
         counts = sift_and_bin(hv, BinningConfig.for_dimension(CLOCK, d), BASIS_HV)
-        assert noise_fraction(counts).nf_true == 0.0
-        nf_est[d] = noise_fraction(counts, ACCIDENTAL_MODEL).nf_estimated
+        assert true_noise_fraction(counts) == 0.0
+        nf_est[d] = noise_fraction(counts.matrices)
     assert nf_est[40] > 0.3 and nf_est[80] > 0.5
     assert nf_est[80] > nf_est[40] > nf_est[10]
     assert nf_est[10] < 0.25
@@ -225,7 +213,7 @@ def test_criterion_6d_jitter_signatures():
     hv, da = stream_pair(7.7e5, 9.1e6, 800e-12, 200_000, seed=42)
     _, _, coarse = certify(hv, da, 10)
     hv80, _, fine = certify(hv, da, 80)
-    nf = noise_fraction(hv80).nf_true
+    nf = true_noise_fraction(hv80)
     assert not coarse.certified and fine.certified
     print(f"ACCEPTANCE 6d PASS: jitter raises estimated NF at zero noise "
           f"(d=40: {nf_est[40]:.2f}, d=80: {nf_est[80]:.2f}); at NF={nf:.2f} "

@@ -1,22 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hdent.analysis import (
-    ACCIDENTAL_MODEL,
-    GROUND_TRUTH,
-    NoiseFractionEstimate,
-    SweepPoint,
     fiber_distance,
     fiber_loss,
     noise_fraction,
     poisson_resample,
     threshold_scan,
+    true_noise_fraction,
 )
 from hdent.mub import build_mubs, correlation_matrix, visibility_sum
 from hdent.states import NoisyState, make_max_entangled
 from hdent.tagstream import (
+    BASIS_DA,
     BASIS_HV,
     BinningConfig,
     ClockConfig,
@@ -33,55 +32,67 @@ B10 = BinningConfig.for_dimension(CLOCK, 10)
 B20 = BinningConfig.for_dimension(CLOCK, 20)
 
 
-def stream_counts(pair_rate, bg, seed, n=40_000):
-    m = SourceModel(make_max_entangled(10), pair_rate, bg, 0.0, 1.0, BASIS_HV)
-    return sift_and_bin(generate_stream(m, CLOCK, n, seed), B10, BASIS_HV)
+def stream_counts(pair_rate, bg, seed, n=40_000, basis=BASIS_HV):
+    m = SourceModel(make_max_entangled(10), pair_rate, bg, 0.0, 1.0, basis)
+    return sift_and_bin(generate_stream(m, CLOCK, n, seed), B10, basis)
 
 
-def point(nf, value, sigma=0.0):
-    return SweepPoint(
-        noise_setting=nf,
-        nf=NoiseFractionEstimate(nf, None, GROUND_TRUTH),
-        witness_value=value,
-        sigma=sigma,
-        certified=value > 0,
-    )
+def scan(points):
+    """Threshold scan over ``(nf, margin)`` pairs, each with zero sigma."""
+    nf, margin = zip(*points)
+    return threshold_scan(nf, margin, [0.0] * len(nf))
 
 
 class TestNoiseFraction:
     def test_zero_background(self):
         counts = stream_counts(3e6, 0.0, seed=1)
-        assert noise_fraction(counts).nf_true == 0.0
+        assert true_noise_fraction(counts) == 0.0
 
     def test_background_only(self):
         counts = stream_counts(0.0, 4e6, seed=2)
-        assert noise_fraction(counts).nf_true == 1.0
+        assert true_noise_fraction(counts) == 1.0
 
     def test_doubling_background_increases_nf(self):
-        low = noise_fraction(stream_counts(3e6, 2e6, seed=3)).nf_true
-        high = noise_fraction(stream_counts(3e6, 4e6, seed=3)).nf_true
+        low = true_noise_fraction(stream_counts(3e6, 2e6, seed=3))
+        high = true_noise_fraction(stream_counts(3e6, 4e6, seed=3))
         assert high > low > 0.0
+
+    def test_labelled_fraction_pools_every_set(self):
+        hv = stream_counts(3e6, 2e6, seed=4)
+        da = stream_counts(3e6, 6e6, seed=5, basis=BASIS_DA)
+        both = true_noise_fraction(hv, da)
+        assert both == (hv.noise_coincidences + da.noise_coincidences) / (
+            hv.frames_kept + da.frames_kept
+        )
+        assert true_noise_fraction(hv) < both < true_noise_fraction(da)
 
     def test_isotropic_pedestal_is_exact_single_matrix(self):
         mubs = build_mubs(5)
         for p in (0.0, 0.35, 0.8, 1.0):
             m = correlation_matrix(NoisyState(make_max_entangled(5), p), mubs, 1, 1)
-            est = noise_fraction(m, ACCIDENTAL_MODEL).nf_estimated
+            est = noise_fraction(m)
             assert abs(est - (1.0 - p)) < 1e-12
 
     def test_isotropic_pedestal_is_exact_hv_set(self):
         for p in (0.2, 0.65):
             hv, _ = exact_count_sets(NoisyState(make_max_entangled(10), p), B10, 1e8)
-            est = noise_fraction(hv, ACCIDENTAL_MODEL).nf_estimated
+            est = noise_fraction(hv.matrices)
             assert abs(est - (1.0 - p)) < 1e-4
 
-    def test_ground_truth_needs_labels(self):
-        with pytest.raises(ValueError):
-            noise_fraction(np.ones((4, 3, 3)), GROUND_TRUTH)
+    def test_unknown_origins_give_none(self):
+        labelled = stream_counts(3e6, 2e6, seed=6)
+        unknown = replace(labelled, noise_coincidences=None)
+        assert true_noise_fraction(unknown) is None
+        assert true_noise_fraction(labelled, unknown) is None
+
+    def test_no_kept_frame_gives_none(self):
+        empty = stream_counts(0.0, 0.0, seed=7, n=100)
+        assert empty.frames_kept == 0 and empty.noise_coincidences == 0
+        assert true_noise_fraction(empty) is None
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):
-            noise_fraction(np.zeros((4, 3, 3)), ACCIDENTAL_MODEL)
+            noise_fraction(np.zeros((4, 3, 3)))
 
 
 class TestPoissonResample:
@@ -226,38 +237,50 @@ class TestThresholdScan:
         points = []
         for nf in np.linspace(0.0, 0.95, 20):
             report = visibility_sum(NoisyState(pure, 1.0 - nf), mubs, k)
-            points.append(point(float(nf), report.visibility_sum - report.separable_bound))
-        result = threshold_scan(points)
+            points.append((float(nf), report.visibility_sum - report.separable_bound))
+        result = scan(points)
         assert abs(result.nf_star - 0.75) < 0.01
         assert result.censored == "none" and not result.ambiguous
 
     def test_ideal_witness_threshold(self):
         d = 10
         points = [
-            point(float(nf), witness_exact(NoisyState(make_max_entangled(d), 1 - nf), d, 1))
+            (float(nf), witness_exact(NoisyState(make_max_entangled(d), 1 - nf), d, 1))
             for nf in np.linspace(0.0, 1.0, 23)
         ]
-        result = threshold_scan(points)
+        result = scan(points)
         assert abs(result.nf_star - d / (d + 1)) < 0.01
 
     def test_uncertainty_band_brackets_threshold(self):
-        points = [point(0.0, 1.0, 0.1), point(1.0, -1.0, 0.1)]
-        result = threshold_scan(points)
+        result = threshold_scan([0.0, 1.0], [1.0, -1.0], [0.1, 0.1])
         assert result.lower < result.nf_star < result.upper
 
     def test_censored_sweeps(self):
-        assert threshold_scan([point(0.1, 1.0), point(0.2, 0.5)]).censored == "above"
-        assert threshold_scan([point(0.1, -1.0), point(0.2, -0.5)]).censored == "below"
+        assert scan([(0.1, 1.0), (0.2, 0.5)]).censored == "above"
+        assert scan([(0.1, -1.0), (0.2, -0.5)]).censored == "below"
 
     def test_ambiguous_sweep_reports_all_crossings(self):
-        pts = [point(0.0, 1.0), point(0.3, -0.5), point(0.6, 0.5), point(0.9, -1.0)]
-        result = threshold_scan(pts)
+        result = scan([(0.0, 1.0), (0.3, -0.5), (0.6, 0.5), (0.9, -1.0)])
         assert result.ambiguous and len(result.crossings) == 3
         assert abs(result.nf_star - 0.2) < 1e-12  # first certified -> uncertified
 
     def test_unsorted_points_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            threshold_scan([point(0.5, 1.0), point(0.1, -1.0)])
+            scan([(0.5, 1.0), (0.1, -1.0)])
+
+    @pytest.mark.parametrize(
+        "nf, margin, sigma, message",
+        [
+            ([0.1, 0.2], [1.0, -1.0], [0.1], "equal lengths"),
+            ([0.1, 0.2, 0.3], [1.0, -1.0], [0.1, 0.1], "equal lengths"),
+            ([0.1, 0.2], [1.0, -1.0], [0.1, -0.1], "non-negative"),
+            ([0.1], [1.0], [0.1], "two sweep points"),
+        ],
+        ids=["short-sigma", "long-nf", "negative-sigma", "one-point"],
+    )
+    def test_rejects_malformed_sweeps(self, nf, margin, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            threshold_scan(nf, margin, sigma)
 
 
 class TestFiberDistance:

@@ -108,6 +108,19 @@ class TestConfig:
         assert named in err["message"] and str(path) in err["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dims", ["", "10, 20, 10"], ids=["empty", "repeated"])
+    @pytest.mark.parametrize("command", ["sweep-noise", "simulate-tags"])
+    def test_bad_dims_fail(self, tmp_path, capsys, command, dims):
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            SMALL_CONFIG.format(out=tmp_path / "out").replace("dims = 10, 20", f"dims = {dims}")
+        )
+        assert run_cli(command, "--config", path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[binning] dims" in json.loads(captured.err)["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_readme_example_is_the_default(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
@@ -196,6 +209,37 @@ class TestSimulateAndCertify:
         assert payload["n_resamples"] == 8
         assert payload["three_sigma"] == pytest.approx(3 * payload["sigma"])
 
+    def test_resample_matches_certify_et(self, small_config, tmp_path, capsys):
+        out = tmp_path / "tags"
+        run_cli("simulate-tags", "--config", small_config, "--out", out)
+        pair = ("--hv", out / "tags_p001_hv.hdtt", "--da", out / "tags_p001_da.hdtt")
+        capsys.readouterr()
+        assert run_cli("resample", *pair, "--dim", "20", "--seed", "3") == 0
+        resampled = json.loads(capsys.readouterr().out)
+        assert run_cli("certify-et", *pair, "--dims", "20", "--seed", "3") == 0
+        certified = json.loads(capsys.readouterr().out)["20"]
+        assert resampled["mean"] == certified["resample_mean"]
+        assert resampled["sigma"] == certified["sigma"]
+        assert resampled["three_sigma"] == certified["three_sigma"]
+
+    @pytest.mark.parametrize("dims", ["", "10,20,10"], ids=["empty", "repeated"])
+    def test_certify_rejects_empty_or_repeated_dims(self, small_config, tmp_path, capsys, dims):
+        out = tmp_path / "tags"
+        run_cli("simulate-tags", "--config", small_config, "--out", out)
+        capsys.readouterr()
+        code = run_cli(
+            "certify-et",
+            "--hv", out / "tags_p000_hv.hdtt",
+            "--da", out / "tags_p000_da.hdtt",
+            "--dims", dims,
+            "--out", tmp_path / "reports",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--dims" in json.loads(captured.err)["message"]
+        assert not (tmp_path / "reports").exists()
+
     @pytest.mark.parametrize(
         "argv", [("resample", "--dim", "10"), ("certify-et", "--dims", "10")]
     )
@@ -254,6 +298,15 @@ class TestMubSweep:
             "--out", tmp_path,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("k", ["", "2,2"], ids=["empty", "repeated"])
+    def test_empty_or_repeated_k_fails(self, tmp_path, capsys, k):
+        code = run_cli("mub-sweep", "--dim", "3", "--k", k, "--out", tmp_path / "mub")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k" in json.loads(captured.err)["message"]
+        assert not (tmp_path / "mub").exists()
 
     def test_matrix_export(self, tmp_path, capsys):
         run_cli(
