@@ -99,17 +99,31 @@ def _parse_floats(text: str) -> tuple:
 
 def _parse_ints(text: str, name: str) -> tuple:
     """Distinct integers from a comma- or space-separated list; errors name ``name``."""
-    values = tuple(int(v) for v in text.replace(",", " ").split())
+    values = []
+    for item in text.replace(",", " ").split():
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise ValueError(f"{name} entry {item!r} is not an integer") from None
     if not values:
         raise ValueError(f"{name} needs at least one value")
     if len(set(values)) < len(values):
         raise ValueError(f"{name} repeats a value: {text.strip()}")
-    return values
+    return tuple(values)
 
 
 def _parse_grid(text: str) -> tuple:
-    start, stop, count = text.split(":")
-    return tuple(float(v) for v in np.linspace(float(start), float(stop), int(count)))
+    """Noise fractions ``start:stop:count``, evenly spaced; errors name ``--grid``."""
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise ValueError(f"--grid must be start:stop:count, got {text!r}") from None
+    if count < 2:
+        raise ValueError(f"--grid needs a count of at least 2, got {count}")
+    if not 0.0 <= start < stop <= 1.0:
+        raise ValueError(f"--grid needs 0 <= start < stop <= 1, got {text!r}")
+    return tuple(float(v) for v in np.linspace(start, stop, count))
 
 
 def _parse_phase(text: str) -> float:
@@ -358,9 +372,9 @@ def cmd_simulate_tags(args) -> int:
 
 
 def cmd_certify_et(args) -> int:
+    dims = _parse_ints(args.dims, "--dims")
     hv_stream = tagstream.read_tags(args.hv)
     da_stream = tagstream.read_tags(args.da)
-    dims = _parse_ints(args.dims, "--dims")
     out = Path(args.out) if args.out else None
     rows = []
     reports = {}

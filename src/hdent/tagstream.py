@@ -31,6 +31,7 @@ stream bit for bit.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -155,6 +156,31 @@ class TagStream:
 
     def __len__(self) -> int:
         return len(self.timestamps)
+
+    @functools.cached_property
+    def kept_pairs(self) -> tuple:
+        """Event indices ``(a, b)`` of the frames with exactly one click per side.
+
+        ``a[k]`` is the Alice event and ``b[k]`` the Bob event of the k-th such
+        frame, in time order.  Which frames qualify does not depend on the
+        binning, so this is found once per stream, over the whole stream; both
+        arrays are read-only.
+        """
+        frames = self.timestamps // self.clock.frame_ticks
+        is_a = self.channels <= 1
+        opens = np.ones(len(frames), dtype=bool)
+        opens[1:] = frames[1:] != frames[:-1]
+        starts = np.flatnonzero(opens)
+        # events are sorted, so a frame is one run of equal frame numbers:
+        # keep the runs of two events that lie on different sides
+        i = starts[np.diff(starts, append=len(frames)) == 2]
+        i = i[is_a[i] != is_a[i + 1]]
+        a_first = is_a[i]
+        a = np.where(a_first, i, i + 1)
+        b = np.where(a_first, i + 1, i)
+        a.setflags(write=False)
+        b.setflags(write=False)
+        return a, b
 
 
 @dataclass(frozen=True)
@@ -316,6 +342,8 @@ def generate_stream(
         raise ValueError("n_frames must be >= 1")
     if frame_offset < 0:
         raise ValueError("frame_offset must be >= 0")
+    if (frame_offset + n_frames) * clock.frame_ticks > 2 ** 60:
+        raise ValueError("frame range ends beyond 2**60 ticks")
     frame_seconds = clock.frame_seconds
     lam_bg = model.background_rate_per_detector * frame_seconds
     lam_pair = model.pair_rate * frame_seconds
@@ -383,7 +411,9 @@ def generate_stream(
         og = np.empty(0, dtype=np.uint8)
     valid = ts >= 0  # jitter may push the first frames before t = 0
     ts, ch, og = ts[valid], ch[valid], og[valid]
-    order = np.lexsort((ch, ts))
+    # the frame range ends by 2**60 ticks, so ts < 2**61 for any jitter short
+    # of 2**60 ticks, and the (timestamp, channel) key cannot overflow int64
+    order = np.argsort(ts * 4 + ch, kind="stable")
     return TagStream(clock, ts[order].astype(np.uint64), ch[order], og[order])
 
 
@@ -393,55 +423,39 @@ def sift_and_bin(
     basis: str,
     frame_range=None,
 ) -> CountMatrixSet:
-    """Keep frames with exactly one click per side and histogram them.
+    """Histogram the frames with exactly one click per side at ``binning``.
 
-    Workers may sift disjoint ``frame_range`` intervals of the same stream
-    and merge the results with ``+``; the merge equals a single full pass.
+    The kept frames are found once per stream (``TagStream.kept_pairs``);
+    each call bins only their events.  Without ``frame_range`` the frame
+    span runs from frame 0 to the frame of the last event.  Workers may
+    sift disjoint ``frame_range`` intervals of the same stream and merge
+    the results with ``+``; the merge equals a single full pass.
     """
     binning.check_against(stream.clock)
     F = stream.clock.frame_ticks
     d = binning.d
-    ts = stream.timestamps.astype(np.int64)
-    frames = ts // F
-    bins = (ts % F) // binning.bin_ticks
+    ts = stream.timestamps
+    a, b = stream.kept_pairs
     if frame_range is None:
-        lo, hi = 0, int(frames.max()) + 1 if len(ts) else 0
+        lo, hi = 0, int(ts[-1]) // F + 1 if len(ts) else 0
     else:
         lo, hi = int(frame_range[0]), int(frame_range[1])
         if lo < 0 or hi < lo:
             raise ValueError(f"bad frame range {frame_range}")
-    total = hi - lo
-    sel = (frames >= lo) & (frames < hi)
-    frames = frames[sel] - lo
-    bins = bins[sel]
-    chans = stream.channels[sel]
-    origins = stream.origins[sel]
-    if bins.size and int(bins.max()) >= d:
-        raise AssertionError("internal invariant failure: bin index >= d")
-
-    matrices = np.zeros((4, d, d), dtype=np.int64)
-    frames_kept = 0
-    noise: Optional[int] = 0
-    if total > 0 and len(frames):
-        is_a = chans <= 1
-        count_a = np.bincount(frames[is_a], minlength=total)
-        count_b = np.bincount(frames[~is_a], minlength=total)
-        kept = (count_a == 1) & (count_b == 1)
-        frames_kept = int(kept.sum())
-        if frames_kept:
-            kept_ev = kept[frames]
-            a_idx = np.flatnonzero(kept_ev & is_a)
-            b_idx = np.flatnonzero(kept_ev & ~is_a)
-            # one event per side per kept frame; time order aligns the sides
-            pair = chans[a_idx].astype(np.int64) * 2 + (chans[b_idx] - 2)
-            flat = (pair * d + bins[a_idx]) * d + bins[b_idx]
-            matrices = np.bincount(flat, minlength=4 * d * d).reshape(4, d, d)
-            og_a, og_b = origins[a_idx], origins[b_idx]
-            if np.any(og_a == Origin.UNKNOWN) or np.any(og_b == Origin.UNKNOWN):
-                noise = None
-            else:
-                noise = int(np.sum((og_a == Origin.NOISE) | (og_b == Origin.NOISE)))
-    return CountMatrixSet(basis, binning, matrices, total, frames_kept, noise)
+        frames = ts[a] // F
+        inside = (frames >= lo) & (frames < hi)
+        a, b = a[inside], b[inside]
+    pair = stream.channels[a].astype(np.int64) * 2 + (stream.channels[b] - 2)
+    bin_a = (ts[a] % F).astype(np.int64) // binning.bin_ticks
+    bin_b = (ts[b] % F).astype(np.int64) // binning.bin_ticks
+    flat = (pair * d + bin_a) * d + bin_b
+    matrices = np.bincount(flat, minlength=4 * d * d).reshape(4, d, d)
+    og_a, og_b = stream.origins[a], stream.origins[b]
+    if np.any(og_a == Origin.UNKNOWN) or np.any(og_b == Origin.UNKNOWN):
+        noise = None
+    else:
+        noise = int(np.sum((og_a == Origin.NOISE) | (og_b == Origin.NOISE)))
+    return CountMatrixSet(basis, binning, matrices, hi - lo, len(a), noise)
 
 
 def crosstalk_profile(counts: CountMatrixSet) -> np.ndarray:

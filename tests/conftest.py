@@ -8,7 +8,13 @@ import pytest
 
 from hdent.analysis import ResampleSummary
 from hdent.states import NoisyState, element
-from hdent.tagstream import BinningConfig, CountMatrixSet, scaled_expected_counts
+from hdent.tagstream import (
+    BinningConfig,
+    CountMatrixSet,
+    Origin,
+    TagStream,
+    scaled_expected_counts,
+)
 from hdent.witness import WitnessReport
 
 
@@ -183,6 +189,59 @@ def dense_witness_report(hv: CountMatrixSet, da: CountMatrixSet, d: int, f: int,
         dropped_hv_terms=3 * d * d - (m[1][:, f:].size + m[2][f:, :].size + m[3][f:, f:].size),
         prefactor=prefactor,
     )
+
+
+def loop_sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str,
+                      frame_range=None) -> CountMatrixSet:
+    """Reference sifter: counts every frame's clicks per side on each call.
+
+    Keeps the frames with exactly one click per side by counting all events
+    of the selected frame range with ``np.bincount``, caches nothing on the
+    stream, and histograms the kept events; ``sift_and_bin`` must match it in
+    every ``CountMatrixSet`` field.
+    """
+    binning.check_against(stream.clock)
+    F = stream.clock.frame_ticks
+    d = binning.d
+    ts = stream.timestamps.astype(np.int64)
+    frames = ts // F
+    bins = (ts % F) // binning.bin_ticks
+    if frame_range is None:
+        lo, hi = 0, int(frames.max()) + 1 if len(ts) else 0
+    else:
+        lo, hi = int(frame_range[0]), int(frame_range[1])
+        if lo < 0 or hi < lo:
+            raise ValueError(f"bad frame range {frame_range}")
+    total = hi - lo
+    sel = (frames >= lo) & (frames < hi)
+    frames = frames[sel] - lo
+    bins = bins[sel]
+    chans = stream.channels[sel]
+    origins = stream.origins[sel]
+
+    matrices = np.zeros((4, d, d), dtype=np.int64)
+    frames_kept = 0
+    noise = 0
+    if total > 0 and len(frames):
+        is_a = chans <= 1
+        count_a = np.bincount(frames[is_a], minlength=total)
+        count_b = np.bincount(frames[~is_a], minlength=total)
+        kept = (count_a == 1) & (count_b == 1)
+        frames_kept = int(kept.sum())
+        if frames_kept:
+            kept_ev = kept[frames]
+            a_idx = np.flatnonzero(kept_ev & is_a)
+            b_idx = np.flatnonzero(kept_ev & ~is_a)
+            # one event per side per kept frame; time order aligns the sides
+            pair = chans[a_idx].astype(np.int64) * 2 + (chans[b_idx] - 2)
+            flat = (pair * d + bins[a_idx]) * d + bins[b_idx]
+            matrices = np.bincount(flat, minlength=4 * d * d).reshape(4, d, d)
+            og_a, og_b = origins[a_idx], origins[b_idx]
+            if np.any(og_a == Origin.UNKNOWN) or np.any(og_b == Origin.UNKNOWN):
+                noise = None
+            else:
+                noise = int(np.sum((og_a == Origin.NOISE) | (og_b == Origin.NOISE)))
+    return CountMatrixSet(basis, binning, matrices, total, frames_kept, noise)
 
 
 def lump_unread(counts: np.ndarray, mask: np.ndarray, target: int) -> np.ndarray:

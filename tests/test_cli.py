@@ -108,7 +108,9 @@ class TestConfig:
         assert named in err["message"] and str(path) in err["message"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("dims", ["", "10, 20, 10"], ids=["empty", "repeated"])
+    @pytest.mark.parametrize(
+        "dims", ["", "10, 20, 10", "10, a"], ids=["empty", "repeated", "non-integer"]
+    )
     @pytest.mark.parametrize("command", ["sweep-noise", "simulate-tags"])
     def test_bad_dims_fail(self, tmp_path, capsys, command, dims):
         path = tmp_path / "bad.ini"
@@ -222,7 +224,9 @@ class TestSimulateAndCertify:
         assert resampled["sigma"] == certified["sigma"]
         assert resampled["three_sigma"] == certified["three_sigma"]
 
-    @pytest.mark.parametrize("dims", ["", "10,20,10"], ids=["empty", "repeated"])
+    @pytest.mark.parametrize(
+        "dims", ["", "10,20,10", "ten"], ids=["empty", "repeated", "non-integer"]
+    )
     def test_certify_rejects_empty_or_repeated_dims(self, small_config, tmp_path, capsys, dims):
         out = tmp_path / "tags"
         run_cli("simulate-tags", "--config", small_config, "--out", out)
@@ -239,6 +243,12 @@ class TestSimulateAndCertify:
         assert captured.out == ""
         assert "--dims" in json.loads(captured.err)["message"]
         assert not (tmp_path / "reports").exists()
+
+    def test_certify_parses_dims_before_reading_tags(self, tmp_path, capsys):
+        missing = tmp_path / "missing.hdtt"
+        assert run_cli("certify-et", "--hv", missing, "--da", missing, "--dims", "ten") == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "--dims" in message and "'ten'" in message
 
     @pytest.mark.parametrize(
         "argv", [("resample", "--dim", "10"), ("certify-et", "--dims", "10")]
@@ -299,7 +309,34 @@ class TestMubSweep:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("k", ["", "2,2"], ids=["empty", "repeated"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "0:0.9",
+            "0:0.5:3:1",
+            "0:0.9:x",
+            "0:0.9:2.5",
+            "0:0.9:1",
+            "0:0.9:0",
+            "0.5:0.5:3",
+            "0.9:0.1:5",
+            "-0.1:0.5:4",
+            "0:1.5:4",
+            "nan:0.5:3",
+        ],
+    )
+    def test_bad_grid_fails_before_any_row(self, tmp_path, capsys, grid):
+        # "--grid=" keeps argparse from reading a negative start as an option
+        code = run_cli(
+            "mub-sweep", "--dim", "3", "--k", "4", f"--grid={grid}", "--out", tmp_path / "mub"
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid" in json.loads(captured.err)["message"]
+        assert not (tmp_path / "mub").exists()
+
+    @pytest.mark.parametrize("k", ["", "2,2", "2,x"], ids=["empty", "repeated", "non-integer"])
     def test_empty_or_repeated_k_fails(self, tmp_path, capsys, k):
         code = run_cli("mub-sweep", "--dim", "3", "--k", k, "--out", tmp_path / "mub")
         assert code == 1

@@ -28,7 +28,12 @@ from hdent.tagstream import (
     write_tags,
 )
 
-from conftest import exact_da_probabilities, exact_hv_probabilities, spill_probabilities
+from conftest import (
+    exact_da_probabilities,
+    exact_hv_probabilities,
+    loop_sift_and_bin,
+    spill_probabilities,
+)
 
 CLOCK = ClockConfig()
 
@@ -170,6 +175,15 @@ class TestGeneration:
         with pytest.raises(ValueError, match="unphysical"):
             generate_stream(model(bg=5e12), CLOCK, 10, 1)
 
+    def test_frame_range_bound(self):
+        # the (timestamp, channel) sort key needs timestamps below 2**61
+        last = 2 ** 60 // CLOCK.frame_ticks
+        noisy = model(bg=4e7, jitter=800e-12)
+        stream = generate_stream(noisy, CLOCK, 10, 1, frame_offset=last - 10)
+        assert len(stream) and int(stream.timestamps[-1]) < 2 ** 61
+        with pytest.raises(ValueError, match="2\\*\\*60"):
+            generate_stream(model(), CLOCK, 10, 1, frame_offset=last - 9)
+
 
 class TestSifting:
     def test_multi_event_frames_discarded(self):
@@ -220,6 +234,91 @@ class TestSifting:
             TagStream(CLOCK, ts, ch, og), BinningConfig.for_dimension(CLOCK, 10), BASIS_HV
         )
         assert counts.noise_coincidences is None
+
+
+def allowed_dims(clock):
+    return [
+        d for d in range(1, clock.frame_ticks + 1)
+        if clock.frame_ticks % d == 0 and clock.imbalance_ticks % (clock.frame_ticks // d) == 0
+    ]
+
+
+def assert_same_counts(got, want):
+    assert (got.basis, got.binning) == (want.basis, want.binning)
+    assert got.matrices.dtype == want.matrices.dtype
+    assert np.array_equal(got.matrices, want.matrices)
+    assert (got.frames_total, got.frames_kept) == (want.frames_total, want.frames_kept)
+    assert got.noise_coincidences == want.noise_coincidences
+
+
+@st.composite
+def small_streams(draw):
+    """Sorted streams over a few dozen frames: empty, single- and multi-click frames."""
+    clock = draw(st.sampled_from([CLOCK, ClockConfig(frame_ticks=48, imbalance_ticks=12)]))
+    n_frames = draw(st.integers(min_value=1, max_value=30))
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n_frames * clock.frame_ticks - 1),
+                st.integers(min_value=0, max_value=3),
+                st.sampled_from([Origin.SIGNAL, Origin.NOISE, Origin.NOISE, Origin.UNKNOWN]),
+            ),
+            max_size=3 * n_frames,
+        )
+    )
+    if draw(st.booleans()):
+        events = [(t, c, Origin.NOISE if o == Origin.UNKNOWN else o) for t, c, o in events]
+    events.sort(key=lambda e: (e[0], e[1]))
+    ts = np.array([e[0] for e in events], dtype=np.uint64)
+    ch = np.array([e[1] for e in events], dtype=np.uint8)
+    og = np.array([e[2] for e in events], dtype=np.uint8)
+    return clock, n_frames, ts, ch, og
+
+
+class TestSiftOracle:
+    @given(stream_data=small_streams(), data=st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_per_call_counting(self, stream_data, data):
+        clock, n_frames, ts, ch, og = stream_data
+        stream = TagStream(clock, ts, ch, og)
+        split = data.draw(st.integers(min_value=0, max_value=n_frames + 2))
+        end = data.draw(st.integers(min_value=split, max_value=n_frames + 4))
+        for d in data.draw(st.permutations(allowed_dims(clock))):
+            binning = BinningConfig.for_dimension(clock, d)
+            for basis in (BASIS_HV, BASIS_DA):
+                for frame_range in (None, (0, split), (split, end), (0, end)):
+                    assert_same_counts(
+                        sift_and_bin(stream, binning, basis, frame_range),
+                        loop_sift_and_bin(stream, binning, basis, frame_range),
+                    )
+        a, b = stream.kept_pairs
+        assert stream.kept_pairs is stream.kept_pairs
+        assert not a.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            a[:1] = 0
+
+    def test_call_order_does_not_matter(self):
+        m = model(d=80, pair_rate=2e6, bg=1e7, jitter=800e-12, p=0.8)
+        source = generate_stream(m, CLOCK, 20_000, seed=41)
+
+        def fresh():
+            return TagStream(CLOCK, source.timestamps, source.channels, source.origins)
+
+        b10 = BinningConfig.for_dimension(CLOCK, 10)
+        b80 = BinningConfig.for_dimension(CLOCK, 80)
+        coarse_first = fresh()
+        fine_first = fresh()
+        sift_and_bin(fine_first, b80, BASIS_HV, frame_range=(5000, 9000))
+        sift_and_bin(fine_first, b80, BASIS_HV)
+        assert_same_counts(
+            sift_and_bin(fine_first, b10, BASIS_HV), sift_and_bin(coarse_first, b10, BASIS_HV)
+        )
+        assert_same_counts(
+            sift_and_bin(fine_first, b10, BASIS_HV), loop_sift_and_bin(source, b10, BASIS_HV)
+        )
+        assert_same_counts(
+            sift_and_bin(coarse_first, b80, BASIS_HV), loop_sift_and_bin(source, b80, BASIS_HV)
+        )
 
 
 class TestCrosstalk:
