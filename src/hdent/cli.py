@@ -6,11 +6,10 @@ Subcommands::
     certify-et      witness reports for one tag-file pair at several d
     mub-sweep       visibility sums over a noise-fraction grid (prime d)
     sweep-noise     full stream-level noise sweep with witnesses per d
-    resample        Poisson error bars for one tag-file pair
     link-budget     loss budget <-> fiber distance table
 
-``sweep-noise``, ``certify-et`` and ``resample`` certify HV/DA stream pairs
-through one path, ``_certify_streams``.  The INI config drives
+``sweep-noise`` and ``certify-et`` certify HV/DA stream pairs through one
+path, ``_certify_streams``.  The INI config drives
 ``simulate-tags`` and ``sweep-noise`` and rejects unknown sections or keys;
 ``mub-sweep`` is configured by its flags.
 
@@ -87,10 +86,17 @@ class RunConfig:
     output: str
 
     def __post_init__(self):
+        _at_least(self.resamples, 2, "[sweep] resamples")
         if self.clock.frame_ticks % self.state_dim:
             raise ValueError("state_dim must divide frame_ticks")
         for d in self.dims:
             tagstream.BinningConfig.for_dimension(self.clock, d)
+
+
+def _at_least(value, minimum, name) -> None:
+    """Raise a ValueError naming ``name`` when ``value`` is below ``minimum``."""
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 def _parse_floats(text: str) -> tuple:
@@ -298,22 +304,30 @@ def _visibility_excess(mats, bound: float) -> float:
     Reads each matrix's diagonal and total only, so its resampling masks
     are diagonal.
     """
-    return sum(float(np.trace(m)) / float(m.sum()) for m in mats) - bound
+    totals = [float(m.sum()) for m in mats]
+    if 0.0 in totals:
+        raise ValueError("a resampled basis drew no counts; raise --counts")
+    return sum(float(np.trace(m)) / t for m, t in zip(mats, totals)) - bound
 
 
 def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
-    """Visibility-sum sweep rows and per-k thresholds for the MUB route."""
+    """Sweep rows, per-k thresholds and correlation matrices for the MUB route.
+
+    The matrices are those of the first max(k_list) bases, one list per grid
+    point in grid order.
+    """
     mubs = mub.build_mubs(dim)
     pure = states.make_max_entangled(dim)
     k_max = max(k_list)
     if min(k_list) < 2 or k_max > dim + 1:
         raise ValueError(f"k values must lie in 2..{dim + 1}")
-    rows = []
+    rows, per_nf = [], []
     for nf in nf_grid:
         state = states.NoisyState(pure, 1.0 - nf)
         matrices = [
             mub.correlation_matrix(state, mubs, alpha, alpha) for alpha in range(k_max)
         ]
+        per_nf.append(matrices)
         expected = [m * counts_per_basis for m in matrices]
         for k in k_list:
             report = mub.visibility_sum(state, mubs, k)
@@ -342,7 +356,7 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
             "scan": _rows_to_threshold(rows, k),
             "exact_nf_star": None if exact is None else 1.0 - exact,
         }
-    return rows, thresholds
+    return rows, thresholds, per_nf
 
 
 def cmd_simulate_tags(args) -> int:
@@ -373,6 +387,7 @@ def cmd_simulate_tags(args) -> int:
 
 def cmd_certify_et(args) -> int:
     dims = _parse_ints(args.dims, "--dims")
+    _at_least(args.resamples, 2, "--resamples")
     hv_stream = tagstream.read_tags(args.hv)
     da_stream = tagstream.read_tags(args.da)
     out = Path(args.out) if args.out else None
@@ -404,29 +419,28 @@ def cmd_certify_et(args) -> int:
 def cmd_mub_sweep(args) -> int:
     k_list = _parse_ints(args.k, "--k")
     nf_grid = _parse_grid(args.grid)
-    rows, thresholds = run_mub_sweep(
+    if not 0.0 < args.counts < math.inf:
+        raise ValueError(f"--counts must be finite and positive, got {args.counts}")
+    _at_least(args.resamples, 2, "--resamples")
+    rows, thresholds, per_nf = run_mub_sweep(
         args.dim, k_list, nf_grid, args.counts, args.resamples, args.seed
     )
     out = Path(args.out)
     _write_atomic(out / "mub_sweep.csv", sweep_rows_to_csv(rows))
     _write_atomic(out / "mub_thresholds.json", json.dumps(thresholds, sort_keys=True, indent=2))
     if args.export_matrices:
-        mubs = mub.build_mubs(args.dim)
-        pure = states.make_max_entangled(args.dim)
-        for nf in nf_grid:
-            state = states.NoisyState(pure, 1.0 - nf)
-            for alpha in range(max(k_list)):
-                matrix = mub.correlation_matrix(state, mubs, alpha, alpha)
-                path = out / f"corr_nf{nf:.4f}_b{alpha}.csv"
+        for nf, matrices in zip(nf_grid, per_nf):
+            for alpha, matrix in enumerate(matrices):
                 mub.correlation_to_csv(
-                    matrix, path, dim=args.dim, alpha=alpha, beta=alpha,
-                    extra=f"nf={nf:.6g}",
+                    matrix, out / f"corr_nf{nf:.4f}_b{alpha}.csv", dim=args.dim,
+                    alpha=alpha, beta=alpha, extra=f"nf={nf:.6g}",
                 )
     print(json.dumps(thresholds, sort_keys=True))
     return 0
 
 
 def cmd_sweep_noise(args) -> int:
+    _at_least(args.workers, 1, "--workers")
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -441,31 +455,6 @@ def cmd_sweep_noise(args) -> int:
     _write_atomic(out / "sweep.csv", sweep_rows_to_csv(rows))
     _write_atomic(out / "thresholds.json", json.dumps(thresholds, sort_keys=True, indent=2))
     print(json.dumps({"rows": len(rows), "out": str(out)}))
-    return 0
-
-
-def cmd_resample(args) -> int:
-    hv_stream = tagstream.read_tags(args.hv)
-    da_stream = tagstream.read_tags(args.da)
-    report, summary, row = next(_certify_streams(
-        hv_stream, da_stream, (args.dim,), args.eta_hwp, args.resamples, args.seed
-    ))
-    print(
-        json.dumps(
-            {
-                "d": args.dim,
-                "witness_lower_bound": report.witness_lower_bound,
-                "certified": report.certified,
-                "mean": summary.mean,
-                "sigma": summary.std,
-                "three_sigma": summary.three_sigma,
-                "n_resamples": summary.n_resamples,
-                "nf_true": row["nf_true"],
-                "nf_estimated": row["nf_estimated"],
-            },
-            sort_keys=True,
-        )
-    )
     return 0
 
 
@@ -521,15 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep_noise)
-
-    p = sub.add_parser("resample", help="Poisson error bars for one tag-file pair")
-    p.add_argument("--hv", required=True)
-    p.add_argument("--da", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--eta-hwp", type=float, default=1.0, dest="eta_hwp")
-    p.add_argument("--resamples", type=int, default=analysis.DEFAULT_RESAMPLES)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_resample)
 
     p = sub.add_parser("link-budget", help="loss budget to fiber distance")
     p.add_argument("--db", type=float, nargs="+", default=None)

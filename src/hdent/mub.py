@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import NoisyState, Pairing
-
-THRESHOLD_TOL = 1e-6
+from .states import NoisyState, Pairing, SchmidtState, make_max_entangled
 
 
 def is_prime(n: int) -> bool:
@@ -55,7 +53,6 @@ class MubSet:
 
     dim: int
     vectors: np.ndarray
-    omega: complex
 
     def __post_init__(self):
         vecs = np.array(self.vectors, dtype=complex)
@@ -93,13 +90,13 @@ def build_mubs(d: int) -> MubSet:
             "prime-power dimensions (how many exist otherwise is an open "
             "problem), and this construction covers primes only"
         )
-    omega = complex(np.exp(2j * np.pi / d))
     vectors = np.zeros((d + 1, d, d), dtype=complex)
     vectors[0] = np.eye(d)
     if d == 2:
         vectors[1] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         vectors[2] = np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)
-        return MubSet(d, vectors, omega)
+        return MubSet(d, vectors)
+    omega = complex(np.exp(2j * np.pi / d))
     # s_j = j + (j+1) + ... + (d-1); exponents reduced mod d (omega^d = 1)
     s = np.array([j * (d - j) + (d - j) * (d - j - 1) // 2 for j in range(d)])
     j = np.arange(d)
@@ -108,7 +105,7 @@ def build_mubs(d: int) -> MubSet:
         for m in range(d):
             vectors[alpha, m] = np.power(omega, (m * (d - j)) % d) * phases
     vectors[1:] /= np.sqrt(d)
-    return MubSet(d, vectors, omega)
+    return MubSet(d, vectors)
 
 
 def bob_analyzer(mubs: MubSet, beta: int, pairing: Pairing) -> np.ndarray:
@@ -151,16 +148,6 @@ class VisibilityReport:
     separable_bound: float
     certified: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "k": self.k,
-            "per_basis_visibility": list(self.per_basis_visibility),
-            "visibility_sum": self.visibility_sum,
-            "separable_bound": self.separable_bound,
-            "certified": self.certified,
-        }
-
 
 def visibility_sum(state: NoisyState, mubs: MubSet, k: int) -> VisibilityReport:
     """Sum of matched-basis visibilities over the first k bases.
@@ -180,41 +167,27 @@ def visibility_sum(state: NoisyState, mubs: MubSet, k: int) -> VisibilityReport:
     return VisibilityReport(d, k, per_basis, total, bound, total > bound)
 
 
-def mub_noise_threshold(d: int, k: int, state_family=None, tol: float = THRESHOLD_TOL):
+def mub_noise_threshold(d: int, k: int, pure: SchmidtState | None = None):
     """Mixing weight p* where the k-basis visibility sum meets the bound.
 
-    ``state_family`` maps p in [0, 1] to a NoisyState (default: maximally
-    entangled isotropic family).  Returns None when the certification margin
-    has no sign change on [0, 1] (margins within roundoff of zero count as
-    non-certifying, so bound-saturating families report no threshold);
-    raises if the margin is not monotone in p.
+    The family is p |pure><pure| + (1-p)/d^2 (default ``pure``: maximally
+    entangled).  Every correlation matrix is affine in p, so the margin
+    ``visibility_sum - separable_bound`` is too, and p* is the root of the
+    line through its values m0 at p = 0 and m1 at p = 1.  Returns None when
+    the pure state does not beat the bound (margins within roundoff of zero
+    count as non-certifying, so bound-saturating states report no threshold).
     """
-    from .states import make_max_entangled
-
-    if state_family is None:
-        pure = make_max_entangled(d)
-        state_family = lambda p: NoisyState(pure, p)  # noqa: E731
+    pure = make_max_entangled(d) if pure is None else pure
     mubs = build_mubs(d)
 
     def margin(p):
-        report = visibility_sum(state_family(p), mubs, k)
+        report = visibility_sum(NoisyState(pure, p), mubs, k)
         return report.visibility_sum - report.separable_bound
 
-    samples = [margin(p) for p in np.linspace(0.0, 1.0, 9)]
-    if any(b < a - 1e-9 for a, b in zip(samples, samples[1:])):
-        raise ValueError("certification margin is not monotone in p")
-    lo, hi = 0.0, 1.0
-    mlo, mhi = samples[0], samples[-1]
-    eps = 1e-12  # roundoff guard: saturating the bound is not a violation
-    if mlo > eps or mhi <= eps:
+    m0, m1 = margin(0.0), margin(1.0)
+    if m1 <= 1e-12:  # roundoff guard: saturating the bound is not a violation
         return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return m0 / (m0 - m1)
 
 
 def correlation_to_csv(matrix: np.ndarray, path, *, dim: int, alpha: int, beta: int,

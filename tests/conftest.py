@@ -244,6 +244,18 @@ def loop_sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str,
     return CountMatrixSet(basis, binning, matrices, total, frames_kept, noise)
 
 
+def bisect_root(func, lo=0.0, hi=1.0, tol=1e-9):
+    """Root of an increasing ``func`` that changes sign on [lo, hi], by bisection."""
+    assert func(lo) < 0 < func(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if func(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def lump_unread(counts: np.ndarray, mask: np.ndarray, target: int) -> np.ndarray:
     """``counts`` with all mass outside ``mask`` moved into unread cell number ``target``."""
     out = np.where(mask, counts, 0)

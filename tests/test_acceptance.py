@@ -35,7 +35,7 @@ from hdent.tagstream import (
 )
 from hdent.witness import witness_exact, witness_from_counts
 
-from conftest import exact_count_sets, spill_probabilities
+from conftest import bisect_root, exact_count_sets, spill_probabilities
 
 CLOCK = ClockConfig()
 DIMS = (10, 20, 40, 80)
@@ -61,16 +61,6 @@ def certify(hv_stream, da_stream, d):
     hv = sift_and_bin(hv_stream, binning, BASIS_HV)
     da = sift_and_bin(da_stream, binning, BASIS_DA)
     return hv, da, witness_from_counts(hv, da, d, binning.f_shift)
-
-
-def bisect_root(func, lo=0.0, hi=1.0, tol=1e-9):
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if func(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def test_criterion_1_mub_correctness():

@@ -85,6 +85,59 @@ class TestErrors:
         assert "error" in err and "message" in err
 
 
+def assert_fails_naming(code, capsys, flag, out):
+    """Exit code 1, a JSON error naming ``flag``, nothing on stdout and no ``out``."""
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in json.loads(captured.err)["message"]
+    assert not out.exists()
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_fails(self, small_config, tmp_path, capsys, workers):
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep-noise", "--config", small_config, "--out", out, f"--workers={workers}"
+        )
+        assert_fails_naming(code, capsys, "--workers", out)
+
+    @pytest.mark.parametrize("counts", ["0", "nan", "inf", "-5"])
+    def test_counts_must_be_finite_and_positive(self, tmp_path, capsys, counts):
+        out = tmp_path / "mub"
+        code = run_cli("mub-sweep", "--dim", "3", "--k", "4", f"--counts={counts}", "--out", out)
+        assert_fails_naming(code, capsys, "--counts", out)
+
+    def test_empty_resampled_basis_names_counts(self, tmp_path, capsys):
+        out = tmp_path / "mub"
+        code = run_cli(
+            "mub-sweep", "--dim", "3", "--k", "4", "--counts", "1", "--resamples", "10",
+            "--out", out,
+        )
+        assert_fails_naming(code, capsys, "--counts", out)
+
+    @pytest.mark.parametrize("resamples", ["1", "0", "-2"])
+    def test_resamples_below_two_fail(self, tmp_path, capsys, resamples):
+        out = tmp_path / "out"
+        missing = tmp_path / "missing.hdtt"
+        code = run_cli(
+            "certify-et", "--hv", missing, "--da", missing, "--dims", "10",
+            f"--resamples={resamples}", "--out", out,
+        )
+        assert_fails_naming(code, capsys, "--resamples", out)
+        code = run_cli(
+            "mub-sweep", "--dim", "3", "--k", "4", f"--resamples={resamples}", "--out", out
+        )
+        assert_fails_naming(code, capsys, "--resamples", out)
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            SMALL_CONFIG.format(out=out).replace("resamples = 8", f"resamples = {resamples}")
+        )
+        code = run_cli("sweep-noise", "--config", path)
+        assert_fails_naming(code, capsys, "[sweep] resamples", out)
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "section, line, named",
@@ -195,35 +248,6 @@ class TestSimulateAndCertify:
         )
         assert code == 1
 
-    def test_resample_command(self, small_config, tmp_path, capsys):
-        out = tmp_path / "tags"
-        run_cli("simulate-tags", "--config", small_config, "--out", out)
-        capsys.readouterr()
-        code = run_cli(
-            "resample",
-            "--hv", out / "tags_p000_hv.hdtt",
-            "--da", out / "tags_p000_da.hdtt",
-            "--dim", "10",
-            "--resamples", "8",
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["n_resamples"] == 8
-        assert payload["three_sigma"] == pytest.approx(3 * payload["sigma"])
-
-    def test_resample_matches_certify_et(self, small_config, tmp_path, capsys):
-        out = tmp_path / "tags"
-        run_cli("simulate-tags", "--config", small_config, "--out", out)
-        pair = ("--hv", out / "tags_p001_hv.hdtt", "--da", out / "tags_p001_da.hdtt")
-        capsys.readouterr()
-        assert run_cli("resample", *pair, "--dim", "20", "--seed", "3") == 0
-        resampled = json.loads(capsys.readouterr().out)
-        assert run_cli("certify-et", *pair, "--dims", "20", "--seed", "3") == 0
-        certified = json.loads(capsys.readouterr().out)["20"]
-        assert resampled["mean"] == certified["resample_mean"]
-        assert resampled["sigma"] == certified["sigma"]
-        assert resampled["three_sigma"] == certified["three_sigma"]
-
     @pytest.mark.parametrize(
         "dims", ["", "10,20,10", "ten"], ids=["empty", "repeated", "non-integer"]
     )
@@ -250,17 +274,16 @@ class TestSimulateAndCertify:
         message = json.loads(capsys.readouterr().err)["message"]
         assert "--dims" in message and "'ten'" in message
 
-    @pytest.mark.parametrize(
-        "argv", [("resample", "--dim", "10"), ("certify-et", "--dims", "10")]
-    )
-    def test_rejects_different_clocks(self, small_config, tmp_path, capsys, argv):
+    def test_rejects_different_clocks(self, small_config, tmp_path, capsys):
         out = tmp_path / "tags"
         run_cli("simulate-tags", "--config", small_config, "--out", out)
         capsys.readouterr()
         da = tagstream.read_tags(out / "tags_p000_da.hdtt")
         other = out / "tags_p000_da_other_tick.hdtt"
         tagstream.write_tags(replace(da, clock=replace(da.clock, tick_seconds=80e-12)), other)
-        code = run_cli(*argv, "--hv", out / "tags_p000_hv.hdtt", "--da", other)
+        code = run_cli(
+            "certify-et", "--dims", "10", "--hv", out / "tags_p000_hv.hdtt", "--da", other
+        )
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -290,7 +313,7 @@ class TestMubSweep:
         assert certified_nf[2] < certified_nf[3] < certified_nf[4]
         thresholds = json.loads((tmp_path / "mub_thresholds.json").read_text())
         for k in (2, 3, 4):
-            assert thresholds[str(k)]["exact_nf_star"] == pytest.approx(1 - 1 / k, abs=2e-6)
+            assert thresholds[str(k)]["exact_nf_star"] == pytest.approx(1 - 1 / k, abs=1e-12)
             assert thresholds[str(k)]["scan"]["nf_star"] == pytest.approx(1 - 1 / k, abs=0.01)
 
     def test_full_mub_set_runs_for_small_primes(self, tmp_path, capsys):

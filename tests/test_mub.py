@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdent.mub import (
     build_mubs,
@@ -11,6 +13,8 @@ from hdent.mub import (
     visibility_sum,
 )
 from hdent.states import NoisyState, Pairing, SchmidtState, make_max_entangled, materialize
+
+from conftest import bisect_root
 
 
 def product_state(d):
@@ -163,17 +167,46 @@ class TestNoiseThreshold:
         "d,k,expected", [(2, 3, 1 / 3), (3, 4, 0.25), (7, 8, 0.125)]
     )
     def test_ideal_thresholds(self, d, k, expected):
-        assert abs(mub_noise_threshold(d, k) - expected) < 2e-6
+        assert abs(mub_noise_threshold(d, k) - expected) < 1e-12
 
     def test_no_threshold_for_separable_family(self):
         d = 3
-        pure = product_state(d).pure
-        family = lambda p: NoisyState(pure, p)  # noqa: E731
-        assert mub_noise_threshold(d, d + 1, family) is None
+        assert mub_noise_threshold(d, d + 1, product_state(d).pure) is None
 
     def test_tolerated_noise_weight_increases_with_dimension(self):
         weights = [1 - mub_noise_threshold(d, d + 1) for d in (2, 3, 5, 7)]
         assert all(b > a for a, b in zip(weights, weights[1:]))
+
+    @given(
+        d=st.sampled_from((2, 3, 5, 7, 11)),
+        pairing=st.sampled_from(Pairing),
+        p=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_closed_form_matches_bisection(self, d, pairing, p, data):
+        """The visibility sum is affine in p, so two evaluations give the root."""
+        k = data.draw(st.integers(2, d + 1), label="k")
+        terms = data.draw(st.integers(1, d), label="terms")  # 1 term: a product state
+        amps = data.draw(
+            st.lists(st.complex_numbers(max_magnitude=1.0), min_size=d, max_size=d)
+            .filter(lambda a: np.linalg.norm(a[:terms]) > 1e-3),
+            label="amplitudes",
+        )
+        pure = SchmidtState.from_amplitudes(amps[:terms] + [0.0] * (d - terms), pairing)
+        mubs = build_mubs(d)
+
+        def total(q):
+            return visibility_sum(NoisyState(pure, q), mubs, k).visibility_sum
+
+        def margin(q):
+            return total(q) - separable_bound(d, k)
+
+        assert abs(total(p) - ((1.0 - p) * total(0.0) + p * total(1.0))) < 1e-12
+        threshold = mub_noise_threshold(d, k, pure)
+        assert (threshold is None) == (margin(1.0) <= 1e-12)
+        if threshold is not None:
+            assert abs(threshold - bisect_root(margin)) < 1e-8
 
 
 class TestExports:

@@ -1,6 +1,9 @@
+import argparse
+import re
 from pathlib import Path
 
 import hdent
+from hdent import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +22,14 @@ def test_readme_quick_start_runs():
     exec(compile(code, f"{README.name} (Library quick start)", "exec"), namespace)
     assert isinstance(namespace["witness"], hdent.WitnessReport)
     assert isinstance(namespace["errors"], hdent.ResampleSummary)
+
+
+def test_cli_commands_match_docs():
+    parser = cli.build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = set(subparsers.choices)
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"^hdent ([\w-]+)", block, re.M)) == commands
+    listing = cli.__doc__.split("Subcommands::\n\n", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"^    ([\w-]+)  ", listing, re.M)) == commands

@@ -20,7 +20,13 @@ from hdent.tagstream import (
 )
 from hdent.witness import witness_exact, witness_from_counts, witness_read_masks
 
-from conftest import dense_witness_report, exact_count_sets, exact_da_probabilities, lump_unread
+from conftest import (
+    bisect_root,
+    dense_witness_report,
+    exact_count_sets,
+    exact_da_probabilities,
+    lump_unread,
+)
 
 CLOCK = ClockConfig()
 TABLE = [(10, 1), (20, 2), (40, 4), (80, 8)]  # supported (d, f) pairs
@@ -59,18 +65,6 @@ def witness_from_density(dm, d, f):
     return (coh - pen) / math.sqrt(d - 1)
 
 
-def bisect_root(func, lo, hi, tol=1e-9):
-    flo = func(lo)
-    assert flo < 0 < func(hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if func(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 class TestWitnessExact:
     @pytest.mark.parametrize("d,f", TABLE + [(7, 3), (12, 5)])
     def test_max_entangled_value(self, d, f):
@@ -85,10 +79,10 @@ class TestWitnessExact:
     @pytest.mark.parametrize("d", [4, 8])
     def test_isotropic_root_cross_checked_against_dense_matrix(self, d):
         f = 1
-        root = bisect_root(lambda p: witness_exact(isotropic(d, p), d, f), 0.0, 1.0)
+        root = bisect_root(lambda p: witness_exact(isotropic(d, p), d, f))
         assert abs(root - 1 / (d + 1)) < 1e-9
         dense_root = bisect_root(
-            lambda p: witness_from_density(materialize(isotropic(d, p)), d, f), 0.0, 1.0
+            lambda p: witness_from_density(materialize(isotropic(d, p)), d, f)
         )
         assert abs(dense_root - root) < 1e-8
 
