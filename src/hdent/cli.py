@@ -84,13 +84,34 @@ class RunConfig:
     seed: int
     resamples: int
     output: str
+    # (HV, DA) source models of each background rate, built from the fields
+    point_models: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _at_least(self.n_frames, 1, "[sweep] n_frames")
         _at_least(self.resamples, 2, "[sweep] resamples")
+        _at_least(self.state_dim, 2, "[source] state_dim")
         if self.clock.frame_ticks % self.state_dim:
             raise ValueError("state_dim must divide frame_ticks")
         for d in self.dims:
             tagstream.BinningConfig.for_dimension(self.clock, d)
+        base = tagstream.SourceModel(
+            states.make_max_entangled(self.state_dim),
+            self.pair_rate,
+            0.0,
+            self.jitter_fwhm_seconds,
+            self.p_mix,
+            tagstream.BASIS_HV,
+            self.franson_phase,
+        )
+        models = []
+        for rate in self.background_rates:
+            try:
+                point = replace(base, background_rate_per_detector=rate)
+            except ValueError as exc:
+                raise ValueError(f"[source] background_rates: {exc}") from None
+            models.append((point, replace(point, basis=tagstream.BASIS_DA)))
+        object.__setattr__(self, "point_models", tuple(models))
 
 
 def _at_least(value, minimum, name) -> None:
@@ -151,25 +172,28 @@ def load_run_config(path=None) -> RunConfig:
             for key in parser.options(section):
                 if key not in _DEFAULTS[section]:
                     raise ValueError(f"unknown config key [{section}] {key} in {path}")
-    clock = tagstream.ClockConfig(
-        parser.getfloat("clock", "tick_seconds"),
-        parser.getint("clock", "frame_ticks"),
-        parser.getint("clock", "imbalance_ticks"),
-    )
-    return RunConfig(
-        clock=clock,
-        state_dim=parser.getint("source", "state_dim"),
-        pair_rate=parser.getfloat("source", "pair_rate"),
-        background_rates=_parse_floats(parser.get("source", "background_rates")),
-        jitter_fwhm_seconds=parser.getfloat("source", "jitter_fwhm_seconds"),
-        p_mix=parser.getfloat("source", "p_mix"),
-        franson_phase=_parse_phase(parser.get("source", "franson_phase")),
-        dims=_parse_ints(parser.get("binning", "dims"), "[binning] dims"),
-        n_frames=parser.getint("sweep", "n_frames"),
-        seed=parser.getint("sweep", "seed"),
-        resamples=parser.getint("sweep", "resamples"),
-        output=parser.get("run", "output"),
-    )
+    try:
+        clock = tagstream.ClockConfig(
+            parser.getfloat("clock", "tick_seconds"),
+            parser.getint("clock", "frame_ticks"),
+            parser.getint("clock", "imbalance_ticks"),
+        )
+        return RunConfig(
+            clock=clock,
+            state_dim=parser.getint("source", "state_dim"),
+            pair_rate=parser.getfloat("source", "pair_rate"),
+            background_rates=_parse_floats(parser.get("source", "background_rates")),
+            jitter_fwhm_seconds=parser.getfloat("source", "jitter_fwhm_seconds"),
+            p_mix=parser.getfloat("source", "p_mix"),
+            franson_phase=_parse_phase(parser.get("source", "franson_phase")),
+            dims=_parse_ints(parser.get("binning", "dims"), "[binning] dims"),
+            n_frames=parser.getint("sweep", "n_frames"),
+            seed=parser.getint("sweep", "seed"),
+            resamples=parser.getint("sweep", "resamples"),
+            output=parser.get("run", "output"),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from None
 
 
 def _write_atomic(path, payload) -> None:
@@ -208,20 +232,6 @@ def _derived_seed(*parts) -> int:
     for part in parts:
         acc = acc * 1_000_003 + int(part)
     return acc
-
-
-def _point_models(cfg: RunConfig, rate: float):
-    state = states.make_max_entangled(cfg.state_dim)
-    hv = tagstream.SourceModel(
-        state,
-        cfg.pair_rate,
-        rate,
-        cfg.jitter_fwhm_seconds,
-        cfg.p_mix,
-        tagstream.BASIS_HV,
-        cfg.franson_phase,
-    )
-    return hv, replace(hv, basis=tagstream.BASIS_DA)
 
 
 def _certify_streams(hv_stream, da_stream, dims, eta_hwp, resamples, seed):
@@ -263,7 +273,7 @@ def _certify_streams(hv_stream, da_stream, dims, eta_hwp, resamples, seed):
 
 def _timebin_point(task):
     cfg, point, rate = task
-    hv_model, da_model = _point_models(cfg, rate)
+    hv_model, da_model = cfg.point_models[point]
     hv_stream = tagstream.generate_stream(
         hv_model, cfg.clock, cfg.n_frames, _stream_seed(cfg.seed, point, False)
     )
@@ -367,9 +377,8 @@ def cmd_simulate_tags(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed
     manifest = [MANIFEST_SCHEMA, "point,background_rate,basis,file,seed,sha256"]
-    for point, rate in enumerate(cfg.background_rates):
-        hv_model, da_model = _point_models(cfg, rate)
-        for model, da_flag in ((hv_model, False), (da_model, True)):
+    for point, (rate, models) in enumerate(zip(cfg.background_rates, cfg.point_models)):
+        for model, da_flag in zip(models, (False, True)):
             stream_seed = _stream_seed(seed, point, da_flag)
             stream = tagstream.generate_stream(model, cfg.clock, cfg.n_frames, stream_seed)
             name = f"tags_p{point:03d}_{model.basis.lower()}.hdtt"
@@ -388,6 +397,8 @@ def cmd_simulate_tags(args) -> int:
 def cmd_certify_et(args) -> int:
     dims = _parse_ints(args.dims, "--dims")
     _at_least(args.resamples, 2, "--resamples")
+    if not 0.0 < args.eta_hwp <= 1.0:
+        raise ValueError(f"--eta-hwp must be in (0, 1], got {args.eta_hwp}")
     hv_stream = tagstream.read_tags(args.hv)
     da_stream = tagstream.read_tags(args.da)
     out = Path(args.out) if args.out else None

@@ -53,9 +53,9 @@ FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 FORMAT_MAGIC = b"HDTT"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHQIIQ")
-_RECORD_DTYPE = np.dtype(
-    [("timestamp", "<u8"), ("channel", "u1"), ("origin", "u1"), ("pad", "u1", (6,))]
-)
+# a record is two little-endian u64 words: the timestamp in ticks, then the
+# flag word ``channel | origin << 8``, whose upper 48 bits are reserved zeros
+_RECORD_DTYPE = np.dtype([("timestamp", "<u8"), ("flags", "<u8")])
 
 
 class Origin(enum.IntEnum):
@@ -72,6 +72,25 @@ class TagFormatError(ValueError):
         self.offset = offset
 
 
+class _BadEvent(ValueError):
+    """Event ``index`` breaks a rule; ``field`` is the byte of its file record at fault."""
+
+    def __init__(self, rule: str, index, field: int):
+        super().__init__(f"{rule} at event {index}")
+        self.rule, self.index, self.field = rule, int(index), field
+
+
+def _check_events(ts: np.ndarray, ch: np.ndarray, og: np.ndarray) -> None:
+    """Raise ``_BadEvent`` at the first break of the channel, origin or order rule, in turn."""
+    for rule, field, codes, top in (("channel", 8, ch, 3), ("origin", 9, og, 2)):
+        bad = np.flatnonzero(codes > top)
+        if bad.size:
+            raise _BadEvent(f"unknown {rule} code", bad[0], field)
+    bad = np.flatnonzero((ts[1:] < ts[:-1]) | ((ts[1:] == ts[:-1]) & (ch[1:] < ch[:-1])))
+    if bad.size:
+        raise _BadEvent("records not sorted by (timestamp, channel)", bad[0] + 1, 0)
+
+
 @dataclass(frozen=True)
 class ClockConfig:
     """Time-tagger clock: tick length, frame length, interferometer imbalance."""
@@ -81,8 +100,8 @@ class ClockConfig:
     imbalance_ticks: int = 32
 
     def __post_init__(self):
-        if self.tick_seconds <= 0:
-            raise ValueError("tick_seconds must be positive")
+        if not 0.0 < self.tick_seconds < math.inf:
+            raise ValueError(f"tick_seconds must be finite and positive, got {self.tick_seconds}")
         if self.frame_ticks <= 0 or self.imbalance_ticks <= 0:
             raise ValueError("frame_ticks and imbalance_ticks must be positive")
         if self.frame_ticks % self.imbalance_ticks:
@@ -142,12 +161,7 @@ class TagStream:
         og = np.ascontiguousarray(self.origins, dtype=np.uint8)
         if not (len(ts) == len(ch) == len(og)):
             raise ValueError("timestamps, channels, origins must be equally long")
-        if len(ch) and (ch.max() > 3 or og.max() > 2):
-            raise ValueError("channel or origin code out of range")
-        if len(ts) > 1:
-            same = ts[1:] == ts[:-1]
-            if np.any(ts[1:] < ts[:-1]) or np.any(same & (ch[1:] < ch[:-1])):
-                raise ValueError("stream not sorted by (timestamp, channel)")
+        _check_events(ts, ch, og)
         for arr in (ts, ch, og):
             arr.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
@@ -196,12 +210,12 @@ class SourceModel:
     franson_phase: float = math.pi
 
     def __post_init__(self):
-        if self.pair_rate < 0 or self.background_rate_per_detector < 0:
-            raise ValueError("rates must be non-negative")
-        if self.jitter_fwhm_seconds < 0:
-            raise ValueError("jitter must be non-negative")
+        for name in ("pair_rate", "background_rate_per_detector", "jitter_fwhm_seconds"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 <= self.p_mix <= 1.0:
-            raise ValueError("p_mix must be in [0, 1]")
+            raise ValueError(f"p_mix must be in [0, 1], got {self.p_mix}")
         if self.basis not in (BASIS_HV, BASIS_DA):
             raise ValueError(f"basis must be {BASIS_HV!r} or {BASIS_DA!r}")
 
@@ -487,17 +501,22 @@ def write_tags(stream: TagStream, path) -> None:
         stream.clock.imbalance_ticks,
         len(stream),
     )
-    records = np.zeros(len(stream), dtype=_RECORD_DTYPE)
+    records = np.empty(len(stream), dtype=_RECORD_DTYPE)
     records["timestamp"] = stream.timestamps
-    records["channel"] = stream.channels
-    records["origin"] = stream.origins
+    flags = records["flags"]
+    flags[:] = stream.origins
+    flags <<= 8
+    flags |= stream.channels
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(records.tobytes())
+        fh.write(records)
 
 
 def read_tags(path) -> TagStream:
-    """Read and validate a tag file; bit-exact inverse of ``write_tags``."""
+    """Read and validate a tag file; bit-exact inverse of ``write_tags``.
+
+    The first event that ``TagStream`` rejects is reported at its bad field's byte offset.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise TagFormatError("file shorter than header", len(blob))
@@ -513,37 +532,17 @@ def read_tags(path) -> TagStream:
             min(len(blob), expected),
         )
     records = np.frombuffer(blob, dtype=_RECORD_DTYPE, offset=_HEADER.size)
-    ts = records["timestamp"]
-    ch = records["channel"]
-    og = records["origin"]
-    if count:
-        bad = np.flatnonzero(records["pad"].any(axis=1))
+    flags = records["flags"]
+    try:
+        bad = np.flatnonzero(flags > 0xFFFF)
         if bad.size:
-            raise TagFormatError(
-                "reserved record bytes not zero",
-                _HEADER.size + int(bad[0]) * _RECORD_DTYPE.itemsize + 10,
-            )
-        bad = np.flatnonzero(ch > 3)
-        if bad.size:
-            raise TagFormatError(
-                "unknown channel code",
-                _HEADER.size + int(bad[0]) * _RECORD_DTYPE.itemsize + 8,
-            )
-        bad = np.flatnonzero(og > 2)
-        if bad.size:
-            raise TagFormatError(
-                "unknown origin code",
-                _HEADER.size + int(bad[0]) * _RECORD_DTYPE.itemsize + 9,
-            )
-        disorder = (ts[1:] < ts[:-1]) | ((ts[1:] == ts[:-1]) & (ch[1:] < ch[:-1]))
-        bad = np.flatnonzero(disorder)
-        if bad.size:
-            raise TagFormatError(
-                "records not sorted by (timestamp, channel)",
-                _HEADER.size + (int(bad[0]) + 1) * _RECORD_DTYPE.itemsize,
-            )
-    clock = ClockConfig(tick_fs * 1e-15, frame_ticks, imbalance)
-    return TagStream(clock, ts.copy(), ch.copy(), og.copy())
+            raise _BadEvent("reserved record bytes not zero", bad[0], 10)
+        clock = ClockConfig(tick_fs * 1e-15, frame_ticks, imbalance)
+        ch, og = flags.astype(np.uint8), (flags >> 8).astype(np.uint8)
+        return TagStream(clock, records["timestamp"], ch, og)
+    except _BadEvent as exc:
+        offset = _HEADER.size + exc.index * _RECORD_DTYPE.itemsize + exc.field
+        raise TagFormatError(exc.rule, offset) from None
 
 
 def scaled_expected_counts(

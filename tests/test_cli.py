@@ -138,6 +138,17 @@ class TestNumericFlags:
         assert_fails_naming(code, capsys, "[sweep] resamples", out)
 
 
+    @pytest.mark.parametrize("eta", ["0", "-0.5", "1.5", "nan"])
+    def test_eta_hwp_is_checked_before_reading_tags(self, tmp_path, capsys, eta):
+        out = tmp_path / "out"
+        missing = tmp_path / "missing.hdtt"
+        code = run_cli(
+            "certify-et", "--hv", missing, "--da", missing, "--dims", "10",
+            f"--eta-hwp={eta}", "--out", out,
+        )
+        assert_fails_naming(code, capsys, "--eta-hwp", out)
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "section, line, named",
@@ -174,6 +185,35 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "[binning] dims" in json.loads(captured.err)["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("background_rates = 0, 6e6", "background_rates = nan, 6e6", "background_rates"),
+            ("background_rates = 0, 6e6", "background_rates = 0, -1", "background_rates"),
+            ("pair_rate = 3e6", "pair_rate = nan", "pair_rate"),
+            ("pair_rate = 3e6", "pair_rate = inf", "pair_rate"),
+            ("jitter_fwhm_seconds = 0", "jitter_fwhm_seconds = nan", "jitter_fwhm_seconds"),
+            ("p_mix = 1.0", "p_mix = 1.5", "p_mix"),
+            ("p_mix = 1.0", "p_mix = nan", "p_mix"),
+            ("[source]", "[clock]\ntick_seconds = nan\n\n[source]", "tick_seconds"),
+            ("[source]", "[clock]\ntick_seconds = inf\n\n[source]", "tick_seconds"),
+            ("n_frames = 4000", "n_frames = 0", "[sweep] n_frames"),
+            ("state_dim = 80", "state_dim = 0", "[source] state_dim"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["sweep-noise", "simulate-tags"])
+    def test_bad_values_fail_at_load(self, tmp_path, capsys, command, old, new, named):
+        text = SMALL_CONFIG.format(out=tmp_path / "out")
+        assert old in text
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(old, new))
+        assert run_cli(command, "--config", path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = json.loads(captured.err)["message"]
+        assert named in message and str(path) in message
         assert not (tmp_path / "out").exists()
 
     def test_readme_example_is_the_default(self, tmp_path):

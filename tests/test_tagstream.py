@@ -66,6 +66,19 @@ class TestConfigs:
         with pytest.raises(ValueError):
             BinningConfig.for_dimension(CLOCK, bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "field", ["pair_rate", "background_rate_per_detector", "jitter_fwhm_seconds"]
+    )
+    def test_source_rejects_nonfinite_and_negative(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SourceModel(make_max_entangled(10), **{"pair_rate": 1e6, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-12])
+    def test_clock_rejects_bad_tick(self, value):
+        with pytest.raises(ValueError, match="tick_seconds"):
+            ClockConfig(tick_seconds=value)
+
 
 class TestSignalTables:
     def test_hv_distribution_matches_first_principles(self):
@@ -453,6 +466,44 @@ class TestTagFormat:
         with pytest.raises(TagFormatError, match="sorted") as err:
             read_tags(path)
         assert err.value.offset == 30 + 16
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [(8, 4, "unknown channel code"), (8, 255, "unknown channel code"),
+         (9, 3, "unknown origin code"), (9, 255, "unknown origin code")],
+    )
+    def test_unknown_codes_rejected(self, tmp_path, field, value, message):
+        path = self._valid_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        offset = 30 + 16 * 2 + field  # the third record
+        blob[offset] = value
+        path.write_bytes(blob)
+        with pytest.raises(TagFormatError, match=message) as err:
+            read_tags(path)
+        assert err.value.offset == offset
+
+    def test_reserved_byte_reported_before_earlier_defects(self, tmp_path):
+        path = self._valid_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[30 : 30 + 8] = (2 ** 40).to_bytes(8, "little")  # disorder at record 1
+        blob[30 + 16 + 8] = 9  # unknown channel code in record 1
+        blob[30 + 16 * 3 + 15] = 1  # last reserved byte of record 3
+        path.write_bytes(blob)
+        with pytest.raises(TagFormatError, match="reserved") as err:
+            read_tags(path)
+        assert err.value.offset == 30 + 16 * 3 + 10
+
+    @pytest.mark.parametrize(
+        "ts, ch, og",
+        [([0, 5], [0, 4], [0, 0]), ([0, 5], [0, 1], [3, 0]),
+         ([5, 4], [0, 0], [0, 0]), ([5, 5], [2, 1], [0, 0])],
+        ids=["channel", "origin", "timestamps", "channel-tie"],
+    )
+    def test_stream_rejects_bad_codes_and_disorder(self, ts, ch, og):
+        with pytest.raises(ValueError):
+            TagStream(
+                CLOCK, np.array(ts, np.uint64), np.array(ch, np.uint8), np.array(og, np.uint8)
+            )
 
 
 class TestCountMatrixSet:

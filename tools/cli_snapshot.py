@@ -1,0 +1,167 @@
+"""Run a fixed set of ``hdent`` CLI invocations and keep everything they leave.
+
+Usage::
+
+    python tools/cli_snapshot.py OUT
+
+``OUT`` must not exist.  Every command runs with ``OUT`` as its working
+directory and relative paths, against the ``src/`` of the checkout that holds
+this script.  Each command's output files land under ``OUT``, and its stdout,
+stderr and exit code under ``OUT/runs/<name>.{stdout,stderr,exit}``.  Run the
+script in two checkouts and compare them with ``diff -r``.
+
+The set covers every subcommand on the default and small configs, tag files
+corrupted in each way ``read_tags`` detects, and config values and flags that
+must fail before any output is written.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SMALL = """
+[source]
+pair_rate = 3e6
+background_rates = 0, 6e6
+jitter_fwhm_seconds = 800e-12
+state_dim = 80
+
+[binning]
+dims = 10, 20
+
+[sweep]
+n_frames = 4000
+seed = 3
+resamples = 8
+"""
+
+
+def small(*edits) -> str:
+    """The small config with each ``(old, new)`` text replacement applied."""
+    text = SMALL
+    for old, new in edits:
+        assert old in text, old
+        text = text.replace(old, new)
+    return text
+
+
+CONFIGS = {
+    "small.ini": small(),
+    "three.ini": small(("0, 6e6", "0, 4e6, 1.6e7"), ("10, 20", "10, 20, 40"), ("4000", "20000")),
+    "one.ini": small(("0, 6e6", "4e6"), ("10, 20", "20")),
+    "nan_background.ini": small(("0, 6e6", "nan, 1e7"), ("800e-12", "nan"), ("4000", "2000")),
+    "nan_rate.ini": small(("0, 6e6", "0, nan"), ("4000", "2000")),
+    "nan_tick.ini": "[clock]\ntick_seconds = nan\n" + small(("4000", "2000")),
+    "zero_frames.ini": small(("4000", "0")),
+    "nan_pair_rate.ini": small(("3e6", "nan"), ("4000", "2000")),
+    "big_p_mix.ini": small(("3e6", "3e6\np_mix = 1.5")),
+}
+
+# (name, offset, bytes written there) applied to a copy of tags_small/tags_p000_hv.hdtt;
+# records start at byte 30 and are 16 bytes long
+CORRUPTIONS = {
+    "bad_magic": [(0, b"NOPE")],
+    "reserved": [(30 + 16 * 2 + 13, b"\x01")],
+    "channel": [(30 + 16 * 2 + 8, b"\x07")],
+    "origin": [(30 + 16 * 3 + 9, b"\x05")],
+    "unsorted": [(30, (2 ** 40).to_bytes(8, "little"))],
+    "two_defects": [(30, (2 ** 40).to_bytes(8, "little")), (30 + 16 * 4 + 10, b"\x01")],
+}
+
+TAGS = "tags_default/tags_p{:03d}_{}.hdtt"
+
+
+def certify(hv, da, dims, *extra, out=None):
+    argv = ["certify-et", "--hv", hv, "--da", da, "--dims", dims, "--resamples", "20", *extra]
+    return argv + (["--out", out] if out else [])
+
+
+COMMANDS = [
+    ("sweep_default", ["sweep-noise", "--out", "sweep_default"]),
+    ("sweep_three", ["sweep-noise", "--config", "three.ini", "--workers", "2",
+                     "--out", "sweep_three"]),
+    ("sweep_one", ["sweep-noise", "--config", "one.ini", "--out", "sweep_one"]),
+    ("simulate_default", ["simulate-tags", "--out", "tags_default"]),
+    ("simulate_small", ["simulate-tags", "--config", "small.ini", "--out", "tags_small"]),
+    ("certify_all", certify(TAGS.format(0, "hv"), TAGS.format(0, "da"), "10,20,40,80",
+                            out="certify_all")),
+    ("certify_eta", certify(TAGS.format(3, "hv"), TAGS.format(3, "da"), "10,40",
+                            "--eta-hwp", "0.9", out="certify_eta")),
+    ("certify_d30", certify(TAGS.format(0, "hv"), TAGS.format(0, "da"), "30")),
+    ("certify_dense", certify(TAGS.format(7, "hv"), TAGS.format(7, "da"), "80,10",
+                              out="certify_dense")),
+    ("mub_d5", ["mub-sweep", "--dim", "5", "--k", "2,3,6", "--grid", "0:0.9:5",
+                "--export-matrices", "--out", "mub_d5"]),
+    ("mub_d3", ["mub-sweep", "--dim", "3", "--k", "2,3,4", "--out", "mub_d3"]),
+    ("mub_d11", ["mub-sweep", "--dim", "11", "--k", "2,12", "--grid", "0:0.95:6",
+                 "--out", "mub_d11"]),
+    ("mub_d11_export", ["mub-sweep", "--dim", "11", "--k", "2,4,8,12", "--grid", "0:0.95:20",
+                        "--export-matrices", "--out", "mub_d11_export"]),
+    ("link_budget", ["link-budget", "--db", "82", "102", "--km", "410"]),
+]
+# these read the corrupted copies, which are made once the commands above have run
+CHECKS = [
+    (f"tagfile_{name}", certify(f"corrupt/{name}.hdtt", "tags_small/tags_p000_da.hdtt", "10"))
+    for name in (*CORRUPTIONS, "truncated")
+]
+CHECKS += [
+    ("config_nan_background", ["sweep-noise", "--config", "nan_background.ini",
+                               "--out", "config_nan_background"]),
+    ("config_nan_rate", ["sweep-noise", "--config", "nan_rate.ini", "--out", "config_nan_rate"]),
+    ("config_nan_tick", ["sweep-noise", "--config", "nan_tick.ini", "--out", "config_nan_tick"]),
+    ("config_zero_frames", ["simulate-tags", "--config", "zero_frames.ini",
+                            "--out", "config_zero_frames"]),
+    ("config_nan_pair_rate", ["simulate-tags", "--config", "nan_pair_rate.ini",
+                              "--out", "config_nan_pair_rate"]),
+    ("config_big_p_mix", ["simulate-tags", "--config", "big_p_mix.ini",
+                          "--out", "config_big_p_mix"]),
+    ("eta_zero", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
+                         "--eta-hwp", "0", out="eta_zero")),
+    ("eta_nan", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
+                        "--eta-hwp", "nan", out="eta_nan")),
+]
+
+
+def corrupt(out: Path) -> None:
+    """Write the malformed copies of one small tag file under ``out/corrupt``."""
+    good = (out / "tags_small" / "tags_p000_hv.hdtt").read_bytes()
+    (out / "corrupt").mkdir()
+    for name, edits in CORRUPTIONS.items():
+        blob = bytearray(good)
+        for offset, data in edits:
+            blob[offset:offset + len(data)] = data
+        (out / "corrupt" / f"{name}.hdtt").write_bytes(bytes(blob))
+    (out / "corrupt" / "truncated.hdtt").write_bytes(good[:-7])
+
+
+def run(out: Path, commands) -> None:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for name, args in commands:
+        result = subprocess.run(
+            [sys.executable, "-m", "hdent.cli", *args], cwd=out, env=env, capture_output=True
+        )
+        (out / "runs" / f"{name}.stdout").write_bytes(result.stdout)
+        (out / "runs" / f"{name}.stderr").write_bytes(result.stderr)
+        (out / "runs" / f"{name}.exit").write_text(f"{result.returncode}\n")
+        print(f"{name}: exit {result.returncode}")
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    (out / "runs").mkdir(parents=True)
+    for name, text in CONFIGS.items():
+        (out / name).write_text(text)
+    run(out, COMMANDS)
+    corrupt(out)
+    run(out, CHECKS)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
