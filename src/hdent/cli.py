@@ -104,14 +104,27 @@ class RunConfig:
             tagstream.BASIS_HV,
             self.franson_phase,
         )
+        # every stream must be simulable before the first one is generated:
+        # the pair rate and the state's bin layout at zero background, then
+        # the background rate of each point
+        _named("[source] pair_rate", tagstream.check_source, base, self.clock)
+        da = replace(base, basis=tagstream.BASIS_DA)
+        _named("[source] state_dim", tagstream.check_source, da, self.clock)
         models = []
         for rate in self.background_rates:
-            try:
-                point = replace(base, background_rate_per_detector=rate)
-            except ValueError as exc:
-                raise ValueError(f"[source] background_rates: {exc}") from None
+            point = _named("[source] background_rates", replace, base,
+                           background_rate_per_detector=rate)
+            _named("[source] background_rates", tagstream.check_source, point, self.clock)
             models.append((point, replace(point, basis=tagstream.BASIS_DA)))
         object.__setattr__(self, "point_models", tuple(models))
+
+
+def _named(name, func, *args, **kwargs):
+    """``func(*args, **kwargs)``, with a ValueError it raises prefixed by ``name``."""
+    try:
+        return func(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _at_least(value, minimum, name) -> None:
@@ -120,23 +133,25 @@ def _at_least(value, minimum, name) -> None:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+def _parse_list(text: str, name: str, kind, noun: str) -> tuple:
+    """Values of type ``kind`` from a comma- or space-separated list; errors name ``name``."""
+    values = []
+    for item in text.replace(",", " ").split():
+        try:
+            values.append(kind(item))
+        except ValueError:
+            raise ValueError(f"{name} entry {item!r} is not {noun}") from None
+    if not values:
+        raise ValueError(f"{name} needs at least one value")
+    return tuple(values)
 
 
 def _parse_ints(text: str, name: str) -> tuple:
     """Distinct integers from a comma- or space-separated list; errors name ``name``."""
-    values = []
-    for item in text.replace(",", " ").split():
-        try:
-            values.append(int(item))
-        except ValueError:
-            raise ValueError(f"{name} entry {item!r} is not an integer") from None
-    if not values:
-        raise ValueError(f"{name} needs at least one value")
+    values = _parse_list(text, name, int, "an integer")
     if len(set(values)) < len(values):
         raise ValueError(f"{name} repeats a value: {text.strip()}")
-    return tuple(values)
+    return values
 
 
 def _parse_grid(text: str) -> tuple:
@@ -182,7 +197,10 @@ def load_run_config(path=None) -> RunConfig:
             clock=clock,
             state_dim=parser.getint("source", "state_dim"),
             pair_rate=parser.getfloat("source", "pair_rate"),
-            background_rates=_parse_floats(parser.get("source", "background_rates")),
+            background_rates=_parse_list(
+                parser.get("source", "background_rates"), "[source] background_rates",
+                float, "a number",
+            ),
             jitter_fwhm_seconds=parser.getfloat("source", "jitter_fwhm_seconds"),
             p_mix=parser.getfloat("source", "p_mix"),
             franson_phase=_parse_phase(parser.get("source", "franson_phase")),
@@ -369,6 +387,15 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     return rows, thresholds, per_nf
 
 
+def _sha256(path) -> str:
+    """Hex sha256 of the file at ``path``, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def cmd_simulate_tags(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
@@ -380,12 +407,14 @@ def cmd_simulate_tags(args) -> int:
     for point, (rate, models) in enumerate(zip(cfg.background_rates, cfg.point_models)):
         for model, da_flag in zip(models, (False, True)):
             stream_seed = _stream_seed(seed, point, da_flag)
-            stream = tagstream.generate_stream(model, cfg.clock, cfg.n_frames, stream_seed)
             name = f"tags_p{point:03d}_{model.basis.lower()}.hdtt"
             tmp = out / (name + ".tmp")
-            tagstream.write_tags(stream, tmp)
+            # one expression, so no stream outlives its file
+            tagstream.write_tags(
+                tagstream.generate_stream(model, cfg.clock, cfg.n_frames, stream_seed), tmp
+            )
             os.replace(tmp, out / name)
-            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            digest = _sha256(out / name)
             manifest.append(
                 f"{point},{_fmt(rate)},{model.basis},{name},{stream_seed},{digest}"
             )

@@ -33,9 +33,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -56,6 +56,9 @@ _HEADER = struct.Struct("<4sHQIIQ")
 # a record is two little-endian u64 words: the timestamp in ticks, then the
 # flag word ``channel | origin << 8``, whose upper 48 bits are reserved zeros
 _RECORD_DTYPE = np.dtype([("timestamp", "<u8"), ("flags", "<u8")])
+# events per block in the loops that write, read and scan a whole stream, so
+# that they hold one block, not a copy of the stream
+_BLOCK_RECORDS = 1 << 16
 
 
 class Origin(enum.IntEnum):
@@ -180,16 +183,18 @@ class TagStream:
         binning, so this is found once per stream, over the whole stream; both
         arrays are read-only.
         """
-        frames = self.timestamps // self.clock.frame_ticks
-        is_a = self.channels <= 1
-        opens = np.ones(len(frames), dtype=bool)
-        opens[1:] = frames[1:] != frames[:-1]
+        ts, n = self.timestamps, len(self.timestamps)
+        opens = np.ones(n, dtype=bool)
+        for start in range(1, n, _BLOCK_RECORDS):
+            frames = ts[start - 1 : start + _BLOCK_RECORDS] // self.clock.frame_ticks
+            opens[start : start + _BLOCK_RECORDS] = frames[1:] != frames[:-1]
         starts = np.flatnonzero(opens)
         # events are sorted, so a frame is one run of equal frame numbers:
         # keep the runs of two events that lie on different sides
-        i = starts[np.diff(starts, append=len(frames)) == 2]
-        i = i[is_a[i] != is_a[i + 1]]
-        a_first = is_a[i]
+        i = starts[np.diff(starts, append=n) == 2]
+        a_first = self.channels[i] <= 1
+        split = a_first != (self.channels[i + 1] <= 1)
+        i, a_first = i[split], a_first[split]
         a = np.where(a_first, i, i + 1)
         b = np.where(a_first, i + 1, i)
         a.setflags(write=False)
@@ -216,6 +221,8 @@ class SourceModel:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 <= self.p_mix <= 1.0:
             raise ValueError(f"p_mix must be in [0, 1], got {self.p_mix}")
+        if not math.isfinite(self.franson_phase):
+            raise ValueError(f"franson_phase must be finite, got {self.franson_phase}")
         if self.basis not in (BASIS_HV, BASIS_DA):
             raise ValueError(f"basis must be {BASIS_HV!r} or {BASIS_DA!r}")
 
@@ -282,12 +289,10 @@ def _signal_tables(model: SourceModel, clock: ClockConfig) -> dict:
 
     Outcomes are flattened as (routing/detector pair, alice bin, bob bin);
     the returned arrays map an outcome index to detector channels and
-    within-frame tick offsets.
+    within-frame tick offsets.  ``model`` must pass ``check_source``.
     """
     state = model.state
     d = state.dim
-    if clock.frame_ticks % d:
-        raise ValueError(f"state dimension {d} does not divide the frame")
     bt = clock.frame_ticks // d
     half = bt // 2
     imb = clock.imbalance_ticks
@@ -306,13 +311,6 @@ def _signal_tables(model: SourceModel, clock: ClockConfig) -> dict:
         chan_a = np.repeat(np.array([0, 1], dtype=np.uint8), d * d)
         chan_b = chan_a + 2
     else:
-        if state.pairing is not Pairing.CORRELATED:
-            raise ValueError("superposition-basis runs need a correlated state")
-        if imb % bt:
-            raise ValueError(
-                f"state dimension {d} puts the imbalance between bins; "
-                "choose d so the imbalance is a whole number of bins"
-            )
         f = imb // bt
         c = state.coefficients
         c_delayed = np.roll(c, f)  # c[(t - f) mod d]
@@ -337,6 +335,33 @@ def _signal_tables(model: SourceModel, clock: ClockConfig) -> dict:
     }
 
 
+def check_source(model: SourceModel, clock: ClockConfig) -> None:
+    """Raise ValueError where ``generate_stream`` cannot simulate ``model`` on ``clock``.
+
+    That is more than MAX_EXPECTED_EVENTS_PER_FRAME expected events per frame
+    and detector, or a pair source whose state does not fit the clock's bins.
+    """
+    rate = max(model.background_rate_per_detector, model.pair_rate)
+    if rate * clock.frame_seconds > MAX_EXPECTED_EVENTS_PER_FRAME:
+        raise ValueError(
+            f"expected events per frame per detector exceeds "
+            f"{MAX_EXPECTED_EVENTS_PER_FRAME:g}; unphysical configuration"
+        )
+    if model.pair_rate == 0:
+        return
+    d = model.state.dim
+    if clock.frame_ticks % d:
+        raise ValueError(f"state dimension {d} does not divide the frame")
+    if model.basis == BASIS_DA:
+        if model.state.pairing is not Pairing.CORRELATED:
+            raise ValueError("superposition-basis runs need a correlated state")
+        if clock.imbalance_ticks % (clock.frame_ticks // d):
+            raise ValueError(
+                f"state dimension {d} puts the imbalance between bins; "
+                "choose d so the imbalance is a whole number of bins"
+            )
+
+
 def generate_stream(
     model: SourceModel,
     clock: ClockConfig,
@@ -358,24 +383,22 @@ def generate_stream(
         raise ValueError("frame_offset must be >= 0")
     if (frame_offset + n_frames) * clock.frame_ticks > 2 ** 60:
         raise ValueError("frame range ends beyond 2**60 ticks")
-    frame_seconds = clock.frame_seconds
-    lam_bg = model.background_rate_per_detector * frame_seconds
-    lam_pair = model.pair_rate * frame_seconds
-    if max(lam_bg, lam_pair) > MAX_EXPECTED_EVENTS_PER_FRAME:
-        raise ValueError(
-            f"expected events per frame per detector exceeds "
-            f"{MAX_EXPECTED_EVENTS_PER_FRAME:g}; unphysical configuration"
-        )
+    check_source(model, clock)
+    lam_bg = model.background_rate_per_detector * clock.frame_seconds
     tables = _signal_tables(model, clock) if model.pair_rate > 0 else None
-    q_emit = -math.expm1(-lam_pair)
+    q_emit = -math.expm1(-model.pair_rate * clock.frame_seconds)
     sigma_ticks = model.jitter_fwhm_seconds / FWHM_TO_SIGMA / clock.tick_seconds
     F = clock.frame_ticks
     lo, hi = frame_offset, frame_offset + n_frames
+    bg_channels = np.tile(np.arange(4, dtype=np.uint8), CHUNK_FRAMES)
 
-    ts_parts, ch_parts, og_parts = [], [], []
+    # Events are kept as sort keys ``ts * 4 + ch`` (the frame range ends by
+    # 2**60 ticks, so ts < 2**61 for any jitter short of 2**60 ticks and the
+    # key cannot overflow int64), in parts of one origin each.
+    keys, origins, lengths = [], [], []
     for block in range(lo // CHUNK_FRAMES, (hi - 1) // CHUNK_FRAMES + 1):
         rng = _block_rng(seed, block)
-        frames = block * CHUNK_FRAMES + np.arange(CHUNK_FRAMES, dtype=np.int64)
+        first = block * CHUNK_FRAMES
         # Fixed draw order per block: emission, outcome, jitter, background
         # counts, background offsets.  Draws cover the whole block so any
         # covered subrange sees identical values.
@@ -385,50 +408,56 @@ def generate_stream(
         if lam_bg > 0:
             n_bg = rng.poisson(lam_bg, (CHUNK_FRAMES, 4))
             u_bg = rng.random(int(n_bg.sum()))
-        in_range = (frames >= lo) & (frames < hi)
+        # the frames first + [start, stop) of this block lie in the range
+        start, stop = max(lo - first, 0), min(hi - first, CHUNK_FRAMES)
 
         if tables is not None:
-            emit = in_range & (u_emit < q_emit)
-            n_emit = int(emit.sum())
-            if n_emit:
+            emit = np.flatnonzero(u_emit[start:stop] < q_emit) + start
+            if emit.size:
                 oc = np.searchsorted(tables["cum"], u_out[emit], side="right")
                 oc = np.minimum(oc, len(tables["cum"]) - 1)
-                base = frames[emit] * F
-                ta = base + tables["off_a"][oc]
-                tb = base + tables["off_b"][oc]
-                if z is not None:
-                    ta = np.rint(ta + z[emit, 0] * sigma_ticks).astype(np.int64)
-                    tb = np.rint(tb + z[emit, 1] * sigma_ticks).astype(np.int64)
-                ts_parts += [ta, tb]
-                ch_parts += [tables["chan_a"][oc], tables["chan_b"][oc]]
-                og_parts.append(
-                    np.full(2 * n_emit, Origin.SIGNAL, dtype=np.uint8)
-                )
-        if lam_bg > 0 and n_bg.any():
-            cells = n_bg.ravel()
-            ev_frame = np.repeat(np.repeat(frames, 4), cells)
-            ev_chan = np.repeat(np.tile(np.arange(4, dtype=np.uint8), CHUNK_FRAMES), cells)
-            ev_tick = ev_frame * F + np.floor(u_bg * F).astype(np.int64)
-            keep = (ev_frame >= lo) & (ev_frame < hi)
-            if keep.any():
-                ts_parts.append(ev_tick[keep])
-                ch_parts.append(ev_chan[keep])
-                og_parts.append(np.full(int(keep.sum()), Origin.NOISE, dtype=np.uint8))
+                base = (emit + first) * F
+                for side, ab in enumerate("ab"):
+                    key = base + tables["off_" + ab][oc]
+                    if z is not None:
+                        key = np.rint(key + z[emit, side] * sigma_ticks).astype(np.int64)
+                    key *= 4
+                    key += tables["chan_" + ab][oc]
+                    keys.append(key)
+                origins.append(Origin.SIGNAL)
+                lengths.append(2 * emit.size)
+        if lam_bg > 0:
+            # background events come frame by frame, then detector by detector
+            per_frame = n_bg[start:stop].sum(axis=1)
+            skip = int(n_bg[:start].sum())
+            key = np.repeat(np.arange(first + start, first + stop, dtype=np.int64), per_frame)
+            if key.size:
+                key *= F
+                key += np.floor(u_bg[skip : skip + key.size] * F).astype(np.int64)
+                key *= 4
+                key += np.repeat(bg_channels[4 * start : 4 * stop], n_bg[start:stop].ravel())
+                keys.append(key)
+                origins.append(Origin.NOISE)
+                lengths.append(key.size)
 
-    if ts_parts:
-        ts = np.concatenate(ts_parts)
-        ch = np.concatenate(ch_parts)
-        og = np.concatenate(og_parts)
-    else:
-        ts = np.empty(0, dtype=np.int64)
-        ch = np.empty(0, dtype=np.uint8)
-        og = np.empty(0, dtype=np.uint8)
-    valid = ts >= 0  # jitter may push the first frames before t = 0
-    ts, ch, og = ts[valid], ch[valid], og[valid]
-    # the frame range ends by 2**60 ticks, so ts < 2**61 for any jitter short
-    # of 2**60 ticks, and the (timestamp, channel) key cannot overflow int64
-    order = np.argsort(ts * 4 + ch, kind="stable")
-    return TagStream(clock, ts[order].astype(np.uint64), ch[order], og[order])
+    key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    del keys
+    order = np.argsort(key, kind="stable").astype(np.int64, copy=False)
+    og = np.repeat(np.array(origins, dtype=np.uint8), lengths)[order]
+    # sort the keys into the index array block by block, so that no third
+    # whole-stream array is needed: each block of indices is read before it
+    # is overwritten
+    for i in range(0, len(key), _BLOCK_RECORDS):
+        part = order[i : i + _BLOCK_RECORDS]
+        part[:] = key[part]
+    key = order
+    # jitter may push the first frames before t = 0: their keys are negative
+    # and sort first
+    dropped = np.searchsorted(key, 0)
+    key, og = key[dropped:], og[dropped:]
+    ch = (key & 3).astype(np.uint8)
+    key >>= 2
+    return TagStream(clock, key.view(np.uint64), ch, og)
 
 
 def sift_and_bin(
@@ -491,58 +520,90 @@ def crosstalk_profile(counts: CountMatrixSet) -> np.ndarray:
 
 
 def write_tags(stream: TagStream, path) -> None:
-    """Write the binary tag format: magic, version, clock, then 16-byte records."""
+    """Write the binary tag format: magic, version, clock, then 16-byte records.
+
+    Records are filled and written one block at a time.
+    """
     tick_fs = round(stream.clock.tick_seconds * 1e15)
+    n = len(stream)
     header = _HEADER.pack(
         FORMAT_MAGIC,
         FORMAT_VERSION,
         tick_fs,
         stream.clock.frame_ticks,
         stream.clock.imbalance_ticks,
-        len(stream),
+        n,
     )
-    records = np.empty(len(stream), dtype=_RECORD_DTYPE)
-    records["timestamp"] = stream.timestamps
-    flags = records["flags"]
-    flags[:] = stream.origins
-    flags <<= 8
-    flags |= stream.channels
+    block = np.empty(min(n, _BLOCK_RECORDS), dtype=_RECORD_DTYPE)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(records)
+        for start in range(0, n, _BLOCK_RECORDS):
+            stop = min(start + _BLOCK_RECORDS, n)
+            records = block[: stop - start]
+            records["timestamp"] = stream.timestamps[start:stop]
+            flags = records["flags"]
+            flags[:] = stream.origins[start:stop]
+            flags <<= 8
+            flags |= stream.channels[start:stop]
+            fh.write(records)
+
+
+def _record_offset(index, field: int = 0) -> int:
+    """Byte offset of byte ``field`` of record ``index`` in a tag file."""
+    return _HEADER.size + int(index) * _RECORD_DTYPE.itemsize + field
 
 
 def read_tags(path) -> TagStream:
     """Read and validate a tag file; bit-exact inverse of ``write_tags``.
 
-    The first event that ``TagStream`` rejects is reported at its bad field's byte offset.
+    Records are read block by block into the stream's own arrays, so reading
+    takes about one stream plus one block of memory.  The first event that
+    ``TagStream`` rejects is reported at its bad field's byte offset.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise TagFormatError("file shorter than header", len(blob))
-    magic, version, tick_fs, frame_ticks, imbalance, count = _HEADER.unpack_from(blob)
-    if magic != FORMAT_MAGIC:
-        raise TagFormatError("bad magic", 0)
-    if version != FORMAT_VERSION:
-        raise TagFormatError(f"unsupported format version {version}", 4)
-    expected = _HEADER.size + count * _RECORD_DTYPE.itemsize
-    if len(blob) != expected:
-        raise TagFormatError(
-            f"expected {expected} bytes for {count} records, got {len(blob)}",
-            min(len(blob), expected),
-        )
-    records = np.frombuffer(blob, dtype=_RECORD_DTYPE, offset=_HEADER.size)
-    flags = records["flags"]
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise TagFormatError("file shorter than header", len(header))
+        magic, version, tick_fs, frame_ticks, imbalance, count = _HEADER.unpack(header)
+        if magic != FORMAT_MAGIC:
+            raise TagFormatError("bad magic", 0)
+        if version != FORMAT_VERSION:
+            raise TagFormatError(f"unsupported format version {version}", 4)
+        size = os.fstat(fh.fileno()).st_size
+        expected = _record_offset(count)
+        if size != expected:
+            raise TagFormatError(
+                f"expected {expected} bytes for {count} records, got {size}",
+                min(size, expected),
+            )
+        ts = np.empty(count, dtype=np.uint64)
+        ch = np.empty(count, dtype=np.uint8)
+        og = np.empty(count, dtype=np.uint8)
+        block = np.empty(min(count, _BLOCK_RECORDS), dtype=_RECORD_DTYPE)
+        for start in range(0, count, _BLOCK_RECORDS):
+            stop = min(start + _BLOCK_RECORDS, count)
+            records = block[: stop - start]
+            got = fh.readinto(records)
+            if got != records.nbytes:
+                raise TagFormatError(
+                    f"file ended after {got} of the {records.nbytes} bytes of records "
+                    f"{start}..{stop - 1}",
+                    _record_offset(start) + got,
+                )
+            flags = records["flags"]
+            bad = np.flatnonzero(flags > 0xFFFF)
+            if bad.size:
+                raise TagFormatError(
+                    "reserved record bytes not zero", _record_offset(start + bad[0], 10)
+                )
+            ts[start:stop] = records["timestamp"]
+            ch[start:stop] = flags  # the low byte
+            og[start:stop] = flags >> 8
+    clock = ClockConfig(tick_fs * 1e-15, frame_ticks, imbalance)
     try:
-        bad = np.flatnonzero(flags > 0xFFFF)
-        if bad.size:
-            raise _BadEvent("reserved record bytes not zero", bad[0], 10)
-        clock = ClockConfig(tick_fs * 1e-15, frame_ticks, imbalance)
-        ch, og = flags.astype(np.uint8), (flags >> 8).astype(np.uint8)
-        return TagStream(clock, records["timestamp"], ch, og)
+        return TagStream(clock, ts, ch, og)
     except _BadEvent as exc:
-        offset = _HEADER.size + exc.index * _RECORD_DTYPE.itemsize + exc.field
-        raise TagFormatError(exc.rule, offset) from None
+        raise TagFormatError(exc.rule, _record_offset(exc.index, exc.field)) from None
 
 
 def scaled_expected_counts(

@@ -9,10 +9,14 @@ import pytest
 from hdent.analysis import ResampleSummary
 from hdent.states import NoisyState, element
 from hdent.tagstream import (
+    CHUNK_FRAMES,
+    FWHM_TO_SIGMA,
     BinningConfig,
     CountMatrixSet,
     Origin,
     TagStream,
+    _block_rng,
+    _signal_tables,
     scaled_expected_counts,
 )
 from hdent.witness import WitnessReport
@@ -242,6 +246,91 @@ def loop_sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str,
             else:
                 noise = int(np.sum((og_a == Origin.NOISE) | (og_b == Origin.NOISE)))
     return CountMatrixSet(basis, binning, matrices, total, frames_kept, noise)
+
+
+def concat_generate_stream(model, clock, n_frames: int, seed: int,
+                           frame_offset: int = 0) -> TagStream:
+    """Reference generator: whole-stream columns, concatenated, filtered, then sorted.
+
+    Draws every block as ``generate_stream`` does, keeps each block's signal
+    and background events as separate timestamp, channel and origin parts
+    selected by in-range masks, concatenates them, drops negative timestamps
+    and sorts by (timestamp, channel) through copies of the whole stream.
+    Inputs are assumed valid; ``generate_stream`` must match it bit for bit.
+    """
+    frame_seconds = clock.frame_seconds
+    lam_bg = model.background_rate_per_detector * frame_seconds
+    lam_pair = model.pair_rate * frame_seconds
+    tables = _signal_tables(model, clock) if model.pair_rate > 0 else None
+    q_emit = -math.expm1(-lam_pair)
+    sigma_ticks = model.jitter_fwhm_seconds / FWHM_TO_SIGMA / clock.tick_seconds
+    F = clock.frame_ticks
+    lo, hi = frame_offset, frame_offset + n_frames
+    ts_parts, ch_parts, og_parts = [], [], []
+    for block in range(lo // CHUNK_FRAMES, (hi - 1) // CHUNK_FRAMES + 1):
+        rng = _block_rng(seed, block)
+        frames = block * CHUNK_FRAMES + np.arange(CHUNK_FRAMES, dtype=np.int64)
+        u_emit = rng.random(CHUNK_FRAMES)
+        u_out = rng.random(CHUNK_FRAMES)
+        z = rng.standard_normal((CHUNK_FRAMES, 2)) if sigma_ticks > 0 else None
+        if lam_bg > 0:
+            n_bg = rng.poisson(lam_bg, (CHUNK_FRAMES, 4))
+            u_bg = rng.random(int(n_bg.sum()))
+        in_range = (frames >= lo) & (frames < hi)
+        if tables is not None:
+            emit = in_range & (u_emit < q_emit)
+            n_emit = int(emit.sum())
+            if n_emit:
+                oc = np.searchsorted(tables["cum"], u_out[emit], side="right")
+                oc = np.minimum(oc, len(tables["cum"]) - 1)
+                base = frames[emit] * F
+                ta = base + tables["off_a"][oc]
+                tb = base + tables["off_b"][oc]
+                if z is not None:
+                    ta = np.rint(ta + z[emit, 0] * sigma_ticks).astype(np.int64)
+                    tb = np.rint(tb + z[emit, 1] * sigma_ticks).astype(np.int64)
+                ts_parts += [ta, tb]
+                ch_parts += [tables["chan_a"][oc], tables["chan_b"][oc]]
+                og_parts.append(np.full(2 * n_emit, Origin.SIGNAL, dtype=np.uint8))
+        if lam_bg > 0 and n_bg.any():
+            cells = n_bg.ravel()
+            ev_frame = np.repeat(np.repeat(frames, 4), cells)
+            ev_chan = np.repeat(np.tile(np.arange(4, dtype=np.uint8), CHUNK_FRAMES), cells)
+            ev_tick = ev_frame * F + np.floor(u_bg * F).astype(np.int64)
+            keep = (ev_frame >= lo) & (ev_frame < hi)
+            if keep.any():
+                ts_parts.append(ev_tick[keep])
+                ch_parts.append(ev_chan[keep])
+                og_parts.append(np.full(int(keep.sum()), Origin.NOISE, dtype=np.uint8))
+    if ts_parts:
+        ts = np.concatenate(ts_parts)
+        ch = np.concatenate(ch_parts)
+        og = np.concatenate(og_parts)
+    else:
+        ts = np.empty(0, dtype=np.int64)
+        ch = np.empty(0, dtype=np.uint8)
+        og = np.empty(0, dtype=np.uint8)
+    valid = ts >= 0
+    ts, ch, og = ts[valid], ch[valid], og[valid]
+    order = np.argsort(ts * 4 + ch, kind="stable")
+    return TagStream(clock, ts[order].astype(np.uint64), ch[order], og[order])
+
+
+def whole_stream_kept_pairs(stream: TagStream) -> tuple:
+    """Reference for ``TagStream.kept_pairs`` from whole-stream frame numbers.
+
+    Divides every timestamp by the frame length at once and keeps the runs
+    of exactly two events of one frame that lie on different sides.
+    """
+    frames = stream.timestamps // stream.clock.frame_ticks
+    is_a = stream.channels <= 1
+    opens = np.ones(len(frames), dtype=bool)
+    opens[1:] = frames[1:] != frames[:-1]
+    starts = np.flatnonzero(opens)
+    i = starts[np.diff(starts, append=len(frames)) == 2]
+    i = i[is_a[i] != is_a[i + 1]]
+    a_first = is_a[i]
+    return np.where(a_first, i, i + 1), np.where(a_first, i + 1, i)
 
 
 def bisect_root(func, lo=0.0, hi=1.0, tol=1e-9):

@@ -192,6 +192,14 @@ class TestConfig:
         [
             ("background_rates = 0, 6e6", "background_rates = nan, 6e6", "background_rates"),
             ("background_rates = 0, 6e6", "background_rates = 0, -1", "background_rates"),
+            ("background_rates = 0, 6e6", "background_rates = 0, 1e13",
+             "[source] background_rates"),
+            ("background_rates = 0, 6e6", "background_rates =", "[source] background_rates"),
+            ("background_rates = 0, 6e6", "background_rates = 0, high",
+             "[source] background_rates"),
+            ("pair_rate = 3e6", "pair_rate = 1e13", "[source] pair_rate"),
+            ("state_dim = 80", "state_dim = 16", "[source] state_dim"),
+            ("franson_phase = pi", "franson_phase = nan", "franson_phase"),
             ("pair_rate = 3e6", "pair_rate = nan", "pair_rate"),
             ("pair_rate = 3e6", "pair_rate = inf", "pair_rate"),
             ("jitter_fwhm_seconds = 0", "jitter_fwhm_seconds = nan", "jitter_fwhm_seconds"),

@@ -1,11 +1,14 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from hdent import tagstream
 from hdent.states import NoisyState, Pairing, make_max_entangled
 from hdent.tagstream import (
     BASIS_DA,
@@ -13,6 +16,7 @@ from hdent.tagstream import (
     CHUNK_FRAMES,
     FWHM_TO_SIGMA,
     PAIR_LABELS,
+    _BLOCK_RECORDS,
     BinningConfig,
     ClockConfig,
     CountMatrixSet,
@@ -20,6 +24,7 @@ from hdent.tagstream import (
     SourceModel,
     TagFormatError,
     TagStream,
+    _block_rng,
     _signal_tables,
     crosstalk_profile,
     generate_stream,
@@ -29,10 +34,12 @@ from hdent.tagstream import (
 )
 
 from conftest import (
+    concat_generate_stream,
     exact_da_probabilities,
     exact_hv_probabilities,
     loop_sift_and_bin,
     spill_probabilities,
+    whole_stream_kept_pairs,
 )
 
 CLOCK = ClockConfig()
@@ -73,6 +80,11 @@ class TestConfigs:
     def test_source_rejects_nonfinite_and_negative(self, field, value):
         with pytest.raises(ValueError, match=field):
             SourceModel(make_max_entangled(10), **{"pair_rate": 1e6, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_source_rejects_nonfinite_phase(self, value):
+        with pytest.raises(ValueError, match="franson_phase"):
+            model(phase=value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-12])
     def test_clock_rejects_bad_tick(self, value):
@@ -198,6 +210,48 @@ class TestGeneration:
             generate_stream(model(), CLOCK, 10, 1, frame_offset=last - 9)
 
 
+def assert_same_stream(got, want):
+    assert got.clock == want.clock
+    for field in ("timestamps", "channels", "origins"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+class TestBlockAssembly:
+    """``generate_stream`` against a generator that concatenates whole-stream columns."""
+
+    @given(
+        pair_rate=st.one_of(st.just(0.0), st.floats(1e4, 2e7)),
+        bg=st.one_of(st.just(0.0), st.floats(1e4, 4e7)),
+        jitter=st.one_of(st.just(0.0), st.floats(1e-12, 1e-7)),
+        p=st.floats(0.0, 1.0),
+        basis=st.sampled_from([BASIS_HV, BASIS_DA]),
+        d=st.sampled_from([10, 20, 40, 80]),
+        seed=st.integers(0, 2 ** 64),
+        offset=st.integers(0, 2 * CHUNK_FRAMES),
+        n_frames=st.integers(1, 2 * CHUNK_FRAMES + 10),
+    )
+    @example(2e7, 4e7, 1e-6, 1.0, BASIS_HV, 80, 3, 0, 64)  # events jittered before t = 0
+    @example(2e6, 1e7, 8e-10, 0.9, BASIS_DA, 40, 2, CHUNK_FRAMES, CHUNK_FRAMES)  # one whole block
+    @settings(deadline=None, max_examples=40)
+    def test_matches_concatenated_assembly(
+        self, pair_rate, bg, jitter, p, basis, d, seed, offset, n_frames
+    ):
+        m = model(d=d, pair_rate=pair_rate, bg=bg, jitter=jitter, p=p, basis=basis)
+        assert_same_stream(
+            generate_stream(m, CLOCK, n_frames, seed, offset),
+            concat_generate_stream(m, CLOCK, n_frames, seed, offset),
+        )
+
+    def test_drops_events_jittered_before_zero(self):
+        m = model(d=80, pair_rate=2e7, jitter=1e-6)  # sigma ~ 16 frames
+        stream = generate_stream(m, CLOCK, 64, seed=3)
+        u_emit = _block_rng(3, 0).random(CHUNK_FRAMES)[:64]
+        emitted = int((u_emit < -math.expm1(-m.pair_rate * CLOCK.frame_seconds)).sum())
+        assert 0 < len(stream) < 2 * emitted
+        assert_same_stream(stream, concat_generate_stream(m, CLOCK, 64, 3))
+
+
 class TestSifting:
     def test_multi_event_frames_discarded(self):
         # frame 0: two Alice events and one Bob event -> discarded;
@@ -309,6 +363,17 @@ class TestSiftOracle:
         assert not a.flags.writeable and not b.flags.writeable
         with pytest.raises(ValueError):
             a[:1] = 0
+
+    @given(stream_data=small_streams(), block=st.integers(min_value=1, max_value=8))
+    @settings(deadline=None, max_examples=150)
+    def test_kept_pairs_match_whole_stream_frames(self, stream_data, block):
+        clock, _, ts, ch, og = stream_data
+        stream = TagStream(clock, ts, ch, og)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tagstream, "_BLOCK_RECORDS", block)
+            a, b = stream.kept_pairs
+        want_a, want_b = whole_stream_kept_pairs(stream)
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
 
     def test_call_order_does_not_matter(self):
         m = model(d=80, pair_rate=2e6, bg=1e7, jitter=800e-12, p=0.8)
@@ -504,6 +569,134 @@ class TestTagFormat:
             TagStream(
                 CLOCK, np.array(ts, np.uint64), np.array(ch, np.uint8), np.array(og, np.uint8)
             )
+
+
+def sorted_records(n, seed=0):
+    """``n`` events sorted by (timestamp, channel), with repeated timestamps."""
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.integers(0, 3, n)).astype(np.uint64)
+    ch = rng.integers(0, 4, n).astype(np.uint8)
+    og = rng.integers(0, 3, n).astype(np.uint8)
+    order = np.lexsort((ch, ts))
+    return ts[order], ch[order], og[order]
+
+
+def tag_file_bytes(clock, ts, ch, og):
+    """The tag file of these events, built from the format description in one piece."""
+    header = struct.pack(
+        "<4sHQIIQ", b"HDTT", 1, round(clock.tick_seconds * 1e15),
+        clock.frame_ticks, clock.imbalance_ticks, len(ts),
+    )
+    records = np.empty(len(ts), dtype=[("timestamp", "<u8"), ("flags", "<u8")])
+    records["timestamp"] = ts
+    records["flags"] = ch.astype(np.uint64) | og.astype(np.uint64) << np.uint64(8)
+    return header + records.tobytes()
+
+
+B = _BLOCK_RECORDS
+
+
+class TestTagBlocks:
+    """Tag files are written and read one block of records at a time."""
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_roundtrip_at_block_edges(self, n, tmp_path):
+        ts, ch, og = sorted_records(n, seed=n)
+        path = tmp_path / "b.hdtt"
+        write_tags(TagStream(CLOCK, ts, ch, og), path)
+        assert path.read_bytes() == tag_file_bytes(CLOCK, ts, ch, og)
+        back = read_tags(path)
+        assert back.clock == CLOCK
+        assert np.array_equal(back.timestamps, ts)
+        assert np.array_equal(back.channels, ch)
+        assert np.array_equal(back.origins, og)
+
+    @pytest.mark.parametrize(
+        "edits, message, offset",
+        [
+            ([(30 + 16 * (B + 5) + 13, b"\x01")], "reserved", 30 + 16 * (B + 5) + 10),
+            ([(30 + 16 * (2 * B - 1), (2 ** 40).to_bytes(8, "little"))], "sorted",
+             30 + 16 * 2 * B),
+            ([(30 + 16 * (B + 1) + 8, b"\x04")], "channel", 30 + 16 * (B + 1) + 8),
+            ([(30 + 16, (2 ** 40).to_bytes(8, "little")), (30 + 16 * (2 * B) + 15, b"\x01")],
+             "reserved", 30 + 16 * (2 * B) + 10),
+        ],
+        ids=["reserved", "order", "channel", "reserved-after-earlier-disorder"],
+    )
+    def test_faults_in_later_blocks_keep_their_offsets(self, edits, message, offset, tmp_path):
+        blob = bytearray(tag_file_bytes(CLOCK, *sorted_records(2 * B + 1)))
+        for at, data in edits:
+            blob[at : at + len(data)] = data
+        path = tmp_path / "f.hdtt"
+        path.write_bytes(blob)
+        with pytest.raises(TagFormatError, match=message) as err:
+            read_tags(path)
+        assert err.value.offset == offset
+
+    def test_short_read_is_a_format_error(self, tmp_path, monkeypatch):
+        blob = tag_file_bytes(CLOCK, *sorted_records(B + 3))
+        path = tmp_path / "s.hdtt"
+        path.write_bytes(blob[:-20])
+        real_fstat = tagstream.os.fstat
+
+        def stale_fstat(fd):  # the size the file had before it was cut
+            return type("Stat", (), {"st_size": real_fstat(fd).st_size + 20})()
+
+        monkeypatch.setattr(tagstream.os, "fstat", stale_fstat)
+        with pytest.raises(TagFormatError, match="ended") as err:
+            read_tags(path)
+        assert err.value.offset == len(blob) - 20
+
+
+@pytest.fixture(scope="module")
+def noisy_stream():
+    """About 430 k events: 25 frame blocks and 7 record blocks."""
+    return generate_stream(model(d=80, pair_rate=1.5e6, bg=4e7, jitter=800e-12), CLOCK,
+                           100_000, seed=7)
+
+
+def traced_peak(func):
+    """``func()`` and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = func()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def stream_bytes(stream):
+    return stream.timestamps.nbytes + stream.channels.nbytes + stream.origins.nbytes
+
+
+class TestStreamMemory:
+    """Whole-stream stages hold about one stream, not several copies of it.
+
+    Each stage's traced peak includes what it returns; the per-block arrays
+    add about 1 MiB, a quarter of this stream's 4 MiB.
+    """
+
+    def test_generate_stream_peak(self, noisy_stream):
+        m = model(d=80, pair_rate=1.5e6, bg=4e7, jitter=800e-12)
+        stream, peak = traced_peak(lambda: generate_stream(m, CLOCK, 100_000, seed=7))
+        assert_same_stream(stream, noisy_stream)
+        assert peak < 3.0 * stream_bytes(stream)
+
+    def test_read_tags_peak(self, noisy_stream, tmp_path):
+        path = tmp_path / "n.hdtt"
+        write_tags(noisy_stream, path)
+        back, peak = traced_peak(lambda: read_tags(path))
+        assert_same_stream(back, noisy_stream)
+        assert peak < 2.0 * stream_bytes(noisy_stream)
+
+    def test_kept_pairs_peak(self, noisy_stream):
+        fresh = TagStream(CLOCK, noisy_stream.timestamps, noisy_stream.channels,
+                          noisy_stream.origins)
+        (a, b), peak = traced_peak(lambda: fresh.kept_pairs)
+        want_a, want_b = whole_stream_kept_pairs(noisy_stream)
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+        assert peak < 1.0 * stream_bytes(noisy_stream)
 
 
 class TestCountMatrixSet:

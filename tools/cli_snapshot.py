@@ -58,6 +58,11 @@ CONFIGS = {
     "zero_frames.ini": small(("4000", "0")),
     "nan_pair_rate.ini": small(("3e6", "nan"), ("4000", "2000")),
     "big_p_mix.ini": small(("3e6", "3e6\np_mix = 1.5")),
+    "huge_background.ini": small(("0, 6e6", "0, 1e13"), ("4000", "2000")),
+    "dim16.ini": small(("state_dim = 80", "state_dim = 16"), ("4000", "2000")),
+    "nan_phase.ini": small(("0, 6e6", "0"), ("3e6", "3e6\nfranson_phase = nan"),
+                           ("10, 20", "10"), ("4000", "2000")),
+    "no_background.ini": small(("0, 6e6", ""), ("4000", "2000")),
 }
 
 # (name, offset, bytes written there) applied to a copy of tags_small/tags_p000_hv.hdtt;
@@ -118,6 +123,12 @@ CHECKS += [
                               "--out", "config_nan_pair_rate"]),
     ("config_big_p_mix", ["simulate-tags", "--config", "big_p_mix.ini",
                           "--out", "config_big_p_mix"]),
+    ("config_huge_background", ["simulate-tags", "--config", "huge_background.ini",
+                                "--out", "config_huge_background"]),
+    ("config_dim16", ["simulate-tags", "--config", "dim16.ini", "--out", "config_dim16"]),
+    ("config_nan_phase", ["sweep-noise", "--config", "nan_phase.ini", "--out", "config_nan_phase"]),
+    ("config_no_background", ["sweep-noise", "--config", "no_background.ini",
+                              "--out", "config_no_background"]),
     ("eta_zero", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
                          "--eta-hwp", "0", out="eta_zero")),
     ("eta_nan", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
