@@ -56,43 +56,56 @@ class ResampleSummary:
         return 3.0 * self.std
 
 
-def _part_sampler(part, mask, n_resamples: int, rng: np.random.Generator, index: int):
-    """Draw the read cells of one part for every replicate; return ``make``.
+@dataclass(frozen=True)
+class Replicates:
+    """Every Poisson replicate of one part of the resampled data.
 
-    The cells outside ``mask`` are drawn as one lumped Poisson, placed in
-    the first unread cell, so each read cell and the part total keep their
-    law.  ``make(r)`` returns replicate ``r`` as the part's own type.
+    ``cells[r]`` holds replicate ``r``'s read cells in the flat order of
+    ``read``, ``lumped[r]`` one Poisson count for all unread cells, and
+    ``totals[r]`` the sum of both.  ``reps[r]`` rebuilds replicate ``r`` as
+    the part's own type, with the lumped count in flat cell ``lump_at``.
     """
+
+    part: object
+    read: np.ndarray
+    lump_at: Optional[int]
+    cells: np.ndarray
+    lumped: np.ndarray
+    totals: np.ndarray
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.totals)))
+
+    def __getitem__(self, r: int):
+        is_set = isinstance(self.part, CountMatrixSet)
+        shape = (self.part.matrices if is_set else self.part).shape
+        flat = np.zeros(math.prod(shape), dtype=np.int64 if is_set else float)
+        flat[self.read] = self.cells[r]
+        if self.lump_at is not None:
+            flat[self.lump_at] = self.lumped[r]
+        drawn = flat.reshape(shape)
+        return replace(self.part, matrices=drawn) if is_set else drawn
+
+
+def _part_layout(part, mask, index: int):
+    """Poisson means of one part and the flat indices of its read and unread cells."""
     if isinstance(part, CountMatrixSet):
-        lam, dtype = part.matrices.astype(float), np.int64
+        lam = part.matrices.astype(float)
     elif isinstance(part, np.ndarray):
-        if np.any(part < 0):
-            raise ValueError("counts must be non-negative")
-        lam, dtype = part.astype(float), float
+        lam = part.astype(float)
+        if not np.isfinite(lam).all():
+            raise ValueError(f"data[{index}]: counts must be finite")
+        if np.any(lam < 0):
+            raise ValueError(f"data[{index}]: counts must be non-negative")
     else:
         raise TypeError(f"cannot resample object of type {type(part).__name__}")
-    if mask is None:
-        mask = np.ones(lam.shape, dtype=bool)
-    mask = np.asarray(mask)
+    mask = np.ones(lam.shape, dtype=bool) if mask is None else np.asarray(mask)
     if mask.dtype != bool or mask.shape != lam.shape:
         raise ValueError(
             f"reads[{index}] must be a bool mask of shape {lam.shape}, "
             f"got {mask.dtype} of shape {mask.shape}"
         )
-    read = np.flatnonzero(mask)
-    unread = np.flatnonzero(~mask)
-    cells = rng.poisson(lam.flat[read], (n_resamples, read.size))
-    lumped = rng.poisson(lam.flat[unread].sum(), n_resamples)
-
-    def make(r: int):
-        flat = np.zeros(lam.size, dtype=dtype)
-        flat[read] = cells[r]
-        if unread.size:
-            flat[unread[0]] = lumped[r]
-        drawn = flat.reshape(lam.shape)
-        return replace(part, matrices=drawn) if isinstance(part, CountMatrixSet) else drawn
-
-    return make
+    return lam, np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
 def poisson_resample(
@@ -104,17 +117,18 @@ def poisson_resample(
 ) -> ResampleSummary:
     """Spread of a statistic under Poisson fluctuations of the counts.
 
-    Each observed count is taken as the Poisson mean; ``statistic`` is
-    re-evaluated on ``n_resamples`` replicates of ``data`` (a count-matrix
-    set, a bare array, or a tuple or list of them), each of the same type
-    as ``data``.  One generator keyed by ``seed`` draws every replicate.
+    Each observed count of ``data`` (a count-matrix set, a bare array, or a
+    tuple or list of them) is a Poisson mean; one generator keyed by ``seed``
+    draws ``n_resamples`` replicates.  ``statistic`` gets them all at once,
+    one ``Replicates`` per part in a container like ``data``, and returns an
+    array of shape ``(n_resamples,)``.
 
     ``reads`` holds one bool mask per part of ``data`` (shaped like its
     counts) naming the cells ``statistic`` reads besides the part's total;
     ``None`` means every cell.  Only those cells are drawn one by one; the
-    rest of a part is one lumped Poisson in its first unread cell.  The
-    joint law of the read cells and the part totals is exact, so the result
-    is correct only if ``statistic`` depends on nothing else.
+    rest of a part is one lumped Poisson.  The joint law of the read cells
+    and the part totals is exact, so the result is correct only if
+    ``statistic`` depends on nothing else.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
@@ -126,15 +140,18 @@ def poisson_resample(
             f"reads[{min(len(masks), len(parts))}]: need one mask per part of data, "
             f"got {len(masks)} masks for {len(parts)} parts"
         )
+    layouts = [_part_layout(p, m, i) for i, (p, m) in enumerate(zip(parts, masks))]
     rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
-    makers = [
-        _part_sampler(part, mask, n_resamples, rng, index)
-        for index, (part, mask) in enumerate(zip(parts, masks))
-    ]
-    values = np.empty(n_resamples)
-    for r in range(n_resamples):
-        drawn = [make(r) for make in makers]
-        values[r] = statistic(drawn[0] if single else type(data)(drawn))
+    batch = []
+    for part, (lam, read, unread) in zip(parts, layouts):
+        cells = rng.poisson(lam.flat[read], (n_resamples, read.size))
+        lumped = rng.poisson(lam.flat[unread].sum(), n_resamples)
+        lump_at = int(unread[0]) if unread.size else None
+        batch.append(Replicates(part, read, lump_at, cells, lumped, cells.sum(1) + lumped))
+    values = np.asarray(statistic(batch[0] if single else type(data)(batch)), dtype=float)
+    if values.shape != (n_resamples,):
+        raise ValueError(f"statistic must return one value per replicate, shape "
+                         f"({n_resamples},); got shape {values.shape}")
     return ResampleSummary(float(values.mean()), float(values.std(ddof=1)), n_resamples)
 
 

@@ -268,8 +268,9 @@ def _certify_streams(hv_stream, da_stream, dims, eta_hwp, resamples, seed):
         f = binning.f_shift
         report = witness.witness_from_counts(hv, da, d, f, eta_hwp)
 
-        def statistic(pair):
-            return witness.witness_from_counts(pair[0], pair[1], d, f, eta_hwp).witness_lower_bound
+        def statistic(reps):
+            return [witness.witness_from_counts(hv_r, da_r, d, f, eta_hwp).witness_lower_bound
+                    for hv_r, da_r in zip(*reps)]
 
         summary = analysis.poisson_resample(
             (hv, da), statistic, resamples, _derived_seed(seed, d),
@@ -326,16 +327,11 @@ def _rows_to_threshold(rows, key) -> dict:
     return dataclasses.asdict(result)
 
 
-def _visibility_excess(mats, bound: float) -> float:
-    """Count-level visibility sum of ``mats`` minus ``bound``.
-
-    Reads each matrix's diagonal and total only, so its resampling masks
-    are diagonal.
-    """
-    totals = [float(m.sum()) for m in mats]
-    if 0.0 in totals:
+def _visibility_excess(reps, bound: float) -> np.ndarray:
+    """Visibility sum minus ``bound`` of each replicate, from diagonal read cells and totals."""
+    if any((part.totals == 0).any() for part in reps):
         raise ValueError("a resampled basis drew no counts; raise --counts")
-    return sum(float(np.trace(m)) / t for m, t in zip(mats, totals)) - bound
+    return sum(part.cells.sum(1) / part.totals for part in reps) - bound
 
 
 def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):

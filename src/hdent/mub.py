@@ -61,25 +61,10 @@ class MubSet:
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 
-    @property
-    def n_bases(self) -> int:
-        return self.dim + 1
-
     def basis(self, alpha: int) -> np.ndarray:
         if not 0 <= alpha <= self.dim:
             raise IndexError(f"basis index {alpha} out of range 0..{self.dim}")
         return self.vectors[alpha]
-
-    def max_mub_deviation(self) -> float:
-        """Largest deviation of any overlap from the MUB condition."""
-        worst = 0.0
-        d = self.dim
-        for a in range(d + 1):
-            for b in range(a, d + 1):
-                gram = np.abs(self.vectors[a].conj() @ self.vectors[b].T) ** 2
-                target = np.eye(d) if a == b else np.full((d, d), 1.0 / d)
-                worst = max(worst, float(np.max(np.abs(gram - target))))
-        return worst
 
 
 def build_mubs(d: int) -> MubSet:

@@ -86,12 +86,14 @@ class _BadEvent(ValueError):
 def _check_events(ts: np.ndarray, ch: np.ndarray, og: np.ndarray) -> None:
     """Raise ``_BadEvent`` at the first break of the channel, origin or order rule, in turn."""
     for rule, field, codes, top in (("channel", 8, ch, 3), ("origin", 9, og, 2)):
-        bad = np.flatnonzero(codes > top)
+        if codes.max(initial=0) > top:
+            raise _BadEvent(f"unknown {rule} code", np.flatnonzero(codes > top)[0], field)
+    # blocks overlap by one event, so a break across a block edge is seen
+    for start in range(1, len(ts), _BLOCK_RECORDS):
+        t, c = ts[start - 1 : start + _BLOCK_RECORDS], ch[start - 1 : start + _BLOCK_RECORDS]
+        bad = np.flatnonzero((t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (c[1:] < c[:-1])))
         if bad.size:
-            raise _BadEvent(f"unknown {rule} code", bad[0], field)
-    bad = np.flatnonzero((ts[1:] < ts[:-1]) | ((ts[1:] == ts[:-1]) & (ch[1:] < ch[:-1])))
-    if bad.size:
-        raise _BadEvent("records not sorted by (timestamp, channel)", bad[0] + 1, 0)
+            raise _BadEvent("records not sorted by (timestamp, channel)", start + bad[0], 0)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hdent.analysis import ResampleSummary
+from hdent.mub import MubSet
 from hdent.states import NoisyState, element
 from hdent.tagstream import (
     CHUNK_FRAMES,
@@ -148,6 +149,46 @@ def loop_poisson_resample(data, statistic, n_resamples: int, seed: int) -> Resam
         )
         values[r] = statistic(_loop_replicate(data, rng))
     return ResampleSummary(float(values.mean()), float(values.std(ddof=1)), n_resamples)
+
+
+def each_replicate(statistic):
+    """Batch statistic for ``poisson_resample`` that applies the per-replicate
+    ``statistic`` to each replicate in turn, as a part or a tuple or list of parts."""
+
+    def batched(reps):
+        if isinstance(reps, (tuple, list)):
+            return [statistic(type(reps)(parts)) for parts in zip(*reps)]
+        return [statistic(rep) for rep in reps]
+
+    return batched
+
+
+def visibility_excess_oracle(mats, bound: float) -> float:
+    """Count-level visibility sum of one replicate's matrices ``mats`` minus ``bound``.
+
+    The per-replicate statistic that ``cli._visibility_excess`` replaced:
+    each matrix's trace over its total, summed left to right as ``sum`` does
+    on floats up to Python 3.11.
+    """
+    totals = [float(m.sum()) for m in mats]
+    if 0.0 in totals:
+        raise ValueError("a resampled basis drew no counts; raise --counts")
+    excess = 0.0
+    for m, t in zip(mats, totals):
+        excess += float(np.trace(m)) / t
+    return excess - bound
+
+
+def max_mub_deviation(mubs: MubSet) -> float:
+    """Largest deviation of any overlap of ``mubs`` from the MUB condition."""
+    worst = 0.0
+    d = mubs.dim
+    for a in range(d + 1):
+        for b in range(a, d + 1):
+            gram = np.abs(mubs.vectors[a].conj() @ mubs.vectors[b].T) ** 2
+            target = np.eye(d) if a == b else np.full((d, d), 1.0 / d)
+            worst = max(worst, float(np.max(np.abs(gram - target))))
+    return worst
 
 
 def dense_witness_report(hv: CountMatrixSet, da: CountMatrixSet, d: int, f: int,

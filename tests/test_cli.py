@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdent import tagstream, witness
+from hdent.analysis import Replicates, poisson_resample
 from hdent.cli import _visibility_excess, load_run_config, main
 
-from conftest import lump_unread
+from conftest import lump_unread, visibility_excess_oracle
 
 SMALL_CONFIG = """
 [run]
@@ -435,18 +436,71 @@ class TestMubSweep:
 )
 @settings(deadline=None, max_examples=60)
 def test_visibility_statistic_reads_only_diagonals_and_totals(seed, dim, k, high, data):
-    """The MUB resampling masks: unread mass moved into one off-diagonal cell."""
+    """The MUB resampling masks: unread mass moved into one off-diagonal cell.
+
+    The batched statistic sees each basis's diagonal and total only; the
+    replicates it stands for, rebuilt with the unread mass in any one
+    off-diagonal cell, give the per-replicate statistic of the full matrices.
+    """
     rng = np.random.default_rng(seed)
     mask = np.eye(dim, dtype=bool)
+    read = np.flatnonzero(mask)
     observed = []
     for _ in range(k):
         counts = rng.integers(0, high + 1, (dim, dim)).astype(float)
         counts[0, 0] += 1.0
         observed.append(counts)
-    lumped = [
-        lump_unread(m, mask, data.draw(st.integers(0, dim * dim - dim - 1))) for m in observed
-    ]
-    assert _visibility_excess(lumped, 1.5) == _visibility_excess(observed, 1.5)
+    targets = [data.draw(st.integers(0, dim * dim - dim - 1)) for _ in observed]
+    lumped = [lump_unread(m, mask, target) for m, target in zip(observed, targets)]
+    reps = tuple(
+        Replicates(m, read, int(np.flatnonzero(~mask)[target]), m.flat[read][None],
+                   np.array([m[~mask].sum()]), np.array([m.sum()]))
+        for m, target in zip(observed, targets)
+    )
+    for rep, want in zip(reps, lumped):
+        assert np.array_equal(rep[0], want)
+    assert visibility_excess_oracle(lumped, 1.5) == visibility_excess_oracle(observed, 1.5)
+    assert _visibility_excess(reps, 1.5).tolist() == [visibility_excess_oracle(observed, 1.5)]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from((3, 5, 7, 11)),
+    k=st.integers(2, 12),
+    counts=st.floats(50.0, 1e6),
+    n=st.integers(2, 40),
+    bound=st.floats(0.0, 13.0),
+)
+@settings(deadline=None, max_examples=60)
+def test_batched_visibility_statistic_equals_the_per_replicate_oracle(
+    seed, dim, k, counts, n, bound
+):
+    """Bit for bit, on every replicate of one MUB-style resampling."""
+    rng = np.random.default_rng(seed)
+    expected = tuple(rng.dirichlet(np.ones(dim * dim)).reshape(dim, dim) * counts
+                     for _ in range(k))
+    batches = []
+
+    def statistic(reps):
+        batches.append(reps)
+        return _visibility_excess(reps, bound)
+
+    poisson_resample(expected, statistic, n, seed, (np.eye(dim, dtype=bool),) * k)
+    (reps,) = batches
+    batched = _visibility_excess(reps, bound)
+    assert batched.shape == (n,)
+    for r in range(n):
+        assert batched[r] == visibility_excess_oracle([part[r] for part in reps], bound)
+
+
+def test_visibility_statistic_rejects_a_basis_without_counts():
+    mask = np.eye(3, dtype=bool)
+    full = np.ones((3, 3))
+    read = np.flatnonzero(mask)
+    empty = Replicates(full, read, 1, np.zeros((2, 3)), np.array([4.0, 0.0]), np.array([4.0, 0.0]))
+    some = Replicates(full, read, 1, np.ones((2, 3)), np.array([6.0, 6.0]), np.array([9.0, 9.0]))
+    with pytest.raises(ValueError, match="drew no counts; raise --counts"):
+        _visibility_excess((some, empty), 1.0)
 
 
 class TestSweepNoise:

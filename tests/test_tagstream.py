@@ -633,6 +633,41 @@ class TestTagBlocks:
             read_tags(path)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("at", [B - 1, B, B + 1, B + 2, 2 * B, 2 * B + 1])
+    @pytest.mark.parametrize("tie", [False, True], ids=["timestamp", "channel-tie"])
+    def test_order_break_at_block_edges(self, at, tie, tmp_path):
+        """The order check runs block by block; breaks on either side of an edge
+        keep their event index and byte offset."""
+        ts, ch, og = sorted_records(2 * B + 3, seed=at)
+        if tie:
+            ts[at], ch[at - 1], ch[at] = ts[at - 1], 3, 0
+        else:
+            ts[at] = ts[at - 1] - 1
+        with pytest.raises(ValueError, match=rf"records not sorted .* at event {at}$"):
+            TagStream(CLOCK, ts, ch, og)
+        path = tmp_path / "o.hdtt"
+        path.write_bytes(tag_file_bytes(CLOCK, ts, ch, og))
+        with pytest.raises(TagFormatError, match="sorted") as err:
+            read_tags(path)
+        assert err.value.offset == 30 + 16 * at
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    def test_every_order_break_is_found_at_any_block_size(self, block, monkeypatch):
+        monkeypatch.setattr(tagstream, "_BLOCK_RECORDS", block)
+        n = 3 * block + 3
+        for at in range(1, n):
+            for tie in (False, True):
+                ts = 10 + 2 * np.arange(n, dtype=np.uint64)
+                ch = np.ones(n, dtype=np.uint8)
+                if tie:
+                    ts[at], ch[at] = ts[at - 1], 0
+                else:
+                    ts[at] = ts[at - 1] - 1
+                with pytest.raises(ValueError, match=rf"at event {at}$"):
+                    TagStream(CLOCK, ts, ch, np.zeros(n, dtype=np.uint8))
+        TagStream(CLOCK, 10 + 2 * np.arange(n, dtype=np.uint64), np.ones(n, np.uint8),
+                  np.zeros(n, np.uint8))
+
     def test_short_read_is_a_format_error(self, tmp_path, monkeypatch):
         blob = tag_file_bytes(CLOCK, *sorted_records(B + 3))
         path = tmp_path / "s.hdtt"
@@ -689,6 +724,14 @@ class TestStreamMemory:
         back, peak = traced_peak(lambda: read_tags(path))
         assert_same_stream(back, noisy_stream)
         assert peak < 2.0 * stream_bytes(noisy_stream)
+
+    def test_stream_checks_hold_about_one_block(self, noisy_stream):
+        """The channel, origin and order checks of ``TagStream`` allocate less
+        than one block of timestamps, whatever the stream's length."""
+        ts, ch, og = noisy_stream.timestamps, noisy_stream.channels, noisy_stream.origins
+        fresh, peak = traced_peak(lambda: TagStream(CLOCK, ts, ch, og))
+        assert_same_stream(fresh, noisy_stream)
+        assert peak < 8 * _BLOCK_RECORDS
 
     def test_kept_pairs_peak(self, noisy_stream):
         fresh = TagStream(CLOCK, noisy_stream.timestamps, noisy_stream.channels,
