@@ -170,6 +170,7 @@ class ThresholdResult:
     crossings: tuple
     ambiguous: bool
     censored: str  # "none", "above" (all certified) or "below" (none certified)
+    open_side: str  # "none", "lower", "upper" or "both": band edges held at a grid point
 
 
 def _interp_root(x0, y0, x1, y1) -> Optional[float]:
@@ -210,15 +211,20 @@ def threshold_scan(
                 crossings.append((k, root))
     if not crossings:
         censored = "above" if margin[0] > 0 else "below"
-        return ThresholdResult(None, None, None, (), False, censored)
+        return ThresholdResult(None, None, None, (), False, censored, "none")
     ambiguous = len(crossings) > 1
     # threshold = first certified -> uncertified transition, else first crossing
     k, nf_star = next(((k, r) for k, r in crossings if margin[k] > 0), crossings[0])
     x0, x1 = nf[k], nf[k + 1]
     lower = _interp_root(x0, margin[k] - sigma[k], x1, margin[k + 1] - sigma[k + 1])
     upper = _interp_root(x0, margin[k] + sigma[k], x1, margin[k + 1] + sigma[k + 1])
+    # no root inside: a falling margin's -sigma line crosses before the segment, +sigma after
+    low_end, high_end = (x0, x1) if margin[k] > 0 else (x1, x0)
+    opened = [side for side, edge in (("lower", lower), ("upper", upper)) if edge is None]
     return ThresholdResult(
-        nf_star, lower, upper, tuple(r for _, r in crossings), ambiguous, "none"
+        nf_star, low_end if lower is None else lower, high_end if upper is None else upper,
+        tuple(r for _, r in crossings), ambiguous, "none",
+        "both" if len(opened) == 2 else (opened + ["none"])[0],
     )
 
 

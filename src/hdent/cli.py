@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -309,6 +308,7 @@ def run_timebin_sweep(cfg: RunConfig, workers: int = 1):
     """All sweep rows for the time-bin route, bit-identical for any worker count."""
     tasks = [(cfg, point, rate) for point, rate in enumerate(cfg.background_rates)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded by importing the CLI
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_point = list(pool.map(_timebin_point, tasks))
     else:
@@ -345,6 +345,7 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     k_max = max(k_list)
     if min(k_list) < 2 or k_max > dim + 1:
         raise ValueError(f"k values must lie in 2..{dim + 1}")
+    off_diagonal = ~np.eye(dim, dtype=bool)
     rows, per_nf = [], []
     for nf in nf_grid:
         state = states.NoisyState(pure, 1.0 - nf)
@@ -352,14 +353,15 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
             mub.correlation_matrix(state, mubs, alpha, alpha) for alpha in range(k_max)
         ]
         per_nf.append(matrices)
-        expected = [m * counts_per_basis for m in matrices]
+        # per basis, all the statistic reads: diagonal and off-diagonal sums (1 - trace may be < 0)
+        expected = [counts_per_basis * np.array([np.trace(m), m[off_diagonal].sum()])
+                    for m in matrices]
         for k in k_list:
             report = mub.visibility_sum(state, mubs, k)
-
             statistic = functools.partial(_visibility_excess, bound=report.separable_bound)
             summary = analysis.poisson_resample(
                 tuple(expected[:k]), statistic, resamples,
-                _derived_seed(seed, round(nf * 1e6), k), (np.eye(dim, dtype=bool),) * k,
+                _derived_seed(seed, round(nf * 1e6), k), (np.array([True, False]),) * k,
             )
             rows.append(
                 {

@@ -69,10 +69,8 @@ def _read_table(d: int, f: int):
     Returns read-only ``(hv_cells, hv_slots, da_cells)``.  The penalty
     elements are diag[i, i+f] for i = 0..d-f-1, then diag[i+f, i]; HV cell
     ``hv_cells[n]`` is one of the up to four terms summed into element
-    ``hv_slots[n]``.  ``da_cells[m, t]`` is the diagonal cell [t, t] of DA
-    matrix ``m``.  The witness sums only t = f..d-1; the bins below f stay
-    in the table so that the DA read mask, and with it the resampler's
-    draws, keep their layout.
+    ``hv_slots[n]``.  ``da_cells[m, i]`` is the diagonal cell [i+f, i+f] of
+    DA matrix ``m``, for the recorded bins t = f..d-1 that the witness sums.
     """
     if not 1 <= f < d:
         raise ValueError(f"bin shift f must satisfy 1 <= f < d, got f={f}")
@@ -87,7 +85,7 @@ def _read_table(d: int, f: int):
         inside = (r < d) & (c < d)
         cells.append((m * d + r[inside]) * d + c[inside])
         owners.append(slots[inside])
-    t = np.arange(d)
+    t = np.arange(f, d)
     table = (
         np.concatenate(cells),
         np.concatenate(owners),
@@ -173,7 +171,7 @@ def witness_from_counts(
 
     diag = np.bincount(hv_slots, weights=hv.matrices.take(hv_cells)) / n1
     penalty = np.sqrt(diag[: d - f] * diag[d - f :])
-    a0b0, a0b1, a1b0, a1b1 = da.matrices.take(da_cells[:, f:])   # index i = t - f
+    a0b0, a0b1, a1b0, a1b1 = da.matrices.take(da_cells)   # index i = t - f
     coherence = (a0b0 + a1b1 - a0b1 - a1b0) / n2
     terms = coherence - penalty
     prefactor = 1.0 / math.sqrt(d - 1)

@@ -151,6 +151,28 @@ def loop_poisson_resample(data, statistic, n_resamples: int, seed: int) -> Resam
     return ResampleSummary(float(values.mean()), float(values.std(ddof=1)), n_resamples)
 
 
+def assert_same_law(a, b) -> None:
+    """Two equal-size samples of a resampled statistic agree in mean and sigma.
+
+    Each within 5 standard errors of the difference (sigma's from the sample
+    kurtosis); for two samples of one law each check then fails with
+    probability 5.7e-7.
+    """
+    n = len(a)
+
+    def moments(x):
+        var = x.var(ddof=1)
+        m4 = np.mean((x - x.mean()) ** 4)
+        var_of_var = (m4 - var ** 2 * (n - 3) / (n - 1)) / n
+        return x.mean(), math.sqrt(var), var / n, var_of_var / (4 * var)
+
+    (mean_a, sd_a, se2_mean_a, se2_sd_a), (mean_b, sd_b, se2_mean_b, se2_sd_b) = (
+        moments(np.asarray(a)), moments(np.asarray(b))
+    )
+    assert abs(mean_a - mean_b) < 5 * math.sqrt(se2_mean_a + se2_mean_b)
+    assert abs(sd_a - sd_b) < 5 * math.sqrt(se2_sd_a + se2_sd_b)
+
+
 def each_replicate(statistic):
     """Batch statistic for ``poisson_resample`` that applies the per-replicate
     ``statistic`` to each replicate in turn, as a part or a tuple or list of parts."""

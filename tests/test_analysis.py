@@ -27,7 +27,12 @@ from hdent.tagstream import (
 )
 from hdent.witness import witness_exact, witness_from_counts, witness_read_masks
 
-from conftest import each_replicate, exact_count_sets, loop_poisson_resample
+from conftest import (
+    assert_same_law,
+    each_replicate,
+    exact_count_sets,
+    loop_poisson_resample,
+)
 
 CLOCK = ClockConfig()
 B10 = BinningConfig.for_dimension(CLOCK, 10)
@@ -256,10 +261,8 @@ class TestPoissonResample:
     def test_witness_masks_match_the_full_draw_in_law(self):
         """Masked draws against the every-cell loop at d = 20, 2000 replicates each.
 
-        Mean and sigma must agree within 5 standard errors of their
-        difference (sigma's from the sample kurtosis); for a correct
-        resampler each check then fails with probability 5.7e-7, about 1e-6
-        for the pair.
+        Mean and sigma must agree (``assert_same_law``); for a correct
+        resampler the pair of checks fails with probability about 1e-6.
         """
         hv, da = exact_count_sets(NoisyState(make_max_entangled(20), 0.5), B20, 3e4)
         n = 2000
@@ -278,17 +281,7 @@ class TestPoissonResample:
             resample(stat)
             samples[name] = np.array(values)
 
-        def moments(x):
-            var = x.var(ddof=1)
-            m4 = np.mean((x - x.mean()) ** 4)
-            var_of_var = (m4 - var ** 2 * (n - 3) / (n - 1)) / n
-            return x.mean(), math.sqrt(var), var / n, var_of_var / (4 * var)
-
-        (mean_a, sd_a, se2_mean_a, se2_sd_a), (mean_b, sd_b, se2_mean_b, se2_sd_b) = (
-            moments(samples["masked"]), moments(samples["loop"])
-        )
-        assert abs(mean_a - mean_b) < 5 * math.sqrt(se2_mean_a + se2_mean_b)
-        assert abs(sd_a - sd_b) < 5 * math.sqrt(se2_sd_a + se2_sd_b)
+        assert_same_law(samples["masked"], samples["loop"])
 
 
 class TestThresholdScan:
@@ -317,9 +310,33 @@ class TestThresholdScan:
         result = threshold_scan([0.0, 1.0], [1.0, -1.0], [0.1, 0.1])
         assert result.lower < result.nf_star < result.upper
 
+    @pytest.mark.parametrize(
+        "margin, sigma, band, open_side",
+        [
+            ([2.0, 1.0, -1.0], [0.1, 0.1, 0.1], (0.725, 0.775), "none"),
+            ([2.0, 1.0, -0.5], [0.1, 0.1, 1.0], (0.6875, 1.0), "upper"),
+            ([2.0, 0.5, -1.0], [0.1, 1.0, 0.1], (0.5, 0.8125), "lower"),
+            ([2.0, 0.5, -0.5], [0.1, 1.0, 1.0], (0.5, 1.0), "both"),
+            # no certified -> uncertified transition: the rising crossing, whose
+            # +sigma line crosses before the segment
+            ([-2.0, -1.0, 1.0], [0.1, 1.5, 0.1], (0.5 + 0.5 * 2.5 / 3.4, 0.5), "upper"),
+        ],
+        ids=["closed", "open-at-top", "open-at-bottom", "open-both", "rising"],
+    )
+    def test_open_band_is_held_at_the_grid_point(self, margin, sigma, band, open_side):
+        """A +/- sigma line with no root in the bracketing segment ends the band
+        at the segment's grid point on the side of its root, and says so."""
+        result = threshold_scan([0.0, 0.5, 1.0], margin, sigma)
+        assert result.nf_star == pytest.approx(0.5 + 0.5 * margin[1] / (margin[1] - margin[2]))
+        assert (result.lower, result.upper) == pytest.approx(band)
+        assert result.open_side == open_side
+
     def test_censored_sweeps(self):
-        assert scan([(0.1, 1.0), (0.2, 0.5)]).censored == "above"
-        assert scan([(0.1, -1.0), (0.2, -0.5)]).censored == "below"
+        for points, censored in (([(0.1, 1.0), (0.2, 0.5)], "above"),
+                                 ([(0.1, -1.0), (0.2, -0.5)], "below")):
+            result = scan(points)
+            assert result.censored == censored and result.open_side == "none"
+            assert result.lower is None and result.upper is None
 
     def test_ambiguous_sweep_reports_all_crossings(self):
         result = scan([(0.0, 1.0), (0.3, -0.5), (0.6, 0.5), (0.9, -1.0)])

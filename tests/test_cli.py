@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from hdent import tagstream, witness
+from hdent import cli, tagstream, witness
 from hdent.analysis import Replicates, poisson_resample
 from hdent.cli import _visibility_excess, load_run_config, main
 
-from conftest import lump_unread, visibility_excess_oracle
+from conftest import assert_same_law, loop_poisson_resample, visibility_excess_oracle
 
 SMALL_CONFIG = """
 [run]
@@ -364,9 +367,11 @@ class TestMubSweep:
         for k in (2, 3, 4):
             assert thresholds[str(k)]["exact_nf_star"] == pytest.approx(1 - 1 / k, abs=1e-12)
             assert thresholds[str(k)]["scan"]["nf_star"] == pytest.approx(1 - 1 / k, abs=0.01)
+            assert thresholds[str(k)]["scan"]["open_side"] in ("none", "lower", "upper", "both")
 
     def test_full_mub_set_runs_for_small_primes(self, tmp_path, capsys):
-        for d in (2, 5):
+        # at d = 3 and nf = 0, 1 - trace of a correlation matrix rounds below zero
+        for d in (2, 3, 5):
             code = run_cli(
                 "mub-sweep", "--dim", d, "--k", str(d + 1), "--grid", "0:0.8:4",
                 "--counts", "1e4", "--resamples", "5",
@@ -436,31 +441,66 @@ class TestMubSweep:
 )
 @settings(deadline=None, max_examples=60)
 def test_visibility_statistic_reads_only_diagonals_and_totals(seed, dim, k, high, data):
-    """The MUB resampling masks: unread mass moved into one off-diagonal cell.
+    """The MUB resampling parts: per basis, its diagonal sum and off-diagonal sum.
 
-    The batched statistic sees each basis's diagonal and total only; the
-    replicates it stands for, rebuilt with the unread mass in any one
-    off-diagonal cell, give the per-replicate statistic of the full matrices.
+    The batched statistic sees one read cell (the diagonal sum) and the total
+    of each basis.  Matrices with the diagonal sum in any one diagonal cell
+    and the rest in any one off-diagonal cell give the per-replicate
+    statistic of the full matrices, bit for bit.
     """
     rng = np.random.default_rng(seed)
-    mask = np.eye(dim, dtype=bool)
-    read = np.flatnonzero(mask)
-    observed = []
+    off_diagonal = np.flatnonzero(~np.eye(dim, dtype=bool))
+    observed, collapsed, reps = [], [], []
     for _ in range(k):
         counts = rng.integers(0, high + 1, (dim, dim)).astype(float)
         counts[0, 0] += 1.0
+        part = np.array([np.trace(counts), counts.flat[off_diagonal].sum()])
+        one = np.zeros_like(counts)
+        diagonal_cell = data.draw(st.integers(0, dim - 1))
+        one[diagonal_cell, diagonal_cell] = part[0]
+        one.flat[off_diagonal[data.draw(st.integers(0, off_diagonal.size - 1))]] = part[1]
+        rep = Replicates(part, np.array([0]), 1, part[None, :1], part[1:], part.sum(keepdims=True))
+        assert np.array_equal(rep[0], part)
         observed.append(counts)
-    targets = [data.draw(st.integers(0, dim * dim - dim - 1)) for _ in observed]
-    lumped = [lump_unread(m, mask, target) for m, target in zip(observed, targets)]
-    reps = tuple(
-        Replicates(m, read, int(np.flatnonzero(~mask)[target]), m.flat[read][None],
-                   np.array([m[~mask].sum()]), np.array([m.sum()]))
-        for m, target in zip(observed, targets)
-    )
-    for rep, want in zip(reps, lumped):
-        assert np.array_equal(rep[0], want)
-    assert visibility_excess_oracle(lumped, 1.5) == visibility_excess_oracle(observed, 1.5)
-    assert _visibility_excess(reps, 1.5).tolist() == [visibility_excess_oracle(observed, 1.5)]
+        collapsed.append(one)
+        reps.append(rep)
+    want = visibility_excess_oracle(observed, 1.5)
+    assert visibility_excess_oracle(collapsed, 1.5) == want
+    assert _visibility_excess(tuple(reps), 1.5).tolist() == [want]
+
+
+def test_two_cell_mub_resampling_matches_the_full_draw_in_law(monkeypatch):
+    """``run_mub_sweep``'s visibility excess against every-cell draws of the full matrices.
+
+    d = 5, k = d + 1, 1e3 counts per basis, 2000 replicates per side and
+    fixed seeds, at nf = 0, 0.5 and 0.9: a two-sample Kolmogorov-Smirnov
+    test at level 1e-6, and ``assert_same_law``.  At nf = 0 the off-diagonal
+    mass is below 1e-28, so both sides draw the same value on every
+    replicate.
+    """
+    dim, k, counts, n, grid = 5, 6, 1e3, 2000, (0.0, 0.5, 0.9)
+    visibility_excess = cli._visibility_excess
+    batches = []
+
+    def recording(reps, bound):
+        batches.append((visibility_excess(reps, bound), bound))
+        return batches[-1][0]
+
+    monkeypatch.setattr(cli, "_visibility_excess", recording)
+    rows, _, per_nf = cli.run_mub_sweep(dim, (k,), grid, counts, n, 7)
+    for nf, row, matrices, (two_cell, bound) in zip(grid, rows, per_nf, batches):
+        full = []
+        loop_poisson_resample(
+            tuple(m * counts for m in matrices[:k]),
+            lambda mats: full.append(visibility_excess_oracle(mats, bound)) or full[-1], n, 11,
+        )
+        full = np.array(full)
+        assert row["sigma"] == two_cell.std(ddof=1)
+        if nf == 0.0:
+            assert (two_cell == full[0]).all() and (full == full[0]).all()
+            continue
+        assert stats.ks_2samp(two_cell, full).pvalue > 1e-6
+        assert_same_law(two_cell, full)
 
 
 @given(
@@ -501,6 +541,16 @@ def test_visibility_statistic_rejects_a_basis_without_counts():
     some = Replicates(full, read, 1, np.ones((2, 3)), np.array([6.0, 6.0]), np.array([9.0, 9.0]))
     with pytest.raises(ValueError, match="drew no counts; raise --counts"):
         _visibility_excess((some, empty), 1.0)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only a sweep with more than one worker imports the process pool."""
+    code = "import sys, hdent.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=Path(cli.__file__).resolve().parents[1],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestSweepNoise:

@@ -351,7 +351,35 @@ class TestReadMasks:
         assert CLOCK_DIMS == [10, 20, 40, 80, 160, 320]
         hv, da = witness_read_masks(80, 8)
         assert hv.shape == da.shape == (4, 80, 80)
-        assert hv.sum() == 544 and da.sum() == 320
+        assert hv.sum() == 544 and da.sum() == 288
+
+    @pytest.mark.parametrize("d, f", TABLE)
+    def test_witness_reads_every_masked_cell(self, d, f):
+        """Moving one count from an unread cell into any masked cell changes the report.
+
+        The converse of the test below: the masks name no cell the witness
+        ignores, so the resampler draws none in vain.  Both totals stay
+        fixed, and every count is positive, so every penalty term can move.
+        """
+        binning = binning_for(d)
+        masks = witness_read_masks(d, f)
+        rng = np.random.default_rng(d)
+        observed = [rng.integers(1, 60, (4, d, d)) for _ in masks]
+
+        def report(counts):
+            return witness_from_counts(*(
+                CountMatrixSet(basis, binning, m, int(m.sum()), int(m.sum()))
+                for basis, m in zip((BASIS_HV, BASIS_DA), counts)
+            ), d, f)
+
+        base = report(observed)
+        for part, mask in enumerate(masks):
+            source = np.flatnonzero(~mask)[0]
+            for cell in np.flatnonzero(mask):
+                moved = [m.copy() for m in observed]
+                moved[part].flat[source] -= 1
+                moved[part].flat[cell] += 1
+                assert report(moved) != base, ("HV", "DA")[part] + f" cell {cell}"
 
     def test_rejects_bad_shift(self):
         with pytest.raises(ValueError, match="bin shift"):
