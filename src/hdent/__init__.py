@@ -44,7 +44,6 @@ from .tagstream import (
     SourceModel,
     TagFormatError,
     TagStream,
-    crosstalk_profile,
     generate_stream,
     read_tags,
     sift_and_bin,
@@ -80,7 +79,6 @@ __all__ = [
     "WitnessReport",
     "build_mubs",
     "correlation_matrix",
-    "crosstalk_profile",
     "element",
     "fiber_distance",
     "generate_stream",

@@ -9,9 +9,10 @@ Subcommands::
     link-budget     loss budget <-> fiber distance table
 
 ``sweep-noise`` and ``certify-et`` certify HV/DA stream pairs through one
-path, ``_certify_streams``.  The INI config drives
-``simulate-tags`` and ``sweep-noise`` and rejects unknown sections or keys;
-``mub-sweep`` is configured by its flags.
+path, ``_certify_streams``.  The INI config drives ``simulate-tags`` and
+``sweep-noise``.  Its keys are declared in one table, ``_CONFIG_KEYS``, whose
+rows give each key's section, default and parser; the loader rejects every
+section or key that the table lacks.  ``mub-sweep`` is configured by its flags.
 
 All outputs are plain CSV/JSON with schema-versioned headers, written
 atomically; identical configs and seeds reproduce them bit for bit,
@@ -48,27 +49,6 @@ SWEEP_COLUMNS = (
 )
 MANIFEST_SCHEMA = "# hdent-manifest-csv v1"
 
-_DEFAULTS = {
-    "run": {"output": "out"},
-    "clock": {
-        "tick_seconds": "82.3e-12",
-        "frame_ticks": "320",
-        "imbalance_ticks": "32",
-    },
-    "source": {
-        "pair_rate": "1.5e6",
-        # grid spans noise fractions ~0..0.99 so every d crosses its threshold
-        "background_rates": "0, 2e6, 5e6, 1e7, 1.6e7, 2.4e7, 3.2e7, 4e7",
-        "jitter_fwhm_seconds": "800e-12",
-        "p_mix": "1.0",
-        "franson_phase": "pi",
-        "state_dim": "80",
-    },
-    "binning": {"dims": "10, 20, 40, 80"},
-    "sweep": {"n_frames": "100000", "seed": "1", "resamples": "150"},
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     clock: tagstream.ClockConfig
@@ -87,13 +67,11 @@ class RunConfig:
     point_models: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _at_least(self.n_frames, 1, "[sweep] n_frames")
-        _at_least(self.resamples, 2, "[sweep] resamples")
-        _at_least(self.state_dim, 2, "[source] state_dim")
-        if self.clock.frame_ticks % self.state_dim:
-            raise ValueError("state_dim must divide frame_ticks")
+        if self.state_dim < 1 or self.clock.frame_ticks % self.state_dim:
+            raise ValueError("[source] state_dim must divide [clock] frame_ticks, got "
+                             f"{self.state_dim} and {self.clock.frame_ticks}")
         for d in self.dims:
-            tagstream.BinningConfig.for_dimension(self.clock, d)
+            _named("[binning] dims:", tagstream.BinningConfig.for_dimension, self.clock, d)
         base = tagstream.SourceModel(
             states.make_max_entangled(self.state_dim),
             self.pair_rate,
@@ -106,14 +84,14 @@ class RunConfig:
         # every stream must be simulable before the first one is generated:
         # the pair rate and the state's bin layout at zero background, then
         # the background rate of each point
-        _named("[source] pair_rate", tagstream.check_source, base, self.clock)
+        _named("[source] pair_rate:", tagstream.check_source, base, self.clock)
         da = replace(base, basis=tagstream.BASIS_DA)
-        _named("[source] state_dim", tagstream.check_source, da, self.clock)
+        _named("[source] state_dim:", tagstream.check_source, da, self.clock)
         models = []
         for rate in self.background_rates:
-            point = _named("[source] background_rates", replace, base,
+            point = _named("[source] background_rates:", replace, base,
                            background_rate_per_detector=rate)
-            _named("[source] background_rates", tagstream.check_source, point, self.clock)
+            _named("[source] background_rates:", tagstream.check_source, point, self.clock)
             models.append((point, replace(point, basis=tagstream.BASIS_DA)))
         object.__setattr__(self, "point_models", tuple(models))
 
@@ -123,33 +101,45 @@ def _named(name, func, *args, **kwargs):
     try:
         return func(*args, **kwargs)
     except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+        raise ValueError(f"{name} {exc}") from None
 
 
-def _at_least(value, minimum, name) -> None:
-    """Raise a ValueError naming ``name`` when ``value`` is below ``minimum``."""
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text!r}") from None
+
+
+def _integer(text, minimum=-math.inf) -> int:
+    """``text`` as an integer of at least ``minimum``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
     if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+        raise ValueError(f"must be at least {minimum}, got {value}")
+    return value
 
 
-def _parse_list(text: str, name: str, kind, noun: str) -> tuple:
-    """Values of type ``kind`` from a comma- or space-separated list; errors name ``name``."""
+def _parse_list(text: str, kind, noun: str) -> tuple:
+    """Values of type ``kind`` from a comma- or space-separated list."""
     values = []
     for item in text.replace(",", " ").split():
         try:
             values.append(kind(item))
         except ValueError:
-            raise ValueError(f"{name} entry {item!r} is not {noun}") from None
+            raise ValueError(f"entry {item!r} is not {noun}") from None
     if not values:
-        raise ValueError(f"{name} needs at least one value")
+        raise ValueError("needs at least one value")
     return tuple(values)
 
 
-def _parse_ints(text: str, name: str) -> tuple:
-    """Distinct integers from a comma- or space-separated list; errors name ``name``."""
-    values = _parse_list(text, name, int, "an integer")
+def _parse_ints(text: str) -> tuple:
+    """Distinct integers from a comma- or space-separated list."""
+    values = _parse_list(text, int, "an integer")
     if len(set(values)) < len(values):
-        raise ValueError(f"{name} repeats a value: {text.strip()}")
+        raise ValueError(f"repeats a value: {text.strip()}")
     return values
 
 
@@ -167,48 +157,55 @@ def _parse_grid(text: str) -> tuple:
     return tuple(float(v) for v in np.linspace(start, stop, count))
 
 
-def _parse_phase(text: str) -> float:
-    return math.pi if text.strip().lower() == "pi" else float(text)
+# Every config key, once: (section, key, built-in default, parse).  A key names
+# a ``ClockConfig`` field in [clock] and a ``RunConfig`` field elsewhere.  ``parse``
+# turns the key's text into its value and checks that value alone; the loader
+# puts ``[section] key`` in front of its error.
+_CONFIG_KEYS = (
+    ("run", "output", "out", str),
+    ("clock", "tick_seconds", "82.3e-12", _number),
+    ("clock", "frame_ticks", "320", _integer),
+    ("clock", "imbalance_ticks", "32", _integer),
+    ("source", "pair_rate", "1.5e6", _number),
+    # grid spans noise fractions ~0..0.99 so every d crosses its threshold
+    ("source", "background_rates", "0, 2e6, 5e6, 1e7, 1.6e7, 2.4e7, 3.2e7, 4e7",
+     lambda text: _parse_list(text, float, "a number")),
+    ("source", "jitter_fwhm_seconds", "800e-12", _number),
+    ("source", "p_mix", "1.0", _number),
+    ("source", "franson_phase", "pi",
+     lambda text: math.pi if text.lower() == "pi" else _number(text)),
+    ("source", "state_dim", "80", lambda text: _integer(text, 2)),
+    ("binning", "dims", "10, 20, 40, 80", _parse_ints),
+    ("sweep", "n_frames", "100000", lambda text: _integer(text, 1)),
+    ("sweep", "seed", "1", _integer),
+    ("sweep", "resamples", "150", lambda text: _integer(text, 2)),
+)
 
 
 def load_run_config(path=None) -> RunConfig:
     """Built-in defaults overlaid with ``path``; unknown sections or keys are errors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_dict(_DEFAULTS)
     if path is not None:
         with open(path) as fh:
             parser.read_file(fh)
-        for key in parser.defaults():
-            raise ValueError(f"unknown config key [{parser.default_section}] {key} in {path}")
-        for section in parser.sections():
-            if section not in _DEFAULTS:
-                raise ValueError(f"unknown config section [{section}] in {path}")
-            for key in parser.options(section):
-                if key not in _DEFAULTS[section]:
-                    raise ValueError(f"unknown config key [{section}] {key} in {path}")
+    known = {(section, key) for section, key, _, _ in _CONFIG_KEYS}
+    for key in parser.defaults():
+        raise ValueError(f"unknown config key [{parser.default_section}] {key} in {path}")
+    for section in parser.sections():
+        if section not in {s for s, _ in known}:
+            raise ValueError(f"unknown config section [{section}] in {path}")
+        for key in parser.options(section):
+            if (section, key) not in known:
+                raise ValueError(f"unknown config key [{section}] {key} in {path}")
     try:
+        values = {
+            key: _named(f"[{section}] {key}", parse, parser.get(section, key, fallback=default))
+            for section, key, default, parse in _CONFIG_KEYS
+        }
         clock = tagstream.ClockConfig(
-            parser.getfloat("clock", "tick_seconds"),
-            parser.getint("clock", "frame_ticks"),
-            parser.getint("clock", "imbalance_ticks"),
+            **{key: values.pop(key) for section, key, _, _ in _CONFIG_KEYS if section == "clock"}
         )
-        return RunConfig(
-            clock=clock,
-            state_dim=parser.getint("source", "state_dim"),
-            pair_rate=parser.getfloat("source", "pair_rate"),
-            background_rates=_parse_list(
-                parser.get("source", "background_rates"), "[source] background_rates",
-                float, "a number",
-            ),
-            jitter_fwhm_seconds=parser.getfloat("source", "jitter_fwhm_seconds"),
-            p_mix=parser.getfloat("source", "p_mix"),
-            franson_phase=_parse_phase(parser.get("source", "franson_phase")),
-            dims=_parse_ints(parser.get("binning", "dims"), "[binning] dims"),
-            n_frames=parser.getint("sweep", "n_frames"),
-            seed=parser.getint("sweep", "seed"),
-            resamples=parser.getint("sweep", "resamples"),
-            output=parser.get("run", "output"),
-        )
+        return RunConfig(clock=clock, **values)
     except ValueError as exc:
         raise ValueError(f"{exc} in {path}") from None
 
@@ -422,8 +419,8 @@ def cmd_simulate_tags(args) -> int:
 
 
 def cmd_certify_et(args) -> int:
-    dims = _parse_ints(args.dims, "--dims")
-    _at_least(args.resamples, 2, "--resamples")
+    dims = _named("--dims", _parse_ints, args.dims)
+    _named("--resamples", _integer, args.resamples, 2)
     if not 0.0 < args.eta_hwp <= 1.0:
         raise ValueError(f"--eta-hwp must be in (0, 1], got {args.eta_hwp}")
     hv_stream = tagstream.read_tags(args.hv)
@@ -455,11 +452,11 @@ def cmd_certify_et(args) -> int:
 
 
 def cmd_mub_sweep(args) -> int:
-    k_list = _parse_ints(args.k, "--k")
+    k_list = _named("--k", _parse_ints, args.k)
     nf_grid = _parse_grid(args.grid)
     if not 0.0 < args.counts < math.inf:
         raise ValueError(f"--counts must be finite and positive, got {args.counts}")
-    _at_least(args.resamples, 2, "--resamples")
+    _named("--resamples", _integer, args.resamples, 2)
     rows, thresholds, per_nf = run_mub_sweep(
         args.dim, k_list, nf_grid, args.counts, args.resamples, args.seed
     )
@@ -478,7 +475,7 @@ def cmd_mub_sweep(args) -> int:
 
 
 def cmd_sweep_noise(args) -> int:
-    _at_least(args.workers, 1, "--workers")
+    _named("--workers", _integer, args.workers, 1)
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

@@ -263,23 +263,6 @@ class CountMatrixSet:
     def total_counts(self) -> int:
         return int(self.matrices.sum())
 
-    def __add__(self, other: "CountMatrixSet") -> "CountMatrixSet":
-        """Merge results from disjoint frame ranges (entrywise, associative)."""
-        if self.basis != other.basis or self.binning != other.binning:
-            raise ValueError("cannot merge count sets with different configs")
-        if self.noise_coincidences is None or other.noise_coincidences is None:
-            noise = None
-        else:
-            noise = self.noise_coincidences + other.noise_coincidences
-        return CountMatrixSet(
-            self.basis,
-            self.binning,
-            self.matrices + other.matrices,
-            self.frames_total + other.frames_total,
-            self.frames_kept + other.frames_kept,
-            noise,
-        )
-
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     key = int(seed) & ((1 << 128) - 1)
@@ -462,34 +445,19 @@ def generate_stream(
     return TagStream(clock, key.view(np.uint64), ch, og)
 
 
-def sift_and_bin(
-    stream: TagStream,
-    binning: BinningConfig,
-    basis: str,
-    frame_range=None,
-) -> CountMatrixSet:
+def sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str) -> CountMatrixSet:
     """Histogram the frames with exactly one click per side at ``binning``.
 
     The kept frames are found once per stream (``TagStream.kept_pairs``);
-    each call bins only their events.  Without ``frame_range`` the frame
-    span runs from frame 0 to the frame of the last event.  Workers may
-    sift disjoint ``frame_range`` intervals of the same stream and merge
-    the results with ``+``; the merge equals a single full pass.
+    each call bins only their events.  The frame span runs from frame 0 to
+    the frame of the last event.
     """
     binning.check_against(stream.clock)
     F = stream.clock.frame_ticks
     d = binning.d
     ts = stream.timestamps
     a, b = stream.kept_pairs
-    if frame_range is None:
-        lo, hi = 0, int(ts[-1]) // F + 1 if len(ts) else 0
-    else:
-        lo, hi = int(frame_range[0]), int(frame_range[1])
-        if lo < 0 or hi < lo:
-            raise ValueError(f"bad frame range {frame_range}")
-        frames = ts[a] // F
-        inside = (frames >= lo) & (frames < hi)
-        a, b = a[inside], b[inside]
+    frames_total = int(ts[-1]) // F + 1 if len(ts) else 0
     pair = stream.channels[a].astype(np.int64) * 2 + (stream.channels[b] - 2)
     bin_a = (ts[a] % F).astype(np.int64) // binning.bin_ticks
     bin_b = (ts[b] % F).astype(np.int64) // binning.bin_ticks
@@ -500,25 +468,7 @@ def sift_and_bin(
         noise = None
     else:
         noise = int(np.sum((og_a == Origin.NOISE) | (og_b == Origin.NOISE)))
-    return CountMatrixSet(basis, binning, matrices, hi - lo, len(a), noise)
-
-
-def crosstalk_profile(counts: CountMatrixSet) -> np.ndarray:
-    """Distribution of the cyclic bin offset (a - b) mod d over correlated pairs.
-
-    Offset 0 is the coincidence diagonal; for pure background the profile is
-    uniform at 1/d.  Only the correlated detector pairs (A0B0, A1B1) enter.
-    """
-    if counts.frames_kept == 0:
-        raise ValueError("no kept frames to profile")
-    d = counts.binning.d
-    m = (counts.matrices[0] + counts.matrices[3]).astype(float)
-    total = m.sum()
-    if total == 0:
-        raise ValueError("correlated detector pairs hold no counts")
-    offsets = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
-    profile = np.bincount(offsets.ravel(), weights=m.ravel(), minlength=d)
-    return profile / total
+    return CountMatrixSet(basis, binning, matrices, frames_total, len(a), noise)
 
 
 def write_tags(stream: TagStream, path) -> None:
@@ -606,22 +556,3 @@ def read_tags(path) -> TagStream:
         return TagStream(clock, ts, ch, og)
     except _BadEvent as exc:
         raise TagFormatError(exc.rule, _record_offset(exc.index, exc.field)) from None
-
-
-def scaled_expected_counts(
-    probabilities: np.ndarray,
-    binning: BinningConfig,
-    basis: str,
-    total: float,
-) -> CountMatrixSet:
-    """Deterministic expected-count set from per-pair outcome probabilities.
-
-    Used for infinite-statistics oracles and probability-level sweeps;
-    entries are rounded expected counts, frames bookkeeping set to match.
-    """
-    probs = np.asarray(probabilities, dtype=float)
-    if probs.shape != (4, binning.d, binning.d):
-        raise ValueError("probabilities must have shape (4, d, d)")
-    counts = np.rint(probs * total).astype(np.int64)
-    kept = int(counts.sum())
-    return CountMatrixSet(basis, binning, counts, kept, kept, 0)

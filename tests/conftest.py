@@ -18,7 +18,6 @@ from hdent.tagstream import (
     TagStream,
     _block_rng,
     _signal_tables,
-    scaled_expected_counts,
 )
 from hdent.witness import WitnessReport
 
@@ -91,6 +90,25 @@ def exact_da_probabilities(state: NoisyState, f: int, phase: float) -> np.ndarra
     return probs
 
 
+def scaled_expected_counts(
+    probabilities: np.ndarray,
+    binning: BinningConfig,
+    basis: str,
+    total: float,
+) -> CountMatrixSet:
+    """Deterministic expected-count set from per-pair outcome probabilities.
+
+    Used for infinite-statistics oracles and probability-level sweeps;
+    entries are rounded expected counts, frames bookkeeping set to match.
+    """
+    probs = np.asarray(probabilities, dtype=float)
+    if probs.shape != (4, binning.d, binning.d):
+        raise ValueError("probabilities must have shape (4, d, d)")
+    counts = np.rint(probs * total).astype(np.int64)
+    kept = int(counts.sum())
+    return CountMatrixSet(basis, binning, counts, kept, kept, 0)
+
+
 def exact_count_sets(state: NoisyState, binning: BinningConfig, total: float,
                      phase: float = math.pi):
     """Infinite-statistics HV and DA count sets for a correlated state."""
@@ -126,6 +144,24 @@ def spill_probabilities(bin_ticks: int, sigma_ticks: float, max_ticks: int = 400
         per_bin[m] * per_bin.get(m - 1, 0.0) for m in sorted(per_bin)
     )
     return stay, spill
+
+
+def crosstalk_profile(counts: CountMatrixSet) -> np.ndarray:
+    """Distribution of the cyclic bin offset (a - b) mod d over correlated pairs.
+
+    Offset 0 is the coincidence diagonal; for pure background the profile is
+    uniform at 1/d.  Only the correlated detector pairs (A0B0, A1B1) enter.
+    """
+    if counts.frames_kept == 0:
+        raise ValueError("no kept frames to profile")
+    d = counts.binning.d
+    m = (counts.matrices[0] + counts.matrices[3]).astype(float)
+    total = m.sum()
+    if total == 0:
+        raise ValueError("correlated detector pairs hold no counts")
+    offsets = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
+    profile = np.bincount(offsets.ravel(), weights=m.ravel(), minlength=d)
+    return profile / total
 
 
 def _loop_replicate(data, rng: np.random.Generator):
@@ -258,14 +294,13 @@ def dense_witness_report(hv: CountMatrixSet, da: CountMatrixSet, d: int, f: int,
     )
 
 
-def loop_sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str,
-                      frame_range=None) -> CountMatrixSet:
+def loop_sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str) -> CountMatrixSet:
     """Reference sifter: counts every frame's clicks per side on each call.
 
     Keeps the frames with exactly one click per side by counting all events
-    of the selected frame range with ``np.bincount``, caches nothing on the
-    stream, and histograms the kept events; ``sift_and_bin`` must match it in
-    every ``CountMatrixSet`` field.
+    of frames 0 to the last event's frame with ``np.bincount``, caches nothing
+    on the stream, and histograms the kept events; ``sift_and_bin`` must
+    match it in every ``CountMatrixSet`` field.
     """
     binning.check_against(stream.clock)
     F = stream.clock.frame_ticks
@@ -273,18 +308,9 @@ def loop_sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str,
     ts = stream.timestamps.astype(np.int64)
     frames = ts // F
     bins = (ts % F) // binning.bin_ticks
-    if frame_range is None:
-        lo, hi = 0, int(frames.max()) + 1 if len(ts) else 0
-    else:
-        lo, hi = int(frame_range[0]), int(frame_range[1])
-        if lo < 0 or hi < lo:
-            raise ValueError(f"bad frame range {frame_range}")
-    total = hi - lo
-    sel = (frames >= lo) & (frames < hi)
-    frames = frames[sel] - lo
-    bins = bins[sel]
-    chans = stream.channels[sel]
-    origins = stream.origins[sel]
+    total = int(frames.max()) + 1 if len(ts) else 0
+    chans = stream.channels
+    origins = stream.origins
 
     matrices = np.zeros((4, d, d), dtype=np.int64)
     frames_kept = 0

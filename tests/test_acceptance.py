@@ -27,7 +27,6 @@ from hdent.tagstream import (
     ClockConfig,
     SourceModel,
     TagStream,
-    crosstalk_profile,
     generate_stream,
     read_tags,
     sift_and_bin,
@@ -37,6 +36,7 @@ from hdent.witness import witness_exact, witness_from_counts
 
 from conftest import (
     bisect_root,
+    crosstalk_profile,
     each_replicate,
     exact_count_sets,
     max_mub_deviation,

@@ -177,7 +177,8 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "dims", ["", "10, 20, 10", "10, a"], ids=["empty", "repeated", "non-integer"]
+        "dims", ["", "10, 20, 10", "10, a", "30"],
+        ids=["empty", "repeated", "non-integer", "unusable"],
     )
     @pytest.mark.parametrize("command", ["sweep-noise", "simulate-tags"])
     def test_bad_dims_fail(self, tmp_path, capsys, command, dims):
@@ -188,7 +189,8 @@ class TestConfig:
         assert run_cli(command, "--config", path) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "[binning] dims" in json.loads(captured.err)["message"]
+        message = json.loads(captured.err)["message"]
+        assert "[binning] dims" in message and str(path) in message
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -213,6 +215,8 @@ class TestConfig:
             ("[source]", "[clock]\ntick_seconds = inf\n\n[source]", "tick_seconds"),
             ("n_frames = 4000", "n_frames = 0", "[sweep] n_frames"),
             ("state_dim = 80", "state_dim = 0", "[source] state_dim"),
+            ("seed = 3", "seed = 1.5", "[sweep] seed"),
+            ("state_dim = 80", "state_dim = 30", "[source] state_dim"),
         ],
     )
     @pytest.mark.parametrize("command", ["sweep-noise", "simulate-tags"])
@@ -227,6 +231,26 @@ class TestConfig:
         message = json.loads(captured.err)["message"]
         assert named in message and str(path) in message
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [(section, key) for section, key, _, parse in cli._CONFIG_KEYS if parse is not str],
+    )
+    @pytest.mark.parametrize("command", ["sweep-noise", "simulate-tags"])
+    def test_unparsable_value_names_its_key(self, tmp_path, capsys, command, section, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = abc\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", path, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = json.loads(captured.err)["message"]
+        assert f"[{section}] {key} " in message and message.endswith(f" in {path}")
+        assert not out.exists()
+
+    def test_direct_config_rejects_a_zero_state_dim(self):
+        with pytest.raises(ValueError, match=r"\[source\] state_dim must divide"):
+            replace(load_run_config(), state_dim=0)
 
     def test_readme_example_is_the_default(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -26,7 +26,6 @@ from hdent.tagstream import (
     TagStream,
     _block_rng,
     _signal_tables,
-    crosstalk_profile,
     generate_stream,
     read_tags,
     sift_and_bin,
@@ -35,6 +34,7 @@ from hdent.tagstream import (
 
 from conftest import (
     concat_generate_stream,
+    crosstalk_profile,
     exact_da_probabilities,
     exact_hv_probabilities,
     loop_sift_and_bin,
@@ -276,18 +276,6 @@ class TestSifting:
             kept.append(counts.frames_kept)
         assert len(set(kept)) == 1  # sifting is dimension-independent
 
-    def test_frame_range_merge(self):
-        m = model(bg=3e5, p=0.8)
-        stream = generate_stream(m, CLOCK, 30_000, seed=13)
-        binning = BinningConfig.for_dimension(CLOCK, 10)
-        full = sift_and_bin(stream, binning, BASIS_HV, frame_range=(0, 30_000))
-        left = sift_and_bin(stream, binning, BASIS_HV, frame_range=(0, 11_000))
-        right = sift_and_bin(stream, binning, BASIS_HV, frame_range=(11_000, 30_000))
-        merged = left + right
-        assert np.array_equal(merged.matrices, full.matrices)
-        assert merged.frames_kept == full.frames_kept
-        assert merged.noise_coincidences == full.noise_coincidences
-
     def test_ground_truth_counters(self):
         stream = generate_stream(model(pair_rate=0.0, bg=4e6), CLOCK, 50_000, seed=4)
         counts = sift_and_bin(stream, BinningConfig.for_dimension(CLOCK, 10), BASIS_HV)
@@ -346,18 +334,14 @@ class TestSiftOracle:
     @given(stream_data=small_streams(), data=st.data())
     @settings(deadline=None, max_examples=150)
     def test_matches_per_call_counting(self, stream_data, data):
-        clock, n_frames, ts, ch, og = stream_data
+        clock, _, ts, ch, og = stream_data
         stream = TagStream(clock, ts, ch, og)
-        split = data.draw(st.integers(min_value=0, max_value=n_frames + 2))
-        end = data.draw(st.integers(min_value=split, max_value=n_frames + 4))
         for d in data.draw(st.permutations(allowed_dims(clock))):
             binning = BinningConfig.for_dimension(clock, d)
             for basis in (BASIS_HV, BASIS_DA):
-                for frame_range in (None, (0, split), (split, end), (0, end)):
-                    assert_same_counts(
-                        sift_and_bin(stream, binning, basis, frame_range),
-                        loop_sift_and_bin(stream, binning, basis, frame_range),
-                    )
+                assert_same_counts(
+                    sift_and_bin(stream, binning, basis), loop_sift_and_bin(stream, binning, basis)
+                )
         a, b = stream.kept_pairs
         assert stream.kept_pairs is stream.kept_pairs
         assert not a.flags.writeable and not b.flags.writeable
@@ -386,7 +370,6 @@ class TestSiftOracle:
         b80 = BinningConfig.for_dimension(CLOCK, 80)
         coarse_first = fresh()
         fine_first = fresh()
-        sift_and_bin(fine_first, b80, BASIS_HV, frame_range=(5000, 9000))
         sift_and_bin(fine_first, b80, BASIS_HV)
         assert_same_counts(
             sift_and_bin(fine_first, b10, BASIS_HV), sift_and_bin(coarse_first, b10, BASIS_HV)
@@ -743,14 +726,6 @@ class TestStreamMemory:
 
 
 class TestCountMatrixSet:
-    def test_merge_requires_matching_config(self):
-        b10 = BinningConfig.for_dimension(CLOCK, 10)
-        b20 = BinningConfig.for_dimension(CLOCK, 20)
-        a = CountMatrixSet(BASIS_HV, b10, np.zeros((4, 10, 10), np.int64), 5, 0, 0)
-        b = CountMatrixSet(BASIS_HV, b20, np.zeros((4, 20, 20), np.int64), 5, 0, 0)
-        with pytest.raises(ValueError):
-            _ = a + b
-
     def test_rejects_negative_counts(self):
         b10 = BinningConfig.for_dimension(CLOCK, 10)
         m = np.zeros((4, 10, 10), np.int64)

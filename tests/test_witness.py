@@ -15,7 +15,6 @@ from hdent.tagstream import (
     CountMatrixSet,
     SourceModel,
     generate_stream,
-    scaled_expected_counts,
     sift_and_bin,
 )
 from hdent.witness import witness_exact, witness_from_counts, witness_read_masks
@@ -26,6 +25,7 @@ from conftest import (
     exact_count_sets,
     exact_da_probabilities,
     lump_unread,
+    scaled_expected_counts,
 )
 
 CLOCK = ClockConfig()

@@ -63,6 +63,10 @@ CONFIGS = {
     "nan_phase.ini": small(("0, 6e6", "0"), ("3e6", "3e6\nfranson_phase = nan"),
                            ("10, 20", "10"), ("4000", "2000")),
     "no_background.ini": small(("0, 6e6", ""), ("4000", "2000")),
+    "abc_tick.ini": "[clock]\ntick_seconds = abc\n" + small(),
+    "float_seed.ini": small(("seed = 3", "seed = 1.5")),
+    "dims30.ini": small(("10, 20", "30")),
+    "dim30.ini": small(("state_dim = 80", "state_dim = 30")),
 }
 
 # (name, offset, bytes written there) applied to a copy of tags_small/tags_p000_hv.hdtt;
@@ -129,6 +133,11 @@ CHECKS += [
     ("config_nan_phase", ["sweep-noise", "--config", "nan_phase.ini", "--out", "config_nan_phase"]),
     ("config_no_background", ["sweep-noise", "--config", "no_background.ini",
                               "--out", "config_no_background"]),
+    ("config_abc_tick", ["sweep-noise", "--config", "abc_tick.ini", "--out", "config_abc_tick"]),
+    ("config_float_seed", ["simulate-tags", "--config", "float_seed.ini",
+                           "--out", "config_float_seed"]),
+    ("config_dims30", ["sweep-noise", "--config", "dims30.ini", "--out", "config_dims30"]),
+    ("config_dim30", ["simulate-tags", "--config", "dim30.ini", "--out", "config_dim30"]),
     ("eta_zero", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
                          "--eta-hwp", "0", out="eta_zero")),
     ("eta_nan", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
