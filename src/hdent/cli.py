@@ -9,10 +9,12 @@ Subcommands::
     link-budget     loss budget <-> fiber distance table
 
 ``sweep-noise`` and ``certify-et`` certify HV/DA stream pairs through one
-path, ``_certify_streams``.  The INI config drives ``simulate-tags`` and
-``sweep-noise``.  Its keys are declared in one table, ``_CONFIG_KEYS``, whose
-rows give each key's section, default and parser; the loader rejects every
-section or key that the table lacks.  ``mub-sweep`` is configured by its flags.
+path: ``_sift_stream`` bins one stream at every d, and ``_certify_counts``
+certifies the two lists of count sets, so neither command holds two streams
+at once.  The INI config drives ``simulate-tags`` and ``sweep-noise``.  Its
+keys are declared in one table, ``_CONFIG_KEYS``, whose rows give each key's
+section, default and parser; the loader rejects every section or key that the
+table lacks.  ``mub-sweep`` is configured by its flags.
 
 All outputs are plain CSV/JSON with schema-versioned headers, written
 atomically; identical configs and seeds reproduce them bit for bit,
@@ -72,15 +74,10 @@ class RunConfig:
                              f"{self.state_dim} and {self.clock.frame_ticks}")
         for d in self.dims:
             _named("[binning] dims:", tagstream.BinningConfig.for_dimension, self.clock, d)
-        base = tagstream.SourceModel(
-            states.make_max_entangled(self.state_dim),
-            self.pair_rate,
-            0.0,
-            self.jitter_fwhm_seconds,
-            self.p_mix,
-            tagstream.BASIS_HV,
-            self.franson_phase,
-        )
+        base = _named("[source]", tagstream.SourceModel,
+                      states.make_max_entangled(self.state_dim), self.pair_rate, 0.0,
+                      self.jitter_fwhm_seconds, self.p_mix, tagstream.BASIS_HV,
+                      self.franson_phase)
         # every stream must be simulable before the first one is generated:
         # the pair rate and the state's bin layout at zero background, then
         # the background rate of each point
@@ -202,9 +199,9 @@ def load_run_config(path=None) -> RunConfig:
             key: _named(f"[{section}] {key}", parse, parser.get(section, key, fallback=default))
             for section, key, default, parse in _CONFIG_KEYS
         }
-        clock = tagstream.ClockConfig(
-            **{key: values.pop(key) for section, key, _, _ in _CONFIG_KEYS if section == "clock"}
-        )
+        clock = _named("[clock]", tagstream.ClockConfig, **{
+            key: values.pop(key) for section, key, _, _ in _CONFIG_KEYS if section == "clock"
+        })
         return RunConfig(clock=clock, **values)
     except ValueError as exc:
         raise ValueError(f"{exc} in {path}") from None
@@ -248,20 +245,21 @@ def _derived_seed(*parts) -> int:
     return acc
 
 
-def _certify_streams(hv_stream, da_stream, dims, eta_hwp, resamples, seed):
-    """Per d: sift both bases, evaluate and resample the witness, estimate NF.
+def _sift_stream(stream, dims, basis) -> list:
+    """``stream``'s count matrices at each d of ``dims``."""
+    binnings = (tagstream.BinningConfig.for_dimension(stream.clock, d) for d in dims)
+    return [tagstream.sift_and_bin(stream, binning, basis) for binning in binnings]
+
+
+def _certify_counts(hv_sets, da_sets, eta_hwp, resamples, seed):
+    """Per d: evaluate and resample the witness of one HV and one DA count set, estimate NF.
 
     The resampling generator of each d is keyed by ``_derived_seed(seed, d)``.
     Yields ``(report, summary, row)``; ``row`` is a sweep row plus its scan
     ``margin``, with ``noise_setting`` left to the caller.
     """
-    if hv_stream.clock != da_stream.clock:
-        raise ValueError("HV and DA tag files use different clock configs")
-    for d in dims:
-        binning = tagstream.BinningConfig.for_dimension(hv_stream.clock, d)
-        hv = tagstream.sift_and_bin(hv_stream, binning, tagstream.BASIS_HV)
-        da = tagstream.sift_and_bin(da_stream, binning, tagstream.BASIS_DA)
-        f = binning.f_shift
+    for hv, da in zip(hv_sets, da_sets):
+        d, f = hv.binning.d, hv.binning.f_shift
         report = witness.witness_from_counts(hv, da, d, f, eta_hwp)
 
         def statistic(reps):
@@ -288,16 +286,14 @@ def _certify_streams(hv_stream, da_stream, dims, eta_hwp, resamples, seed):
 
 def _timebin_point(task):
     cfg, point, rate = task
-    hv_model, da_model = cfg.point_models[point]
-    hv_stream = tagstream.generate_stream(
-        hv_model, cfg.clock, cfg.n_frames, _stream_seed(cfg.seed, point, False)
+    # each stream is generated, sifted and dropped before the next one
+    hv_sets, da_sets = (
+        _sift_stream(tagstream.generate_stream(model, cfg.clock, cfg.n_frames,
+                                               _stream_seed(cfg.seed, point, da_flag)),
+                     cfg.dims, model.basis)
+        for model, da_flag in zip(cfg.point_models[point], (False, True))
     )
-    da_stream = tagstream.generate_stream(
-        da_model, cfg.clock, cfg.n_frames, _stream_seed(cfg.seed, point, True)
-    )
-    results = _certify_streams(
-        hv_stream, da_stream, cfg.dims, 1.0, cfg.resamples, _derived_seed(cfg.seed, point)
-    )
+    results = _certify_counts(hv_sets, da_sets, 1.0, cfg.resamples, _derived_seed(cfg.seed, point))
     return [dict(row, noise_setting=rate) for _, _, row in results]
 
 
@@ -423,13 +419,20 @@ def cmd_certify_et(args) -> int:
     _named("--resamples", _integer, args.resamples, 2)
     if not 0.0 < args.eta_hwp <= 1.0:
         raise ValueError(f"--eta-hwp must be in (0, 1], got {args.eta_hwp}")
+    # one stream at a time: HV is read, sifted and dropped before DA is read
     hv_stream = tagstream.read_tags(args.hv)
+    clock, hv_sets = hv_stream.clock, _sift_stream(hv_stream, dims, tagstream.BASIS_HV)
+    del hv_stream
     da_stream = tagstream.read_tags(args.da)
+    if da_stream.clock != clock:
+        raise ValueError("HV and DA tag files use different clock configs")
+    da_sets = _sift_stream(da_stream, dims, tagstream.BASIS_DA)
+    del da_stream
     out = Path(args.out) if args.out else None
     rows = []
     reports = {}
-    for report, summary, row in _certify_streams(
-        hv_stream, da_stream, dims, args.eta_hwp, args.resamples, args.seed
+    for report, summary, row in _certify_counts(
+        hv_sets, da_sets, args.eta_hwp, args.resamples, args.seed
     ):
         d = row["d_or_k"]
         payload = {

@@ -182,18 +182,22 @@ class TagStream:
 
         ``a[k]`` is the Alice event and ``b[k]`` the Bob event of the k-th such
         frame, in time order.  Which frames qualify does not depend on the
-        binning, so this is found once per stream, over the whole stream; both
-        arrays are read-only.
+        binning, so this is found once per stream, block by block from a mark
+        on each event that opens a frame; both arrays are read-only.
         """
         ts, n = self.timestamps, len(self.timestamps)
-        opens = np.ones(n, dtype=bool)
+        opens = np.ones(n + 2, dtype=bool)  # two opens past the end close the last frame
         for start in range(1, n, _BLOCK_RECORDS):
             frames = ts[start - 1 : start + _BLOCK_RECORDS] // self.clock.frame_ticks
-            opens[start : start + _BLOCK_RECORDS] = frames[1:] != frames[:-1]
-        starts = np.flatnonzero(opens)
-        # events are sorted, so a frame is one run of equal frame numbers:
+            opens[start : start + len(frames) - 1] = frames[1:] != frames[:-1]
+        # events are sorted, so a frame is one run of equal frame numbers: event
+        # i starts a run of two when it opens a frame, i + 1 does not, i + 2 does
+        runs = [np.empty(0, dtype=np.intp)]
+        for start in range(0, n, _BLOCK_RECORDS):
+            o = opens[start : start + _BLOCK_RECORDS + 2]
+            runs.append(np.flatnonzero(o[:-2] & ~o[1:-1] & o[2:]) + start)
+        i = np.concatenate(runs)
         # keep the runs of two events that lie on different sides
-        i = starts[np.diff(starts, append=n) == 2]
         a_first = self.channels[i] <= 1
         split = a_first != (self.channels[i + 1] <= 1)
         i, a_first = i[split], a_first[split]
@@ -347,6 +351,12 @@ def check_source(model: SourceModel, clock: ClockConfig) -> None:
             )
 
 
+def _event_capacity(n_frames: int, lam_bg: float, q_emit: float) -> int:
+    """Events to allocate for: the expected count plus eight times its square root."""
+    mean = n_frames * (4 * lam_bg + 2 * q_emit)
+    return int(mean + 8 * math.sqrt(mean)) + 1
+
+
 def generate_stream(
     model: SourceModel,
     clock: ClockConfig,
@@ -361,6 +371,10 @@ def generate_stream(
     Signal pairs are emitted at most once per frame with probability
     1 - exp(-pair_rate * frame_seconds); background is an independent
     homogeneous Poisson process per detector.
+
+    Each frame block is sorted on its own into one buffer sized for the
+    expected event count; where jitter carried events out of order across a
+    block edge, only the events around that edge are sorted again.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -375,12 +389,13 @@ def generate_stream(
     sigma_ticks = model.jitter_fwhm_seconds / FWHM_TO_SIGMA / clock.tick_seconds
     F = clock.frame_ticks
     lo, hi = frame_offset, frame_offset + n_frames
-    bg_channels = np.tile(np.arange(4, dtype=np.uint8), CHUNK_FRAMES)
 
     # Events are kept as sort keys ``ts * 4 + ch`` (the frame range ends by
     # 2**60 ticks, so ts < 2**61 for any jitter short of 2**60 ticks and the
-    # key cannot overflow int64), in parts of one origin each.
-    keys, origins, lengths = [], [], []
+    # key cannot overflow int64); buffer pages past the last event stay untouched.
+    keys = np.empty(_event_capacity(n_frames, lam_bg, q_emit), dtype=np.int64)
+    origins = np.empty(len(keys), dtype=np.uint8)
+    n, ends = 0, []  # events so far, and where each block's events end
     for block in range(lo // CHUNK_FRAMES, (hi - 1) // CHUNK_FRAMES + 1):
         rng = _block_rng(seed, block)
         first = block * CHUNK_FRAMES
@@ -396,53 +411,55 @@ def generate_stream(
         # the frames first + [start, stop) of this block lie in the range
         start, stop = max(lo - first, 0), min(hi - first, CHUNK_FRAMES)
 
+        parts = []  # signal on Alice's side, on Bob's, then background
         if tables is not None:
             emit = np.flatnonzero(u_emit[start:stop] < q_emit) + start
-            if emit.size:
-                oc = np.searchsorted(tables["cum"], u_out[emit], side="right")
-                oc = np.minimum(oc, len(tables["cum"]) - 1)
-                base = (emit + first) * F
-                for side, ab in enumerate("ab"):
-                    key = base + tables["off_" + ab][oc]
-                    if z is not None:
-                        key = np.rint(key + z[emit, side] * sigma_ticks).astype(np.int64)
-                    key *= 4
-                    key += tables["chan_" + ab][oc]
-                    keys.append(key)
-                origins.append(Origin.SIGNAL)
-                lengths.append(2 * emit.size)
+            oc = np.searchsorted(tables["cum"], u_out[emit], side="right")
+            oc = np.minimum(oc, len(tables["cum"]) - 1)
+            for side, ab in enumerate("ab"):
+                key = (emit + first) * F + tables["off_" + ab][oc]
+                if z is not None:
+                    key = np.rint(key + z[emit, side] * sigma_ticks).astype(np.int64)
+                key *= 4
+                key += tables["chan_" + ab][oc]
+                parts.append(key)
+        n_signal = sum(len(part) for part in parts)
         if lam_bg > 0:
             # background events come frame by frame, then detector by detector
-            per_frame = n_bg[start:stop].sum(axis=1)
+            cells = np.arange(first + start, first + stop, dtype=np.int64)[:, None] * (4 * F)
+            key = np.repeat((cells + np.arange(4)).ravel(), n_bg[start:stop].ravel())
             skip = int(n_bg[:start].sum())
-            key = np.repeat(np.arange(first + start, first + stop, dtype=np.int64), per_frame)
-            if key.size:
-                key *= F
-                key += np.floor(u_bg[skip : skip + key.size] * F).astype(np.int64)
-                key *= 4
-                key += np.repeat(bg_channels[4 * start : 4 * stop], n_bg[start:stop].ravel())
-                keys.append(key)
-                origins.append(Origin.NOISE)
-                lengths.append(key.size)
+            key += (u_bg[skip : skip + len(key)] * F).astype(np.int64) << 2  # floor, as u >= 0
+            parts.append(key)
+        key = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        if n + len(key) > len(keys):  # more events than the buffers hold: grow them
+            keys, origins = (np.resize(buffer, 2 * (n + len(key))) for buffer in (keys, origins))
+        order = np.argsort(key, kind="stable")
+        np.take(key, order, out=keys[n : n + len(key)])
+        origins[n : n + len(key)] = order >= n_signal  # Origin.NOISE past the signal
+        n += len(key)
+        ends.append(n)
 
-    key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
-    del keys
-    order = np.argsort(key, kind="stable").astype(np.int64, copy=False)
-    og = np.repeat(np.array(origins, dtype=np.uint8), lengths)[order]
-    # sort the keys into the index array block by block, so that no third
-    # whole-stream array is needed: each block of indices is read before it
-    # is overwritten
-    for i in range(0, len(key), _BLOCK_RECORDS):
-        part = order[i : i + _BLOCK_RECORDS]
-        part[:] = key[part]
-    key = order
+    keys, origins = keys[:n], origins[:n]
+    # Jitter can carry events out of order across a block edge.  The stream
+    # before the edge is sorted and so is the block after it, so a stable sort
+    # of the events that overlap across the edge sorts the whole stream stably.
+    for edge, end in zip(ends, ends[1:]):
+        if 0 < edge < n and keys[edge] < keys[edge - 1]:
+            window = slice(np.searchsorted(keys[:edge], keys[edge], side="right"),
+                           edge + np.searchsorted(keys[edge:end], keys[edge - 1]))
+            order = np.argsort(keys[window], kind="stable")
+            keys[window], origins[window] = keys[window][order], origins[window][order]
     # jitter may push the first frames before t = 0: their keys are negative
     # and sort first
-    dropped = np.searchsorted(key, 0)
-    key, og = key[dropped:], og[dropped:]
-    ch = (key & 3).astype(np.uint8)
-    key >>= 2
-    return TagStream(clock, key.view(np.uint64), ch, og)
+    dropped = np.searchsorted(keys, 0)
+    ts, origins = keys[dropped:].view(np.uint64), origins[dropped:]
+    channels = np.empty(len(ts), dtype=np.uint8)
+    for i in range(0, len(ts), _BLOCK_RECORDS):
+        part = ts[i : i + _BLOCK_RECORDS]
+        np.bitwise_and(part, 3, out=channels[i : i + _BLOCK_RECORDS])
+        part >>= 2
+    return TagStream(clock, ts, channels, origins)
 
 
 def sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str) -> CountMatrixSet:

@@ -217,6 +217,12 @@ class TestConfig:
             ("state_dim = 80", "state_dim = 0", "[source] state_dim"),
             ("seed = 3", "seed = 1.5", "[sweep] seed"),
             ("state_dim = 80", "state_dim = 30", "[source] state_dim"),
+            # values that ClockConfig and SourceModel reject are named with their section
+            ("[source]", "[clock]\ntick_seconds = nan\n\n[source]", "[clock] tick_seconds"),
+            ("[source]", "[clock]\nframe_ticks = 0\n\n[source]", "[clock] frame_ticks"),
+            ("pair_rate = 3e6", "pair_rate = nan", "[source] pair_rate"),
+            ("p_mix = 1.0", "p_mix = 1.5", "[source] p_mix"),
+            ("franson_phase = pi", "franson_phase = nan", "[source] franson_phase"),
         ],
     )
     @pytest.mark.parametrize("command", ["sweep-noise", "simulate-tags"])

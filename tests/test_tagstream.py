@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hdent import tagstream
+from hdent import cli, tagstream
 from hdent.states import NoisyState, Pairing, make_max_entangled
 from hdent.tagstream import (
     BASIS_DA,
@@ -233,6 +234,7 @@ class TestBlockAssembly:
     )
     @example(2e7, 4e7, 1e-6, 1.0, BASIS_HV, 80, 3, 0, 64)  # events jittered before t = 0
     @example(2e6, 1e7, 8e-10, 0.9, BASIS_DA, 40, 2, CHUNK_FRAMES, CHUNK_FRAMES)  # one whole block
+    @example(2e6, 4e7, 1e-3, 1.0, BASIS_HV, 80, 5, 100, 2 * CHUNK_FRAMES + 10)  # sigma ~ 4 blocks
     @settings(deadline=None, max_examples=40)
     def test_matches_concatenated_assembly(
         self, pair_rate, bg, jitter, p, basis, d, seed, offset, n_frames
@@ -250,6 +252,67 @@ class TestBlockAssembly:
         emitted = int((u_emit < -math.expm1(-m.pair_rate * CLOCK.frame_seconds)).sum())
         assert 0 < len(stream) < 2 * emitted
         assert_same_stream(stream, concat_generate_stream(m, CLOCK, 64, 3))
+
+
+def stream_digests(stream):
+    """The first 16 hex digits of the sha256 of each of a stream's arrays."""
+    return tuple(hashlib.sha256(getattr(stream, field).tobytes()).hexdigest()[:16]
+                 for field in ("timestamps", "channels", "origins"))
+
+
+GOLDEN_STREAMS = {
+    # name: (model arguments, n_frames, seed, frame_offset, events, digests)
+    "hv-dark": (dict(d=80, pair_rate=1.5e6, jitter=800e-12), 10_000, 11, 0, 766,
+                ("b7ad6db6d868993e", "4122bf89f88e12dd", "24720d30ce903265")),
+    "da-dark": (dict(d=80, pair_rate=1.5e6, jitter=800e-12, basis=BASIS_DA), 10_000, 11, 0, 766,
+                ("2531836e70bb8086", "4122bf89f88e12dd", "24720d30ce903265")),
+    "hv-bright": (dict(d=80, pair_rate=1.5e6, bg=4e7, jitter=800e-12), 10_000, 11, 0, 42913,
+                  ("3951017a993794e0", "0218d736e313ecb0", "6db34860aba39fad")),
+    "da-bright": (dict(d=80, pair_rate=1.5e6, bg=4e7, jitter=800e-12, basis=BASIS_DA),
+                  10_000, 11, 0, 42913,
+                  ("964ca6330d16aafa", "4df866cbdc05d288", "41aaa40aed0bdf4e")),
+    # frames 3000..8999: a partial first and a partial last block
+    "offset": (dict(d=40, pair_rate=3e6, bg=1e7, jitter=800e-12, p=0.9, basis=BASIS_DA),
+               6_000, 12, 3_000, 7132,
+               ("ac95fc4a3ad378e6", "42b5f072602ceea6", "b9a84578dfd81167")),
+    "no-pairs": (dict(d=80, pair_rate=0.0, bg=4e7), 10_000, 13, 0, 42175,
+                 ("d0864d6197442810", "2918eeb899dd6842", "505187547abc1a04")),
+    # 200 ns FWHM carries events across block edges out of order
+    "wide-jitter": (dict(d=80, pair_rate=1.5e6, bg=4e7, jitter=200e-9), 3 * CHUNK_FRAMES, 3, 0,
+                    52426, ("5fa991f179391510", "0d4214ff8d52a223", "17326d9ae8ca4338")),
+}
+
+
+class TestGoldenStreams:
+    """Digests of streams made by the whole-stream sort that per-block sorting replaced."""
+
+    @pytest.mark.parametrize("name", GOLDEN_STREAMS)
+    def test_stream_digests(self, name):
+        kwargs, n_frames, seed, offset, events, digests = GOLDEN_STREAMS[name]
+        stream = generate_stream(model(**kwargs), CLOCK, n_frames, seed, offset)
+        assert len(stream) == events
+        assert stream_digests(stream) == digests
+
+    def test_wide_jitter_sorts_again_only_around_block_edges(self, monkeypatch):
+        sorted_lengths = []
+        argsort = np.argsort
+
+        def spy(keys, *args, **kwargs):
+            sorted_lengths.append(len(keys))
+            return argsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(tagstream.np, "argsort", spy)
+        kwargs, n_frames, seed, offset, events, _ = GOLDEN_STREAMS["wide-jitter"]
+        generate_stream(model(**kwargs), CLOCK, n_frames, seed, offset)
+        blocks = n_frames // CHUNK_FRAMES
+        assert len(sorted_lengths) > blocks  # events out of order across an edge
+        assert max(sorted_lengths[blocks:]) < events / 100
+
+    def test_buffer_growth_keeps_the_stream(self, monkeypatch):
+        monkeypatch.setattr(tagstream, "_event_capacity", lambda *args: 1)
+        kwargs, n_frames, seed, offset, events, digests = GOLDEN_STREAMS["hv-bright"]
+        stream = generate_stream(model(**kwargs), CLOCK, n_frames, seed, offset)
+        assert len(stream) == events and stream_digests(stream) == digests
 
 
 class TestSifting:
@@ -699,7 +762,7 @@ class TestStreamMemory:
         m = model(d=80, pair_rate=1.5e6, bg=4e7, jitter=800e-12)
         stream, peak = traced_peak(lambda: generate_stream(m, CLOCK, 100_000, seed=7))
         assert_same_stream(stream, noisy_stream)
-        assert peak < 3.0 * stream_bytes(stream)
+        assert peak < 1.75 * stream_bytes(stream)
 
     def test_read_tags_peak(self, noisy_stream, tmp_path):
         path = tmp_path / "n.hdtt"
@@ -722,7 +785,20 @@ class TestStreamMemory:
         (a, b), peak = traced_peak(lambda: fresh.kept_pairs)
         want_a, want_b = whole_stream_kept_pairs(noisy_stream)
         assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
-        assert peak < 1.0 * stream_bytes(noisy_stream)
+        assert peak < 0.5 * stream_bytes(noisy_stream)
+
+    def test_certify_et_holds_one_stream(self, noisy_stream, tmp_path, capsys):
+        """``certify-et`` reads, sifts and drops HV before it reads DA."""
+        da = generate_stream(model(d=80, pair_rate=1.5e6, bg=4e7, jitter=800e-12,
+                                   basis=BASIS_DA), CLOCK, 100_000, seed=8)
+        write_tags(noisy_stream, tmp_path / "hv.hdtt")
+        write_tags(da, tmp_path / "da.hdtt")
+        del da
+        argv = ["certify-et", "--hv", str(tmp_path / "hv.hdtt"), "--da", str(tmp_path / "da.hdtt"),
+                "--dims", "10,80", "--resamples", "2"]
+        code, peak = traced_peak(lambda: cli.main(argv))
+        assert code == 0, capsys.readouterr().err
+        assert peak < 2.0 * stream_bytes(noisy_stream)
 
 
 class TestCountMatrixSet:

@@ -11,8 +11,9 @@ stderr and exit code under ``OUT/runs/<name>.{stdout,stderr,exit}``.  Run the
 script in two checkouts and compare them with ``diff -r``.
 
 The set covers every subcommand on the default and small configs, tag files
-corrupted in each way ``read_tags`` detects, and config values and flags that
-must fail before any output is written.
+corrupted in each way ``read_tags`` detects, a good HV file with a truncated
+or bad-magic DA file, an HV/DA pair whose clocks differ, and config values and
+flags that must fail before any output is written.
 """
 
 import os
@@ -67,6 +68,7 @@ CONFIGS = {
     "float_seed.ini": small(("seed = 3", "seed = 1.5")),
     "dims30.ini": small(("10, 20", "30")),
     "dim30.ini": small(("state_dim = 80", "state_dim = 30")),
+    "other_tick.ini": "[clock]\ntick_seconds = 90e-12\n" + small(("0, 6e6", "0")),
 }
 
 # (name, offset, bytes written there) applied to a copy of tags_small/tags_p000_hv.hdtt;
@@ -95,6 +97,8 @@ COMMANDS = [
     ("sweep_one", ["sweep-noise", "--config", "one.ini", "--out", "sweep_one"]),
     ("simulate_default", ["simulate-tags", "--out", "tags_default"]),
     ("simulate_small", ["simulate-tags", "--config", "small.ini", "--out", "tags_small"]),
+    ("simulate_other_tick", ["simulate-tags", "--config", "other_tick.ini",
+                             "--out", "tags_other_tick"]),
     ("certify_all", certify(TAGS.format(0, "hv"), TAGS.format(0, "da"), "10,20,40,80",
                             out="certify_all")),
     ("certify_eta", certify(TAGS.format(3, "hv"), TAGS.format(3, "da"), "10,40",
@@ -116,6 +120,13 @@ CHECKS = [
     (f"tagfile_{name}", certify(f"corrupt/{name}.hdtt", "tags_small/tags_p000_da.hdtt", "10"))
     for name in (*CORRUPTIONS, "truncated")
 ]
+# the DA file is read after the HV file is sifted: a good HV file with a bad DA file
+CHECKS += [
+    (f"tagfile_da_{name}", certify("tags_small/tags_p000_hv.hdtt", f"corrupt/{name}.hdtt", "10"))
+    for name in ("bad_magic", "truncated")
+]
+CHECKS.append(("tagfile_clock_mismatch", certify(
+    "tags_small/tags_p000_hv.hdtt", "tags_other_tick/tags_p000_da.hdtt", "10")))
 CHECKS += [
     ("config_nan_background", ["sweep-noise", "--config", "nan_background.ini",
                                "--out", "config_nan_background"]),
