@@ -27,7 +27,6 @@ import argparse
 import configparser
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import os
@@ -378,15 +377,6 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     return rows, thresholds, per_nf
 
 
-def _sha256(path) -> str:
-    """Hex sha256 of the file at ``path``, read in 1 MiB chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def cmd_simulate_tags(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
@@ -401,11 +391,10 @@ def cmd_simulate_tags(args) -> int:
             name = f"tags_p{point:03d}_{model.basis.lower()}.hdtt"
             tmp = out / (name + ".tmp")
             # one expression, so no stream outlives its file
-            tagstream.write_tags(
+            digest = tagstream.write_tags(
                 tagstream.generate_stream(model, cfg.clock, cfg.n_frames, stream_seed), tmp
             )
             os.replace(tmp, out / name)
-            digest = _sha256(out / name)
             manifest.append(
                 f"{point},{_fmt(rate)},{model.basis},{name},{stream_seed},{digest}"
             )

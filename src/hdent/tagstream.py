@@ -26,12 +26,19 @@ Generation is deterministic and partition-invariant: randomness is drawn
 per fixed-size frame block from a counter-keyed generator, so any split of
 the frame range at block boundaries (``CHUNK_FRAMES``) reproduces the same
 stream bit for bit.
+
+Streams are sorted by (timestamp, channel); where a signal and a noise event
+share both, the signal event comes first.  Generation holds each event as
+one tagged int64 key ``((ts * 4 + ch) << 1) | origin`` (origin 0 signal,
+1 noise) and sorts the keys, so that rule is the key's low bit.  The key
+needs ts < 2**60, so a generated frame range must end by 2**59 ticks.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import hashlib
 import math
 import os
 import struct
@@ -207,6 +214,31 @@ class TagStream:
         b.setflags(write=False)
         return a, b
 
+    @functools.cached_property
+    def kept_events(self) -> tuple:
+        """What every binning reads of the kept frames, gathered once.
+
+        ``(pair, ticks_a, ticks_b, noise_coincidences, frames_total)``: the
+        PAIR_LABELS index and the Alice and Bob ticks within the frame of each
+        kept pair (int64), the kept pairs with a background event (None when
+        an origin is unknown), and the frames from frame 0 to the last event's.
+        """
+        F = self.clock.frame_ticks
+        ts, ch, og = self.timestamps, self.channels, self.origins
+        a, b = self.kept_pairs
+        pair = ch[a].astype(np.int64) * 2 + (ch[b] - 2)
+        ticks_a = (ts[a] % F).astype(np.int64)
+        ticks_b = (ts[b] % F).astype(np.int64)
+        og_a, og_b = og[a], og[b]
+        if np.any(og_a == Origin.UNKNOWN) or np.any(og_b == Origin.UNKNOWN):
+            noise = None
+        else:
+            noise = int(np.count_nonzero((og_a == Origin.NOISE) | (og_b == Origin.NOISE)))
+        frames_total = int(ts[-1]) // F + 1 if len(ts) else 0
+        for arr in (pair, ticks_a, ticks_b):
+            arr.setflags(write=False)
+        return pair, ticks_a, ticks_b, noise, frames_total
+
 
 @dataclass(frozen=True)
 class SourceModel:
@@ -277,8 +309,9 @@ def _signal_tables(model: SourceModel, clock: ClockConfig) -> dict:
     """Exact per-frame outcome distribution plus decode arrays.
 
     Outcomes are flattened as (routing/detector pair, alice bin, bob bin);
-    the returned arrays map an outcome index to detector channels and
-    within-frame tick offsets.  ``model`` must pass ``check_source``.
+    the returned ``offsets`` (int64) and ``channels`` (uint8) map an outcome
+    index to within-frame tick offsets and detector channels, row 0 on
+    Alice's side and row 1 on Bob's.  ``model`` must pass ``check_source``.
     """
     state = model.state
     d = state.dim
@@ -317,10 +350,8 @@ def _signal_tables(model: SourceModel, clock: ClockConfig) -> dict:
     probs = probs / probs.sum()
     return {
         "cum": np.cumsum(probs),
-        "off_a": off_a.astype(np.int64),
-        "off_b": off_b.astype(np.int64),
-        "chan_a": chan_a,
-        "chan_b": chan_b,
+        "offsets": np.stack([off_a, off_b]).astype(np.int64),
+        "channels": np.stack([chan_a, chan_b]),
     }
 
 
@@ -357,44 +388,22 @@ def _event_capacity(n_frames: int, lam_bg: float, q_emit: float) -> int:
     return int(mean + 8 * math.sqrt(mean)) + 1
 
 
-def generate_stream(
-    model: SourceModel,
-    clock: ClockConfig,
-    n_frames: int,
-    seed: int,
-    frame_offset: int = 0,
-) -> TagStream:
-    """Simulate a tag stream over frames [frame_offset, frame_offset + n_frames).
+def _sorted_blocks(model: SourceModel, clock: ClockConfig, seed: int, lo: int, hi: int) -> tuple:
+    """Tagged keys of frames [lo, hi), each frame block sorted, and where each block ends.
 
-    Identical (model, clock, n_frames, seed, frame_offset) yield bit-identical
-    streams, and ranges split at multiples of CHUNK_FRAMES compose exactly.
-    Signal pairs are emitted at most once per frame with probability
-    1 - exp(-pair_rate * frame_seconds); background is an independent
-    homogeneous Poisson process per detector.
-
-    Each frame block is sorted on its own into one buffer sized for the
-    expected event count; where jitter carried events out of order across a
-    block edge, only the events around that edge are sorted again.
+    The keys share one buffer sized for the expected event count (pages past
+    the last event stay untouched); the per-block arrays are freed on return.
     """
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
-    if frame_offset < 0:
-        raise ValueError("frame_offset must be >= 0")
-    if (frame_offset + n_frames) * clock.frame_ticks > 2 ** 60:
-        raise ValueError("frame range ends beyond 2**60 ticks")
-    check_source(model, clock)
     lam_bg = model.background_rate_per_detector * clock.frame_seconds
     tables = _signal_tables(model, clock) if model.pair_rate > 0 else None
     q_emit = -math.expm1(-model.pair_rate * clock.frame_seconds)
     sigma_ticks = model.jitter_fwhm_seconds / FWHM_TO_SIGMA / clock.tick_seconds
     F = clock.frame_ticks
-    lo, hi = frame_offset, frame_offset + n_frames
+    # background key of detector c in frame j of a block, less the block's first tick
+    cell_keys = (np.arange(CHUNK_FRAMES, dtype=np.int64)[:, None] * (8 * F)
+                 + np.arange(4) * 2 + Origin.NOISE).ravel()
 
-    # Events are kept as sort keys ``ts * 4 + ch`` (the frame range ends by
-    # 2**60 ticks, so ts < 2**61 for any jitter short of 2**60 ticks and the
-    # key cannot overflow int64); buffer pages past the last event stay untouched.
-    keys = np.empty(_event_capacity(n_frames, lam_bg, q_emit), dtype=np.int64)
-    origins = np.empty(len(keys), dtype=np.uint8)
+    keys = np.empty(_event_capacity(hi - lo, lam_bg, q_emit), dtype=np.int64)
     n, ends = 0, []  # events so far, and where each block's events end
     for block in range(lo // CHUNK_FRAMES, (hi - 1) // CHUNK_FRAMES + 1):
         rng = _block_rng(seed, block)
@@ -411,52 +420,87 @@ def generate_stream(
         # the frames first + [start, stop) of this block lie in the range
         start, stop = max(lo - first, 0), min(hi - first, CHUNK_FRAMES)
 
-        parts = []  # signal on Alice's side, on Bob's, then background
+        signal = np.empty((2, 0), dtype=np.int64)
         if tables is not None:
             emit = np.flatnonzero(u_emit[start:stop] < q_emit) + start
             oc = np.searchsorted(tables["cum"], u_out[emit], side="right")
             oc = np.minimum(oc, len(tables["cum"]) - 1)
-            for side, ab in enumerate("ab"):
-                key = (emit + first) * F + tables["off_" + ab][oc]
-                if z is not None:
-                    key = np.rint(key + z[emit, side] * sigma_ticks).astype(np.int64)
-                key *= 4
-                key += tables["chan_" + ab][oc]
-                parts.append(key)
-        n_signal = sum(len(part) for part in parts)
-        if lam_bg > 0:
+            # both sides at once: row 0 is Alice's, row 1 Bob's
+            signal = (emit + first) * F + tables["offsets"][:, oc]
+            if z is not None:
+                signal = np.rint(signal + z[emit].T * sigma_ticks).astype(np.int64)
+            signal <<= 3
+            signal += tables["channels"][:, oc] << 1  # origin SIGNAL is 0
+        n_noise = int(n_bg[start:stop].sum()) if lam_bg > 0 else 0
+        size = signal.size + n_noise
+        if n + size > len(keys):  # more events than the buffer holds: grow it
+            keys = np.resize(keys, 2 * (n + size))
+        out = keys[n : n + size]
+        out[: signal.size] = signal.ravel()
+        if n_noise:
             # background events come frame by frame, then detector by detector
-            cells = np.arange(first + start, first + stop, dtype=np.int64)[:, None] * (4 * F)
-            key = np.repeat((cells + np.arange(4)).ravel(), n_bg[start:stop].ravel())
             skip = int(n_bg[:start].sum())
-            key += (u_bg[skip : skip + len(key)] * F).astype(np.int64) << 2  # floor, as u >= 0
-            parts.append(key)
-        key = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        if n + len(key) > len(keys):  # more events than the buffers hold: grow them
-            keys, origins = (np.resize(buffer, 2 * (n + len(key))) for buffer in (keys, origins))
-        order = np.argsort(key, kind="stable")
-        np.take(key, order, out=keys[n : n + len(key)])
-        origins[n : n + len(key)] = order >= n_signal  # Origin.NOISE past the signal
-        n += len(key)
+            noise = out[signal.size :]
+            noise[:] = u_bg[skip : skip + n_noise] * F  # floor, as u >= 0
+            noise <<= 3
+            noise += np.repeat(cell_keys[4 * start : 4 * stop], n_bg[start:stop].ravel())
+            noise += first * 8 * F
+        out.sort()
+        n += size
         ends.append(n)
+    return keys[:n], ends
 
-    keys, origins = keys[:n], origins[:n]
+
+def generate_stream(
+    model: SourceModel,
+    clock: ClockConfig,
+    n_frames: int,
+    seed: int,
+    frame_offset: int = 0,
+) -> TagStream:
+    """Simulate a tag stream over frames [frame_offset, frame_offset + n_frames).
+
+    Identical (model, clock, n_frames, seed, frame_offset) yield bit-identical
+    streams, and ranges split at multiples of CHUNK_FRAMES compose exactly.
+    Signal pairs are emitted at most once per frame with probability
+    1 - exp(-pair_rate * frame_seconds); background is an independent
+    homogeneous Poisson process per detector.
+
+    Each event is one int64 key ``((ts * 4 + ch) << 1) | origin`` (origin 0
+    signal, 1 noise): keys sort by (timestamp, channel), signal first at a tie,
+    and equal keys are equal events, so any sort algorithm gives this stream.
+    The key needs ts < 2**60, so the range must end by 2**59 ticks (about 1.5
+    years of 82.3 ps ticks).  Each frame block is sorted in place; where
+    jitter carried events out of order across a block edge, only the keys
+    around that edge are sorted again.
+    """
+    if n_frames < 1:
+        raise ValueError("n_frames must be >= 1")
+    if frame_offset < 0:
+        raise ValueError("frame_offset must be >= 0")
+    # then ts < 2**60 for any jitter short of 2**59 ticks: the key fits int64
+    if (frame_offset + n_frames) * clock.frame_ticks > 2 ** 59:
+        raise ValueError("frame range ends beyond 2**59 ticks")
+    check_source(model, clock)
+    keys, ends = _sorted_blocks(model, clock, seed, frame_offset, frame_offset + n_frames)
+    n = len(keys)
     # Jitter can carry events out of order across a block edge.  The stream
-    # before the edge is sorted and so is the block after it, so a stable sort
-    # of the events that overlap across the edge sorts the whole stream stably.
+    # before the edge is sorted and so is the block after it, so sorting the
+    # keys that overlap across the edge sorts the whole stream.
     for edge, end in zip(ends, ends[1:]):
         if 0 < edge < n and keys[edge] < keys[edge - 1]:
             window = slice(np.searchsorted(keys[:edge], keys[edge], side="right"),
                            edge + np.searchsorted(keys[edge:end], keys[edge - 1]))
-            order = np.argsort(keys[window], kind="stable")
-            keys[window], origins[window] = keys[window][order], origins[window][order]
+            keys[window] = np.sort(keys[window])
     # jitter may push the first frames before t = 0: their keys are negative
     # and sort first
-    dropped = np.searchsorted(keys, 0)
-    ts, origins = keys[dropped:].view(np.uint64), origins[dropped:]
+    ts = keys[np.searchsorted(keys, 0) :].view(np.uint64)
     channels = np.empty(len(ts), dtype=np.uint8)
+    origins = np.empty(len(ts), dtype=np.uint8)
     for i in range(0, len(ts), _BLOCK_RECORDS):
         part = ts[i : i + _BLOCK_RECORDS]
+        np.bitwise_and(part, 1, out=origins[i : i + _BLOCK_RECORDS])
+        part >>= 1
         np.bitwise_and(part, 3, out=channels[i : i + _BLOCK_RECORDS])
         part >>= 2
     return TagStream(clock, ts, channels, origins)
@@ -465,33 +509,28 @@ def generate_stream(
 def sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str) -> CountMatrixSet:
     """Histogram the frames with exactly one click per side at ``binning``.
 
-    The kept frames are found once per stream (``TagStream.kept_pairs``);
-    each call bins only their events.  The frame span runs from frame 0 to
-    the frame of the last event.
+    The kept frames and their events' detector pair, ticks in frame, noise
+    coincidences and frame span are gathered once per stream
+    (``TagStream.kept_events``); each call only divides the ticks by the bin
+    width and counts.  The frame span runs from frame 0 to the frame of the
+    last event.  Events tied on (timestamp, channel), signal first in a
+    generated stream (the low bit of its key ``((ts * 4 + ch) << 1) | origin``,
+    which bounds generation to 2**59 ticks), share a side, so their frame is
+    never kept and the tie rule cannot change the counts.
     """
     binning.check_against(stream.clock)
-    F = stream.clock.frame_ticks
     d = binning.d
-    ts = stream.timestamps
-    a, b = stream.kept_pairs
-    frames_total = int(ts[-1]) // F + 1 if len(ts) else 0
-    pair = stream.channels[a].astype(np.int64) * 2 + (stream.channels[b] - 2)
-    bin_a = (ts[a] % F).astype(np.int64) // binning.bin_ticks
-    bin_b = (ts[b] % F).astype(np.int64) // binning.bin_ticks
-    flat = (pair * d + bin_a) * d + bin_b
+    pair, ticks_a, ticks_b, noise, frames_total = stream.kept_events
+    flat = (pair * d + ticks_a // binning.bin_ticks) * d + ticks_b // binning.bin_ticks
     matrices = np.bincount(flat, minlength=4 * d * d).reshape(4, d, d)
-    og_a, og_b = stream.origins[a], stream.origins[b]
-    if np.any(og_a == Origin.UNKNOWN) or np.any(og_b == Origin.UNKNOWN):
-        noise = None
-    else:
-        noise = int(np.sum((og_a == Origin.NOISE) | (og_b == Origin.NOISE)))
-    return CountMatrixSet(basis, binning, matrices, frames_total, len(a), noise)
+    return CountMatrixSet(basis, binning, matrices, frames_total, len(pair), noise)
 
 
-def write_tags(stream: TagStream, path) -> None:
+def write_tags(stream: TagStream, path) -> str:
     """Write the binary tag format: magic, version, clock, then 16-byte records.
 
-    Records are filled and written one block at a time.
+    Records are filled, hashed and written one block at a time; returns the
+    hex sha256 of the bytes written, so the file need not be read back.
     """
     tick_fs = round(stream.clock.tick_seconds * 1e15)
     n = len(stream)
@@ -503,6 +542,7 @@ def write_tags(stream: TagStream, path) -> None:
         stream.clock.imbalance_ticks,
         n,
     )
+    digest = hashlib.sha256(header)
     block = np.empty(min(n, _BLOCK_RECORDS), dtype=_RECORD_DTYPE)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -514,7 +554,9 @@ def write_tags(stream: TagStream, path) -> None:
             flags[:] = stream.origins[start:stop]
             flags <<= 8
             flags |= stream.channels[start:stop]
+            digest.update(records)
             fh.write(records)
+    return digest.hexdigest()
 
 
 def _record_offset(index, field: int = 0) -> int:

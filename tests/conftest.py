@@ -373,13 +373,13 @@ def concat_generate_stream(model, clock, n_frames: int, seed: int,
                 oc = np.searchsorted(tables["cum"], u_out[emit], side="right")
                 oc = np.minimum(oc, len(tables["cum"]) - 1)
                 base = frames[emit] * F
-                ta = base + tables["off_a"][oc]
-                tb = base + tables["off_b"][oc]
+                ta = base + tables["offsets"][0, oc]
+                tb = base + tables["offsets"][1, oc]
                 if z is not None:
                     ta = np.rint(ta + z[emit, 0] * sigma_ticks).astype(np.int64)
                     tb = np.rint(tb + z[emit, 1] * sigma_ticks).astype(np.int64)
                 ts_parts += [ta, tb]
-                ch_parts += [tables["chan_a"][oc], tables["chan_b"][oc]]
+                ch_parts += [tables["channels"][0, oc], tables["channels"][1, oc]]
                 og_parts.append(np.full(2 * n_emit, Origin.SIGNAL, dtype=np.uint8))
         if lam_bg > 0 and n_bg.any():
             cells = n_bg.ravel()

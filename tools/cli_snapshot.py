@@ -10,10 +10,11 @@ this script.  Each command's output files land under ``OUT``, and its stdout,
 stderr and exit code under ``OUT/runs/<name>.{stdout,stderr,exit}``.  Run the
 script in two checkouts and compare them with ``diff -r``.
 
-The set covers every subcommand on the default and small configs, tag files
-corrupted in each way ``read_tags`` detects, a good HV file with a truncated
-or bad-magic DA file, an HV/DA pair whose clocks differ, and config values and
-flags that must fail before any output is written.
+The set covers every subcommand on the default and small configs, a
+jitter-free stream whose signal and noise events often share a tick and
+detector, tag files corrupted in each way ``read_tags`` detects, a good HV
+file with a truncated or bad-magic DA file, an HV/DA pair whose clocks differ,
+and config values and flags that must fail before any output is written.
 """
 
 import os
@@ -69,6 +70,8 @@ CONFIGS = {
     "dims30.ini": small(("10, 20", "30")),
     "dim30.ini": small(("state_dim = 80", "state_dim = 30")),
     "other_tick.ini": "[clock]\ntick_seconds = 90e-12\n" + small(("0, 6e6", "0")),
+    # no jitter and dense background: signal and noise often share a tick and detector
+    "ties.ini": small(("3e6", "2e7"), ("0, 6e6", "4e7"), ("800e-12", "0"), ("4000", "9000")),
 }
 
 # (name, offset, bytes written there) applied to a copy of tags_small/tags_p000_hv.hdtt;
@@ -99,6 +102,7 @@ COMMANDS = [
     ("simulate_small", ["simulate-tags", "--config", "small.ini", "--out", "tags_small"]),
     ("simulate_other_tick", ["simulate-tags", "--config", "other_tick.ini",
                              "--out", "tags_other_tick"]),
+    ("simulate_ties", ["simulate-tags", "--config", "ties.ini", "--out", "tags_ties"]),
     ("certify_all", certify(TAGS.format(0, "hv"), TAGS.format(0, "da"), "10,20,40,80",
                             out="certify_all")),
     ("certify_eta", certify(TAGS.format(3, "hv"), TAGS.format(3, "da"), "10,40",
@@ -106,6 +110,8 @@ COMMANDS = [
     ("certify_d30", certify(TAGS.format(0, "hv"), TAGS.format(0, "da"), "30")),
     ("certify_dense", certify(TAGS.format(7, "hv"), TAGS.format(7, "da"), "80,10",
                               out="certify_dense")),
+    ("certify_ties", certify("tags_ties/tags_p000_hv.hdtt", "tags_ties/tags_p000_da.hdtt",
+                             "10,80", out="certify_ties")),
     ("mub_d5", ["mub-sweep", "--dim", "5", "--k", "2,3,6", "--grid", "0:0.9:5",
                 "--export-matrices", "--out", "mub_d5"]),
     ("mub_d3", ["mub-sweep", "--dim", "3", "--k", "2,3,4", "--out", "mub_d3"]),
