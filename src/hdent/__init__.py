@@ -51,9 +51,9 @@ from .tagstream import (
 )
 from .witness import (
     WitnessReport,
+    resample_witness,
     witness_exact,
     witness_from_counts,
-    witness_read_masks,
 )
 
 __version__ = "0.1.0"
@@ -90,6 +90,7 @@ __all__ = [
     "noise_fraction",
     "poisson_resample",
     "read_tags",
+    "resample_witness",
     "separable_bound",
     "sift_and_bin",
     "threshold_scan",
@@ -97,6 +98,5 @@ __all__ = [
     "visibility_sum",
     "witness_exact",
     "witness_from_counts",
-    "witness_read_masks",
     "write_tags",
 ]

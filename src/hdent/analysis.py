@@ -1,9 +1,13 @@
-"""Noise quantification, Poisson resampling errors, thresholds, link budget."""
+"""Noise quantification, Poisson resampling errors, thresholds, link budget.
+
+Everything here takes plain numbers and arrays: ``poisson_resample`` draws
+from a tuple of count arrays, each with a mask of the cells its statistic reads.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,95 +64,58 @@ class ResampleSummary:
 class Replicates:
     """Every Poisson replicate of one part of the resampled data.
 
-    ``cells[r]`` holds replicate ``r``'s read cells in the flat order of
-    ``read``, ``lumped[r]`` one Poisson count for all unread cells, and
-    ``totals[r]`` the sum of both.  ``reps[r]`` rebuilds replicate ``r`` as
-    the part's own type, with the lumped count in flat cell ``lump_at``.
+    ``cells[r]`` holds replicate ``r``'s read cells in the flat order of the
+    part's mask, ``lumped[r]`` one Poisson count for all unread cells, and
+    ``totals[r]`` the sum of both.
     """
 
-    part: object
-    read: np.ndarray
-    lump_at: Optional[int]
     cells: np.ndarray
     lumped: np.ndarray
     totals: np.ndarray
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.totals)))
-
-    def __getitem__(self, r: int):
-        is_set = isinstance(self.part, CountMatrixSet)
-        shape = (self.part.matrices if is_set else self.part).shape
-        flat = np.zeros(math.prod(shape), dtype=np.int64 if is_set else float)
-        flat[self.read] = self.cells[r]
-        if self.lump_at is not None:
-            flat[self.lump_at] = self.lumped[r]
-        drawn = flat.reshape(shape)
-        return replace(self.part, matrices=drawn) if is_set else drawn
-
-
-def _part_layout(part, mask, index: int):
-    """Poisson means of one part and the flat indices of its read and unread cells."""
-    if isinstance(part, CountMatrixSet):
-        lam = part.matrices.astype(float)
-    elif isinstance(part, np.ndarray):
-        lam = part.astype(float)
-        if not np.isfinite(lam).all():
-            raise ValueError(f"data[{index}]: counts must be finite")
-        if np.any(lam < 0):
-            raise ValueError(f"data[{index}]: counts must be non-negative")
-    else:
-        raise TypeError(f"cannot resample object of type {type(part).__name__}")
-    mask = np.ones(lam.shape, dtype=bool) if mask is None else np.asarray(mask)
-    if mask.dtype != bool or mask.shape != lam.shape:
-        raise ValueError(
-            f"reads[{index}] must be a bool mask of shape {lam.shape}, "
-            f"got {mask.dtype} of shape {mask.shape}"
-        )
-    return lam, np.flatnonzero(mask), np.flatnonzero(~mask)
-
 
 def poisson_resample(
-    data,
-    statistic: Callable,
-    n_resamples: int = DEFAULT_RESAMPLES,
-    seed: int = 0,
-    reads: Optional[Sequence] = None,
+    data: tuple, statistic: Callable, n_resamples: int, seed: int, reads: tuple
 ) -> ResampleSummary:
     """Spread of a statistic under Poisson fluctuations of the counts.
 
-    Each observed count of ``data`` (a count-matrix set, a bare array, or a
-    tuple or list of them) is a Poisson mean; one generator keyed by ``seed``
-    draws ``n_resamples`` replicates.  ``statistic`` gets them all at once,
-    one ``Replicates`` per part in a container like ``data``, and returns an
-    array of shape ``(n_resamples,)``.
+    Each observed count of the arrays in ``data`` is a Poisson mean; one
+    generator keyed by ``seed`` draws ``n_resamples`` replicates.
+    ``statistic`` gets them all at once, a tuple of one ``Replicates`` per
+    array, and returns an array of shape ``(n_resamples,)``.
 
-    ``reads`` holds one bool mask per part of ``data`` (shaped like its
-    counts) naming the cells ``statistic`` reads besides the part's total;
-    ``None`` means every cell.  Only those cells are drawn one by one; the
-    rest of a part is one lumped Poisson.  The joint law of the read cells
-    and the part totals is exact, so the result is correct only if
+    ``reads`` holds one bool mask per array of ``data``, shaped like it,
+    naming the cells ``statistic`` reads besides the array's total.  Only
+    those cells are drawn one by one, as an ``(n_resamples, n_read)`` block;
+    the rest of an array is one lumped Poisson, drawn next.  The joint law of
+    the read cells and the totals is exact, so the result is correct only if
     ``statistic`` depends on nothing else.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
-    single = not isinstance(data, (tuple, list))
-    parts = (data,) if single else data
-    masks = (None,) * len(parts) if reads is None else tuple(reads)
-    if len(masks) != len(parts):
+    if len(reads) != len(data):
         raise ValueError(
-            f"reads[{min(len(masks), len(parts))}]: need one mask per part of data, "
-            f"got {len(masks)} masks for {len(parts)} parts"
+            f"reads[{min(len(reads), len(data))}]: need one mask per part of data, "
+            f"got {len(reads)} masks for {len(data)} parts"
         )
-    layouts = [_part_layout(p, m, i) for i, (p, m) in enumerate(zip(parts, masks))]
     rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
     batch = []
-    for part, (lam, read, unread) in zip(parts, layouts):
-        cells = rng.poisson(lam.flat[read], (n_resamples, read.size))
-        lumped = rng.poisson(lam.flat[unread].sum(), n_resamples)
-        lump_at = int(unread[0]) if unread.size else None
-        batch.append(Replicates(part, read, lump_at, cells, lumped, cells.sum(1) + lumped))
-    values = np.asarray(statistic(batch[0] if single else type(data)(batch)), dtype=float)
+    for index, (part, mask) in enumerate(zip(data, reads)):
+        lam, mask = np.asarray(part, dtype=float), np.asarray(mask)
+        if not np.isfinite(lam).all():
+            raise ValueError(f"data[{index}]: counts must be finite")
+        if np.any(lam < 0):
+            raise ValueError(f"data[{index}]: counts must be non-negative")
+        if mask.dtype != bool or mask.shape != lam.shape:
+            raise ValueError(
+                f"reads[{index}] must be a bool mask of shape {lam.shape}, "
+                f"got {mask.dtype} of shape {mask.shape}"
+            )
+        read = lam[mask]
+        cells = rng.poisson(read, (n_resamples, read.size))
+        lumped = rng.poisson(lam[~mask].sum(), n_resamples)
+        batch.append(Replicates(cells, lumped, cells.sum(1) + lumped))
+    values = np.asarray(statistic(tuple(batch)), dtype=float)
     if values.shape != (n_resamples,):
         raise ValueError(f"statistic must return one value per replicate, shape "
                          f"({n_resamples},); got shape {values.shape}")

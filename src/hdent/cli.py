@@ -258,17 +258,9 @@ def _certify_counts(hv_sets, da_sets, eta_hwp, resamples, seed):
     ``margin``, with ``noise_setting`` left to the caller.
     """
     for hv, da in zip(hv_sets, da_sets):
-        d, f = hv.binning.d, hv.binning.f_shift
-        report = witness.witness_from_counts(hv, da, d, f, eta_hwp)
-
-        def statistic(reps):
-            return [witness.witness_from_counts(hv_r, da_r, d, f, eta_hwp).witness_lower_bound
-                    for hv_r, da_r in zip(*reps)]
-
-        summary = analysis.poisson_resample(
-            (hv, da), statistic, resamples, _derived_seed(seed, d),
-            witness.witness_read_masks(d, f),
-        )
+        d = hv.binning.d
+        report = witness.witness_from_counts(hv, da, eta_hwp)
+        summary = witness.resample_witness(hv, da, resamples, _derived_seed(seed, d), eta_hwp)
         stacked = np.concatenate([hv.matrices, da.matrices])
         row = {
             "d_or_k": d,
@@ -330,16 +322,21 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     """Sweep rows, per-k thresholds and correlation matrices for the MUB route.
 
     The matrices are those of the first max(k_list) bases, one list per grid
-    point in grid order.
+    point in grid order.  The resampling of each (nf, k) is keyed by nf in
+    millionths, so grid points that round to one millionth are refused.
     """
     mubs = mub.build_mubs(dim)
     pure = states.make_max_entangled(dim)
     k_max = max(k_list)
     if min(k_list) < 2 or k_max > dim + 1:
         raise ValueError(f"k values must lie in 2..{dim + 1}")
+    keys = [round(nf * 1e6) for nf in nf_grid]
+    if len(set(keys)) < len(keys):
+        raise ValueError("--grid has points that round to the same millionth, so their "
+                         "error bars would share one seed; space the points wider")
     off_diagonal = ~np.eye(dim, dtype=bool)
     rows, per_nf = [], []
-    for nf in nf_grid:
+    for nf, key in zip(nf_grid, keys):
         state = states.NoisyState(pure, 1.0 - nf)
         matrices = [
             mub.correlation_matrix(state, mubs, alpha, alpha) for alpha in range(k_max)
@@ -353,7 +350,7 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
             statistic = functools.partial(_visibility_excess, bound=report.separable_bound)
             summary = analysis.poisson_resample(
                 tuple(expected[:k]), statistic, resamples,
-                _derived_seed(seed, round(nf * 1e6), k), (np.array([True, False]),) * k,
+                _derived_seed(seed, key, k), (np.array([True, False]),) * k,
             )
             rows.append(
                 {

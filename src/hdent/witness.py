@@ -7,9 +7,10 @@ The witness for a d-dimensional state rho with bin shift f is
 
 and certifies entanglement when positive.  ``witness_exact`` evaluates it
 analytically; ``witness_from_counts`` estimates a lower bound from measured
-count matrices in the two bases.  It reads only the cells listed in one
-table per (d, f), ``_read_table``, plus the two basis totals;
-``witness_read_masks`` turns the same table into the resampler's masks.
+count matrices in the two bases, at their binning's d and f.  It reads only
+the cells listed in one table per (d, f), ``_read_table``, plus the two basis
+totals; ``resample_witness``, its Poisson error bar, draws just those cells
+and one lumped count per basis.
 
 Index conventions (0-based recorded bins):
 
@@ -37,18 +38,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import analysis
 from .states import NoisyState, element
 from .tagstream import BASIS_DA, BASIS_HV, CountMatrixSet
 
 
-def witness_exact(state: NoisyState, d: int, f: int) -> float:
-    """Analytic witness value for a noisy state; the estimator ground truth."""
-    if state.dim != d:
-        raise ValueError(f"state dimension {state.dim} != d={d}")
+def witness_exact(state: NoisyState, f: int) -> float:
+    """Analytic witness value of a noisy state at d = ``state.dim``; the estimator ground truth."""
+    d = state.dim
     if not 1 <= f < d:
         raise ValueError(f"bin shift f must satisfy 1 <= f < d, got f={f}")
     coherence = 0.0
@@ -96,25 +97,11 @@ def _read_table(d: int, f: int):
     return table
 
 
-def witness_read_masks(d: int, f: int):
-    """Cells of the (4, d, d) HV and DA matrices that the witness reads.
-
-    Besides these, ``witness_from_counts`` reads only each basis's total,
-    so the masks are the ``reads`` argument of ``poisson_resample`` for a
-    witness statistic.
-    """
-    hv_cells, _, da_cells = _read_table(d, f)
-    masks = np.zeros((2, 4 * d * d), dtype=bool)
-    masks[0, hv_cells] = masks[1, da_cells] = True
-    return tuple(masks.reshape(2, 4, d, d))
-
-
-def _check_counts(counts: CountMatrixSet, d: int, f: int) -> None:
-    if counts.binning.d != d or counts.binning.f_shift != f:
-        raise ValueError(
-            f"count set was binned at d={counts.binning.d}, "
-            f"f={counts.binning.f_shift}; expected d={d}, f={f}"
-        )
+def _shared_binning(hv: CountMatrixSet, da: CountMatrixSet) -> tuple:
+    """(d, f) of the one binning of ``hv`` and ``da``."""
+    if hv.binning != da.binning:
+        raise ValueError(f"HV and DA sets were binned differently: {hv.binning} and {da.binning}")
+    return hv.binning.d, hv.binning.f_shift
 
 
 @dataclass(frozen=True)
@@ -148,17 +135,12 @@ class WitnessReport:
 
 
 def witness_from_counts(
-    hv: CountMatrixSet,
-    da: CountMatrixSet,
-    d: int,
-    f: int,
-    eta_hwp: float = 1.0,
+    hv: CountMatrixSet, da: CountMatrixSet, eta_hwp: float = 1.0
 ) -> WitnessReport:
-    """Witness lower bound from one HV and one DA count-matrix set."""
+    """Witness lower bound from one HV and one DA count-matrix set of one binning."""
     if hv.basis != BASIS_HV or da.basis != BASIS_DA:
         raise ValueError("witness needs one HV set and one DA set, in that order")
-    _check_counts(hv, d, f)
-    _check_counts(da, d, f)
+    d, f = _shared_binning(hv, da)
     if not 0.0 < eta_hwp <= 1.0:
         raise ValueError(f"eta_hwp must be in (0, 1], got {eta_hwp}")
     if da.total_counts() == 0:
@@ -201,4 +183,37 @@ def witness_from_counts(
         conservative_range=which,
         dropped_hv_terms=3 * d * d - (2 * d * (d - f) + (d - f) ** 2),
         prefactor=prefactor,
+    )
+
+
+def resample_witness(
+    hv: CountMatrixSet, da: CountMatrixSet, n_resamples: int, seed: int, eta_hwp: float = 1.0
+) -> analysis.ResampleSummary:
+    """Poisson spread of ``witness_from_counts(hv, da, eta_hwp)``'s lower bound,
+    from one generator keyed by ``seed``.
+
+    Each basis draws the cells in ``_read_table`` and one lumped count for the
+    rest; a replicate puts the lumped count in the first cell the witness does
+    not read, which keeps the basis total and so the bound of a full draw.
+    """
+    d, f = _shared_binning(hv, da)
+    hv_cells, _, da_cells = _read_table(d, f)
+    masks = np.zeros((2, 4 * d * d), dtype=bool)
+    masks[0, hv_cells] = masks[1, da_cells] = True
+    layouts = [(np.flatnonzero(mask), int(np.argmin(mask))) for mask in masks]
+
+    def statistic(reps):
+        values = []
+        for r in range(n_resamples):
+            pair = []
+            for counts, rep, (read, spare) in zip((hv, da), reps, layouts):
+                flat = np.zeros(4 * d * d, dtype=np.int64)
+                flat[read] = rep.cells[r]
+                flat[spare] = rep.lumped[r]
+                pair.append(replace(counts, matrices=flat.reshape(4, d, d)))
+            values.append(witness_from_counts(*pair, eta_hwp).witness_lower_bound)
+        return values
+
+    return analysis.poisson_resample(
+        (hv.matrices, da.matrices), statistic, n_resamples, seed, tuple(masks.reshape(2, 4, d, d))
     )

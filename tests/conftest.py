@@ -6,10 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hdent.analysis import ResampleSummary
+from hdent import analysis, witness
+from hdent.analysis import Replicates, ResampleSummary
 from hdent.mub import MubSet
 from hdent.states import NoisyState, element
 from hdent.tagstream import (
+    BASIS_DA,
+    BASIS_HV,
     CHUNK_FRAMES,
     FWHM_TO_SIGMA,
     BinningConfig,
@@ -209,16 +212,51 @@ def assert_same_law(a, b) -> None:
     assert abs(sd_a - sd_b) < 5 * math.sqrt(se2_sd_a + se2_sd_b)
 
 
-def each_replicate(statistic):
-    """Batch statistic for ``poisson_resample`` that applies the per-replicate
-    ``statistic`` to each replicate in turn, as a part or a tuple or list of parts."""
+def each_replicate(hv: CountMatrixSet, da: CountMatrixSet, n_resamples: int, seed: int,
+                   eta_hwp: float = 1.0):
+    """``witness.resample_witness``'s summary, and each replicate's witness bound in
+    draw order, recorded from its calls of ``witness.witness_from_counts``."""
+    values = []
+    evaluate = witness.witness_from_counts
 
-    def batched(reps):
-        if isinstance(reps, (tuple, list)):
-            return [statistic(type(reps)(parts)) for parts in zip(*reps)]
-        return [statistic(rep) for rep in reps]
+    def recording(*args):
+        report = evaluate(*args)
+        values.append(report.witness_lower_bound)
+        return report
 
-    return batched
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(witness, "witness_from_counts", recording)
+        summary = witness.resample_witness(hv, da, n_resamples, seed, eta_hwp)
+    return summary, np.array(values)
+
+
+def witness_masks(binning: BinningConfig) -> tuple:
+    """The HV and DA read masks that ``witness.resample_witness`` hands
+    ``analysis.poisson_resample`` at ``binning``."""
+    seen = []
+
+    def capture(data, statistic, n_resamples, seed, reads):
+        seen.append(reads)
+        return ResampleSummary(0.0, 0.0, n_resamples)
+
+    ones = np.ones((4, binning.d, binning.d), dtype=np.int64)
+    hv, da = (CountMatrixSet(basis, binning, ones, 1, 1) for basis in (BASIS_HV, BASIS_DA))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "poisson_resample", capture)
+        witness.resample_witness(hv, da, 2, 0)
+    (masks,) = seen
+    return masks
+
+
+def put_back(rep: Replicates, mask: np.ndarray, r: int) -> np.ndarray:
+    """Replicate ``r`` of ``rep`` as an array shaped like ``mask``: its read cells in
+    place and its lumped count in the first unread cell."""
+    flat = np.zeros(mask.size)
+    flat[np.flatnonzero(mask)] = rep.cells[r]
+    unread = np.flatnonzero(~mask)
+    if unread.size:
+        flat[unread[0]] = rep.lumped[r]
+    return flat.reshape(mask.shape)
 
 
 def visibility_excess_oracle(mats, bound: float) -> float:

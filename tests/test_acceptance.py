@@ -12,7 +12,6 @@ import pytest
 from hdent.analysis import (
     fiber_distance,
     noise_fraction,
-    poisson_resample,
     threshold_scan,
     true_noise_fraction,
 )
@@ -32,12 +31,11 @@ from hdent.tagstream import (
     sift_and_bin,
     write_tags,
 )
-from hdent.witness import witness_exact, witness_from_counts
+from hdent.witness import resample_witness, witness_exact, witness_from_counts
 
 from conftest import (
     bisect_root,
     crosstalk_profile,
-    each_replicate,
     exact_count_sets,
     max_mub_deviation,
     spill_probabilities,
@@ -66,7 +64,7 @@ def certify(hv_stream, da_stream, d):
     binning = BinningConfig.for_dimension(CLOCK, d)
     hv = sift_and_bin(hv_stream, binning, BASIS_HV)
     da = sift_and_bin(da_stream, binning, BASIS_DA)
-    return hv, da, witness_from_counts(hv, da, d, binning.f_shift)
+    return hv, da, witness_from_counts(hv, da)
 
 
 def test_criterion_1_mub_correctness():
@@ -122,9 +120,9 @@ def test_criterion_4_noise_region_grows_with_k():
 
 def test_criterion_5_exact_witness():
     for d in (4, 10, 20):
-        value = witness_exact(isotropic(d, 1.0), d, 1)
+        value = witness_exact(isotropic(d, 1.0), 1)
         assert abs(value - (d - 1) / (d * math.sqrt(d - 1))) < 1e-10
-        root = bisect_root(lambda p, d=d: witness_exact(isotropic(d, p), d, 1))
+        root = bisect_root(lambda p, d=d: witness_exact(isotropic(d, p), 1))
         assert abs(root - 1 / (d + 1)) < 1e-6
     # dense-matrix cross-check for small d
     for d in (4, 8):
@@ -154,7 +152,7 @@ def test_criterion_6a_certifies_at_zero_noise():
         assert report.certified
         # wide range matches witness_exact's index range; p inferred from NF
         p_inferred = 1.0 - true_noise_fraction(hv_c)
-        exact = witness_exact(isotropic(d, p_inferred), d, report.f)
+        exact = witness_exact(isotropic(d, p_inferred), report.f)
         assert abs(report.value_wide - exact) < 0.10 * exact
     print("ACCEPTANCE 6a PASS: zero-noise streams certified for d in "
           "{10,20,40,80}, within 10% of witness_exact")
@@ -238,13 +236,10 @@ def test_criterion_8_monte_carlo_error_scaling():
     state = isotropic(10, 0.5)
     binning = BinningConfig.for_dimension(CLOCK, 10)
 
-    def statistic(pair):
-        return witness_from_counts(pair[0], pair[1], 10, 1).witness_lower_bound
-
     sigmas = {}
     for total in (1e4, 1e6):
         hv, da = exact_count_sets(state, binning, total)
-        summary = poisson_resample((hv, da), each_replicate(statistic), n_resamples=150, seed=5)
+        summary = resample_witness(hv, da, n_resamples=150, seed=5)
         sigmas[total] = summary.std
         assert summary.three_sigma == pytest.approx(3 * summary.std)
     ratio = sigmas[1e4] / sigmas[1e6]

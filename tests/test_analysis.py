@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hdent import witness
 from hdent.analysis import (
     Replicates,
     fiber_distance,
@@ -25,13 +26,14 @@ from hdent.tagstream import (
     generate_stream,
     sift_and_bin,
 )
-from hdent.witness import witness_exact, witness_from_counts, witness_read_masks
+from hdent.witness import resample_witness, witness_exact, witness_from_counts
 
 from conftest import (
     assert_same_law,
     each_replicate,
     exact_count_sets,
     loop_poisson_resample,
+    witness_masks,
 )
 
 CLOCK = ClockConfig()
@@ -102,59 +104,63 @@ class TestNoiseFraction:
             noise_fraction(np.zeros((4, 3, 3)))
 
 
+def every_cell(*arrays) -> tuple:
+    """All-True read masks, one per array."""
+    return tuple(np.ones(np.shape(a), dtype=bool) for a in arrays)
+
+
+def totals(reps):
+    (part,) = reps
+    return part.totals
+
+
 class TestPoissonResample:
     def test_zero_counts_zero_variance(self):
-        summary = poisson_resample(np.zeros((4, 5, 5)), lambda reps: reps.totals, 10, seed=0)
+        data = (np.zeros((4, 5, 5)),)
+        summary = poisson_resample(data, totals, 10, 0, every_cell(*data))
         assert summary.mean == 0.0 and summary.std == 0.0
 
     def test_sigma_scales_with_inverse_root_counts(self):
         state = NoisyState(make_max_entangled(10), 0.5)
-
-        def stat(pair):
-            return witness_from_counts(pair[0], pair[1], 10, 1).witness_lower_bound
-
         sigmas = {}
         for total in (1e4, 1e6):
             hv, da = exact_count_sets(state, B10, total)
-            sigmas[total] = poisson_resample((hv, da), each_replicate(stat), 150, seed=5).std
+            sigmas[total] = resample_witness(hv, da, 150, seed=5).std
         ratio = sigmas[1e4] / sigmas[1e6]
         assert 8.0 < ratio < 12.0
 
     def test_stable_across_seeds(self):
         state = NoisyState(make_max_entangled(10), 0.5)
         hv, da = exact_count_sets(state, B10, 3e4)
-
-        def stat(pair):
-            return witness_from_counts(pair[0], pair[1], 10, 1).witness_lower_bound
-
-        stds = [poisson_resample((hv, da), each_replicate(stat), 150, seed=k).std
-                for k in (1, 2, 3)]
+        stds = [resample_witness(hv, da, 150, seed=k).std for k in (1, 2, 3)]
         assert (max(stds) - min(stds)) / min(stds) < 0.15
 
     def test_linear_statistic_unbiased(self):
-        rng_counts = np.full((5, 5), 400.0)
-        summary = poisson_resample(rng_counts, lambda reps: reps.totals, 150, seed=9)
+        data = (np.full((5, 5), 400.0),)
+        summary = poisson_resample(data, totals, 150, 9, every_cell(*data))
         point_estimate = 400.0 * 25
         assert abs(summary.mean - point_estimate) < 3 * summary.std / math.sqrt(150)
 
     def test_three_sigma_report(self):
-        summary = poisson_resample(np.full((2, 2), 50.0), lambda reps: reps.totals, 50, 1)
+        data = (np.full((2, 2), 50.0),)
+        summary = poisson_resample(data, totals, 50, 1, every_cell(*data))
         assert np.isclose(summary.three_sigma, 3 * summary.std)
 
     def test_rejects_negative_counts(self):
+        data = (np.array([[-1.0, 2.0]]),)
         with pytest.raises(ValueError, match=r"data\[0\]: counts must be non-negative"):
-            poisson_resample(np.array([[-1.0, 2.0]]), lambda reps: np.zeros(10), 10, 0)
+            poisson_resample(data, lambda reps: np.zeros(10), 10, 0, every_cell(*data))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_counts_naming_the_part(self, bad):
         data = (np.ones((2, 2)), np.array([[1.0, bad], [2.0, 3.0]]))
         with pytest.raises(ValueError, match=r"data\[1\]: counts must be finite"):
-            poisson_resample(data, lambda reps: np.zeros(10), 10, 0)
+            poisson_resample(data, lambda reps: np.zeros(10), 10, 0, every_cell(*data))
 
     def test_rejects_negative_counts_naming_the_part(self):
-        data = [np.ones((2, 2)), np.ones((2, 2)), np.array([[1.0, -2.0], [2.0, 3.0]])]
+        data = (np.ones((2, 2)), np.ones((2, 2)), np.array([[1.0, -2.0], [2.0, 3.0]]))
         with pytest.raises(ValueError, match=r"data\[2\]: counts must be non-negative"):
-            poisson_resample(data, lambda reps: np.zeros(10), 10, 0)
+            poisson_resample(data, lambda reps: np.zeros(10), 10, 0, every_cell(*data))
 
     @pytest.mark.parametrize(
         "result, shape",
@@ -163,79 +169,59 @@ class TestPoissonResample:
         ids=["scalar", "too-long", "column", "empty"],
     )
     def test_rejects_a_statistic_of_the_wrong_shape(self, result, shape):
+        data = (np.ones((2, 2)),)
         with pytest.raises(ValueError, match=r"shape \(10,\); got shape " + shape):
-            poisson_resample(np.ones((2, 2)), lambda reps: result, 10, 0)
+            poisson_resample(data, lambda reps: result, 10, 0, every_cell(*data))
 
     def test_statistic_is_called_once_with_every_replicate(self):
         hv, da = exact_count_sets(NoisyState(make_max_entangled(10), 0.5), B10, 1e3)
         calls = []
-        poisson_resample((hv, da), lambda reps: calls.append(reps) or np.zeros(7), 7, 0,
-                         reads=witness_read_masks(10, 1))
+        masks = witness_masks(B10)
+        poisson_resample((hv.matrices, da.matrices),
+                         lambda reps: calls.append(reps) or np.zeros(7), 7, 0, masks)
         (batch,) = calls
-        for part, mask in zip(batch, witness_read_masks(10, 1)):
-            assert part.cells.shape == (7, mask.sum()) and part.totals.shape == (7,)
-            assert np.array_equal(part.read, np.flatnonzero(mask))
-            assert np.array_equal(part.totals, [rep.total_counts() for rep in part])
+        assert type(batch) is tuple and [type(part) for part in batch] == [Replicates] * 2
+        for part, mask in zip(batch, masks):
+            assert part.cells.shape == (7, mask.sum()) and part.lumped.shape == (7,)
+            assert np.array_equal(part.totals, part.cells.sum(1) + part.lumped)
 
     def test_rejects_too_few_resamples(self):
+        data = (np.ones((2, 2)),)
         with pytest.raises(ValueError):
-            poisson_resample(np.ones((2, 2)), lambda reps: np.zeros(1), 1, 0)
+            poisson_resample(data, lambda reps: np.zeros(1), 1, 0, every_cell(*data))
 
     def test_deterministic_in_seed(self):
-        data = np.full((3, 3), 30.0)
+        data = (np.full((3, 3), 30.0),)
         reads = (np.eye(3, dtype=bool),)
-        a = poisson_resample(data, lambda reps: reps.totals, 20, seed=4, reads=reads)
-        b = poisson_resample(data, lambda reps: reps.totals, 20, seed=4, reads=reads)
-        c = poisson_resample(data, lambda reps: reps.totals, 20, seed=5, reads=reads)
+        a = poisson_resample(data, totals, 20, 4, reads)
+        b = poisson_resample(data, totals, 20, 4, reads)
+        c = poisson_resample(data, totals, 20, 5, reads)
         assert a == b and a != c
 
-    def test_all_true_mask_is_reads_none(self):
-        hv, da = exact_count_sets(NoisyState(make_max_entangled(10), 0.5), B10, 3e4)
-        everything = tuple(np.ones((4, 10, 10), dtype=bool) for _ in range(2))
-
-        def stat(pair):
-            return witness_from_counts(pair[0], pair[1], 10, 1).witness_lower_bound
-
-        assert poisson_resample((hv, da), each_replicate(stat), 30, 2) == poisson_resample(
-            (hv, da), each_replicate(stat), 30, 2, reads=everything
-        )
-
-    def test_replicates_keep_the_input_type(self):
-        hv, da = exact_count_sets(NoisyState(make_max_entangled(10), 0.5), B10, 1e3)
-        seen = []
-        for data in (hv, hv.matrices.astype(float), (hv, da), [hv, da]):
-            poisson_resample(data, each_replicate(lambda rep: seen.append(rep) or 0.0), 2, 0)
-            assert type(seen[-1]) is type(data)
-        assert seen[0].basis == BASIS_HV and seen[0].matrices.dtype == np.int64
-
-    def test_the_batch_holds_one_replicates_per_part(self):
-        hv, da = exact_count_sets(NoisyState(make_max_entangled(10), 0.5), B10, 1e3)
-        for data in (hv, hv.matrices.astype(float), (hv, da), [hv, da]):
-            batches = []
-            poisson_resample(data, lambda reps: batches.append(reps) or np.zeros(2), 2, 0)
-            (batch,) = batches
-            if isinstance(data, (tuple, list)):
-                assert type(batch) is type(data)
-                assert [type(part) for part in batch] == [Replicates, Replicates]
-                assert [type(part[1]) for part in batch] == [CountMatrixSet, CountMatrixSet]
-            else:
-                assert type(batch) is Replicates and type(batch[1]) is type(data)
-
-    def test_count_set_replicates_pass_the_set_checks(self):
-        """``reps[r]`` of a count-matrix set is built through its ``__post_init__``."""
-        hv, _ = exact_count_sets(NoisyState(make_max_entangled(10), 0.5), B10, 1e3)
+    def test_an_all_true_mask_lumps_nothing(self):
+        data = (np.full((3, 3), 30.0),)
         batches = []
-        poisson_resample(hv, lambda reps: batches.append(reps) or np.zeros(3), 3, 0,
-                         reads=(witness_read_masks(10, 1)[0],))
-        reps = batches[0]
-        for rep in reps:
-            assert type(rep) is CountMatrixSet and rep.matrices.dtype == np.int64
-            assert not rep.matrices.flags.writeable
-            assert (rep.basis, rep.binning, rep.frames_total, rep.frames_kept) == (
-                hv.basis, hv.binning, hv.frames_total, hv.frames_kept)
-        short = replace(reps, lumped=reps.lumped * 0 - 1)
-        with pytest.raises(ValueError, match="count matrices must be non-negative"):
-            short[0]
+        poisson_resample(data, lambda reps: batches.append(reps) or np.zeros(4), 4, 0,
+                         every_cell(*data))
+        ((part,),) = batches
+        assert part.cells.shape == (4, 9) and (part.lumped == 0).all()
+
+    def test_witness_replicates_pass_the_set_checks(self, monkeypatch):
+        """Each replicate reaches the witness as a count set built through its
+        ``__post_init__``, with the input's labels."""
+        hv, da = exact_count_sets(NoisyState(make_max_entangled(10), 0.5), B10, 1e3)
+        pairs = []
+        evaluate = witness.witness_from_counts
+        monkeypatch.setattr(witness, "witness_from_counts",
+                            lambda *args: pairs.append(args[:2]) or evaluate(*args))
+        resample_witness(hv, da, 3, 0)
+        assert len(pairs) == 3
+        for pair in pairs:
+            for got, want in zip(pair, (hv, da)):
+                assert type(got) is CountMatrixSet and got.matrices.dtype == np.int64
+                assert not got.matrices.flags.writeable
+                assert (got.basis, got.binning, got.frames_total, got.frames_kept) == (
+                    want.basis, want.binning, want.frames_total, want.frames_kept)
 
     @pytest.mark.parametrize(
         "reads, message",
@@ -250,38 +236,24 @@ class TestPoissonResample:
     def test_rejects_bad_masks_naming_the_part(self, reads, message):
         hv, da = exact_count_sets(NoisyState(make_max_entangled(10), 0.5), B10, 1e3)
         with pytest.raises(ValueError, match=message):
-            poisson_resample((hv, da), lambda reps: np.zeros(10), 10, 0, reads=reads)
-
-    def test_rejects_unsupported_types(self):
-        with pytest.raises(TypeError):
-            poisson_resample({"counts": np.ones(3)}, lambda reps: np.zeros(10), 10, 0)
-        with pytest.raises(TypeError):
-            poisson_resample(((np.ones(3),),), lambda reps: np.zeros(10), 10, 0)
+            poisson_resample((hv.matrices, da.matrices), lambda reps: np.zeros(10), 10, 0, reads)
 
     def test_witness_masks_match_the_full_draw_in_law(self):
-        """Masked draws against the every-cell loop at d = 20, 2000 replicates each.
+        """``resample_witness`` against the every-cell loop at d = 20, 2000 replicates each.
 
         Mean and sigma must agree (``assert_same_law``); for a correct
         resampler the pair of checks fails with probability about 1e-6.
         """
         hv, da = exact_count_sets(NoisyState(make_max_entangled(20), 0.5), B20, 3e4)
         n = 2000
-        samples = {}
-        for name, resample in (
-            ("masked", lambda s: poisson_resample(
-                (hv, da), each_replicate(s), n, 11, reads=witness_read_masks(20, 2))),
-            ("loop", lambda s: loop_poisson_resample((hv, da), s, n, 11)),
-        ):
-            values = []
-
-            def stat(pair):
-                values.append(witness_from_counts(pair[0], pair[1], 20, 2).witness_lower_bound)
-                return values[-1]
-
-            resample(stat)
-            samples[name] = np.array(values)
-
-        assert_same_law(samples["masked"], samples["loop"])
+        summary, masked = each_replicate(hv, da, n, 11)
+        assert summary.std == masked.std(ddof=1) and masked.shape == (n,)
+        full = []
+        loop_poisson_resample(
+            (hv, da), lambda pair: full.append(witness_from_counts(*pair).witness_lower_bound)
+            or full[-1], n, 11,
+        )
+        assert_same_law(masked, np.array(full))
 
 
 class TestThresholdScan:
@@ -300,7 +272,7 @@ class TestThresholdScan:
     def test_ideal_witness_threshold(self):
         d = 10
         points = [
-            (float(nf), witness_exact(NoisyState(make_max_entangled(d), 1 - nf), d, 1))
+            (float(nf), witness_exact(NoisyState(make_max_entangled(d), 1 - nf), 1))
             for nf in np.linspace(0.0, 1.0, 23)
         ]
         result = scan(points)

@@ -15,7 +15,7 @@ from hdent import cli, tagstream, witness
 from hdent.analysis import Replicates, poisson_resample
 from hdent.cli import _visibility_excess, load_run_config, main
 
-from conftest import assert_same_law, loop_poisson_resample, visibility_excess_oracle
+from conftest import assert_same_law, loop_poisson_resample, put_back, visibility_excess_oracle
 
 SMALL_CONFIG = """
 [run]
@@ -306,8 +306,6 @@ class TestSimulateAndCertify:
             expected = witness.witness_from_counts(
                 tagstream.sift_and_bin(hv, binning, "HV"),
                 tagstream.sift_and_bin(da, binning, "DA"),
-                d,
-                binning.f_shift,
             )
             got = reports[str(d)]
             assert got["witness_lower_bound"] == expected.witness_lower_bound
@@ -443,6 +441,30 @@ class TestMubSweep:
         assert "--grid" in json.loads(captured.err)["message"]
         assert not (tmp_path / "mub").exists()
 
+    def test_grid_points_sharing_a_seed_fail_before_any_row(self, tmp_path, capsys, monkeypatch):
+        """Points that round to one millionth would draw their error bars from one key."""
+        monkeypatch.setattr(cli.mub, "correlation_matrix", None)  # every row calls it
+        code = run_cli(
+            "mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500001:3",
+            "--counts", "1e4", "--resamples", "50", "--out", tmp_path / "mub",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = json.loads(captured.err)["message"]
+        assert "--grid" in message and "seed" in message
+        assert not (tmp_path / "mub").exists()
+
+    def test_grid_points_a_millionth_apart_get_seeds_of_their_own(self, tmp_path, capsys):
+        code = run_cli(
+            "mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500002:3",
+            "--counts", "1e4", "--resamples", "50", "--out", tmp_path,
+        )
+        assert code == 0
+        sigmas = [line.split(",")[5] for line in
+                  (tmp_path / "mub_sweep.csv").read_text().splitlines()[2:]]
+        assert len(set(sigmas)) == 3
+
     @pytest.mark.parametrize("k", ["", "2,2", "2,x"], ids=["empty", "repeated", "non-integer"])
     def test_empty_or_repeated_k_fails(self, tmp_path, capsys, k):
         code = run_cli("mub-sweep", "--dim", "3", "--k", k, "--out", tmp_path / "mub")
@@ -489,8 +511,7 @@ def test_visibility_statistic_reads_only_diagonals_and_totals(seed, dim, k, high
         diagonal_cell = data.draw(st.integers(0, dim - 1))
         one[diagonal_cell, diagonal_cell] = part[0]
         one.flat[off_diagonal[data.draw(st.integers(0, off_diagonal.size - 1))]] = part[1]
-        rep = Replicates(part, np.array([0]), 1, part[None, :1], part[1:], part.sum(keepdims=True))
-        assert np.array_equal(rep[0], part)
+        rep = Replicates(part[None, :1], part[1:], part.sum(keepdims=True))
         observed.append(counts)
         collapsed.append(one)
         reps.append(rep)
@@ -555,20 +576,19 @@ def test_batched_visibility_statistic_equals_the_per_replicate_oracle(
         batches.append(reps)
         return _visibility_excess(reps, bound)
 
-    poisson_resample(expected, statistic, n, seed, (np.eye(dim, dtype=bool),) * k)
+    mask = np.eye(dim, dtype=bool)
+    poisson_resample(expected, statistic, n, seed, (mask,) * k)
     (reps,) = batches
     batched = _visibility_excess(reps, bound)
     assert batched.shape == (n,)
     for r in range(n):
-        assert batched[r] == visibility_excess_oracle([part[r] for part in reps], bound)
+        assert batched[r] == visibility_excess_oracle([put_back(part, mask, r) for part in reps],
+                                                      bound)
 
 
 def test_visibility_statistic_rejects_a_basis_without_counts():
-    mask = np.eye(3, dtype=bool)
-    full = np.ones((3, 3))
-    read = np.flatnonzero(mask)
-    empty = Replicates(full, read, 1, np.zeros((2, 3)), np.array([4.0, 0.0]), np.array([4.0, 0.0]))
-    some = Replicates(full, read, 1, np.ones((2, 3)), np.array([6.0, 6.0]), np.array([9.0, 9.0]))
+    empty = Replicates(np.zeros((2, 3)), np.array([4.0, 0.0]), np.array([4.0, 0.0]))
+    some = Replicates(np.ones((2, 3)), np.array([6.0, 6.0]), np.array([9.0, 9.0]))
     with pytest.raises(ValueError, match="drew no counts; raise --counts"):
         _visibility_excess((some, empty), 1.0)
 

@@ -365,6 +365,27 @@ class TestSifting:
         assert counts.noise_coincidences is None
 
 
+class TestCoarsening:
+    @given(
+        bg=st.one_of(st.sampled_from([0.0, 1e7, 4e7]), st.floats(0.0, 4e7)),
+        jitter=st.floats(0.0, 1.6e-9),
+        seed=st.integers(0, 2**63 - 1),
+        basis=st.sampled_from([BASIS_HV, BASIS_DA]),
+    )
+    @settings(deadline=None, max_examples=30)
+    def test_counts_at_d_are_block_sums_of_those_at_2d(self, bg, jitter, seed, basis):
+        """A bin at d is two adjacent bins at 2d, and which frames are kept does not depend on d."""
+        stream = generate_stream(model(80, bg=bg, jitter=jitter, basis=basis), CLOCK, 5000, seed)
+        counts = {d: sift_and_bin(stream, BinningConfig.for_dimension(CLOCK, d), basis)
+                  for d in (10, 20, 40, 80)}
+        for d in (10, 20, 40):
+            coarse, fine = counts[d], counts[2 * d]
+            assert np.array_equal(coarse.matrices,
+                                  fine.matrices.reshape(4, d, 2, d, 2).sum(axis=(2, 4)))
+            assert (coarse.frames_kept, coarse.frames_total, coarse.noise_coincidences) == (
+                fine.frames_kept, fine.frames_total, fine.noise_coincidences)
+
+
 def allowed_dims(clock):
     return [
         d for d in range(1, clock.frame_ticks + 1)

@@ -17,7 +17,7 @@ from hdent.tagstream import (
     generate_stream,
     sift_and_bin,
 )
-from hdent.witness import witness_exact, witness_from_counts, witness_read_masks
+from hdent.witness import resample_witness, witness_exact, witness_from_counts
 
 from conftest import (
     bisect_root,
@@ -26,6 +26,7 @@ from conftest import (
     exact_da_probabilities,
     lump_unread,
     scaled_expected_counts,
+    witness_masks,
 )
 
 CLOCK = ClockConfig()
@@ -69,17 +70,17 @@ class TestWitnessExact:
     @pytest.mark.parametrize("d,f", TABLE + [(7, 3), (12, 5)])
     def test_max_entangled_value(self, d, f):
         expected = (d - f) / (d * math.sqrt(d - 1))
-        assert abs(witness_exact(isotropic(d, 1.0), d, f) - expected) < 1e-12
+        assert abs(witness_exact(isotropic(d, 1.0), f) - expected) < 1e-12
 
     @pytest.mark.parametrize("d,f", TABLE)
     def test_white_noise_pure_penalty(self, d, f):
         expected = -(d - f) / (d ** 2 * math.sqrt(d - 1))
-        assert abs(witness_exact(isotropic(d, 0.0), d, f) - expected) < 1e-12
+        assert abs(witness_exact(isotropic(d, 0.0), f) - expected) < 1e-12
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_isotropic_root_cross_checked_against_dense_matrix(self, d):
         f = 1
-        root = bisect_root(lambda p: witness_exact(isotropic(d, p), d, f))
+        root = bisect_root(lambda p: witness_exact(isotropic(d, p), f))
         assert abs(root - 1 / (d + 1)) < 1e-9
         dense_root = bisect_root(
             lambda p: witness_from_density(materialize(isotropic(d, p)), d, f)
@@ -91,7 +92,7 @@ class TestWitnessExact:
             amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             state = NoisyState(SchmidtState.from_amplitudes(amps), rng.uniform())
             for f in (1, 2, d - 1):
-                direct = witness_exact(state, d, f)
+                direct = witness_exact(state, f)
                 dense = witness_from_density(materialize(state), d, f)
                 assert abs(direct - dense) < 1e-12
 
@@ -99,9 +100,7 @@ class TestWitnessExact:
         st = isotropic(4, 1.0)
         for f in (0, 4, 5):
             with pytest.raises(ValueError):
-                witness_exact(st, 4, f)
-        with pytest.raises(ValueError):
-            witness_exact(st, 5, 1)
+                witness_exact(st, f)
 
 
 def exact_penalty(state, i, f):
@@ -118,7 +117,7 @@ def exact_coherence(state, i, f):
 def wide_coherence_sum(da, d, f):
     """Coherence sum over i < d-f, read through a report whose penalty is zero."""
     hv, _ = exact_count_sets(isotropic(d, 1.0), binning_for(d), da.total_counts())
-    report = witness_from_counts(hv, da, d, f)
+    report = witness_from_counts(hv, da)
     assert report.penalty_sum == 0.0
     return report.value_wide / report.prefactor
 
@@ -130,7 +129,7 @@ class TestReconstruction:
         d, f = 10, 1
         state = isotropic(d, 0.62)
         hv, da = exact_count_sets(state, binning_for(d), 1e8)
-        report = witness_from_counts(hv, da, d, f)
+        report = witness_from_counts(hv, da)
         narrow = sum(exact_penalty(state, i, f) for i in range(d - 2 * f))
         tail = sum(exact_penalty(state, i, f) for i in range(d - 2 * f, d - f))
         coherence = [exact_coherence(state, i, f) for i in range(d - f)]
@@ -144,7 +143,7 @@ class TestReconstruction:
     def test_ideal_run_concentrates_on_diagonal(self):
         d, f = 10, 1
         hv, da = exact_count_sets(isotropic(d, 1.0), binning_for(d), 1e6)
-        report = witness_from_counts(hv, da, d, f)
+        report = witness_from_counts(hv, da)
         assert report.penalty_sum == 0.0
         assert report.value_narrow == report.prefactor * report.coherence_sum
 
@@ -158,7 +157,7 @@ class TestReconstruction:
         hv = scaled_expected_counts(matrices / matrices.sum(), binning_for(d), BASIS_HV, matrices.sum())
         flat_da = np.repeat(matrices[:1], 4, axis=0)
         da = CountMatrixSet(BASIS_DA, binning_for(d), flat_da, flat_da.sum(), flat_da.sum())
-        report = witness_from_counts(hv, da, d, f)
+        report = witness_from_counts(hv, da)
         narrow = -report.value_narrow / report.prefactor
         tail = (report.value_narrow - report.value_wide) / report.prefactor
         assert report.conservative_range == "wide"
@@ -172,7 +171,7 @@ class TestReconstruction:
         hv = scaled_expected_counts(np.zeros((4, 10, 10)), binning_for(10), BASIS_HV, 0)
         _, da = exact_count_sets(isotropic(10, 1.0), binning_for(10), 1e6)
         with pytest.raises(ValueError, match="HV count matrices are empty"):
-            witness_from_counts(hv, da, 10, 1)
+            witness_from_counts(hv, da)
 
 
 class TestDaCoherenceSum:
@@ -184,7 +183,7 @@ class TestDaCoherenceSum:
             hv, da = exact_count_sets(state, binning_for(d), 1e8)
             expected = [exact_coherence(state, i, f) for i in range(d - f)]
             assert abs(wide_coherence_sum(da, d, f) - sum(expected)) < 1e-4
-            report = witness_from_counts(hv, da, d, f)
+            report = witness_from_counts(hv, da)
             n_cons = report.terms_narrow if report.conservative_range == "narrow" else report.terms_wide
             assert abs(report.coherence_sum - sum(expected[:n_cons])) < 1e-4
 
@@ -218,7 +217,7 @@ class TestWitnessFromCounts:
             for p in (1.0, 0.8, 0.3):
                 state = isotropic(d, p)
                 hv, da = exact_count_sets(state, binning_for(d), 1e8)
-                report = witness_from_counts(hv, da, d, f)
+                report = witness_from_counts(hv, da)
                 per_term = [
                     abs(element(state, (i, i), (i + f, i + f)))
                     - math.sqrt(
@@ -239,8 +238,8 @@ class TestWitnessFromCounts:
         for d, f in TABLE:
             state = isotropic(d, 0.9)
             hv, da = exact_count_sets(state, binning_for(d), 1e8)
-            report = witness_from_counts(hv, da, d, f)
-            exact = witness_exact(state, d, f)
+            report = witness_from_counts(hv, da)
+            exact = witness_exact(state, f)
             bias[d] = abs(report.witness_lower_bound - exact) / abs(exact)
             assert abs(report.value_wide - exact) < 0.25 * abs(exact)
         assert bias[80] < bias[10] < 0.2  # f/d = 0.1 for every table entry
@@ -251,7 +250,7 @@ class TestWitnessFromCounts:
         for _ in range(25):
             mid = 0.5 * (lo + hi)
             hv, da = exact_count_sets(isotropic(d, mid), binning_for(d), 1e8)
-            if witness_from_counts(hv, da, d, f).certified:
+            if witness_from_counts(hv, da).certified:
                 hi = mid
             else:
                 lo = mid
@@ -261,17 +260,17 @@ class TestWitnessFromCounts:
         d, f = 10, 1
         state = isotropic(d, 0.7)
         hv, da = exact_count_sets(state, binning_for(d), 2e6)
-        r1 = witness_from_counts(hv, da, d, f)
+        r1 = witness_from_counts(hv, da)
         hv7 = scaled_expected_counts(hv.matrices / hv.matrices.sum(), binning_for(d), BASIS_HV, 7 * hv.total_counts())
         da7 = scaled_expected_counts(da.matrices / da.matrices.sum(), binning_for(d), BASIS_DA, 7 * da.total_counts())
-        r7 = witness_from_counts(hv7, da7, d, f)
+        r7 = witness_from_counts(hv7, da7)
         assert r1.certified == r7.certified
         assert abs(r1.witness_lower_bound - r7.witness_lower_bound) < 1e-9
 
     @pytest.mark.parametrize("d,f", TABLE)
     def test_penalty_dominates_for_white_noise(self, d, f):
         hv, da = exact_count_sets(isotropic(d, 0.0), binning_for(d), 1e8)
-        report = witness_from_counts(hv, da, d, f)
+        report = witness_from_counts(hv, da)
         assert report.witness_lower_bound < 0
         assert not report.certified
 
@@ -283,9 +282,9 @@ class TestWitnessFromCounts:
         da_m = SourceModel(state, 4e6, 0.0, 0.0, 1.0, BASIS_DA)
         hv = sift_and_bin(generate_stream(hv_m, CLOCK, 30_000, 71), b, BASIS_HV)
         da = sift_and_bin(generate_stream(da_m, CLOCK, 30_000, 72), b, BASIS_DA)
-        report = witness_from_counts(hv, da, d, 1)
+        report = witness_from_counts(hv, da)
         assert report.certified
-        exact = witness_exact(isotropic(d, 1.0), d, 1)
+        exact = witness_exact(isotropic(d, 1.0), 1)
         assert abs(report.value_wide - exact) < 0.1 * exact
 
     def test_end_to_end_background_fails(self):
@@ -296,22 +295,30 @@ class TestWitnessFromCounts:
         da_m = SourceModel(state, 0.0, 4e6, 0.0, 1.0, BASIS_DA)
         hv = sift_and_bin(generate_stream(hv_m, CLOCK, 60_000, 73), b, BASIS_HV)
         da = sift_and_bin(generate_stream(da_m, CLOCK, 60_000, 74), b, BASIS_DA)
-        assert not witness_from_counts(hv, da, d, 1).certified
+        assert not witness_from_counts(hv, da).certified
 
     def test_input_validation(self):
-        d, f = 10, 1
-        hv, da = exact_count_sets(isotropic(d, 1.0), binning_for(d), 1e6)
+        hv, da = exact_count_sets(isotropic(10, 1.0), binning_for(10), 1e6)
         with pytest.raises(ValueError, match="HV"):
-            witness_from_counts(da, da, d, f)
-        with pytest.raises(ValueError, match="binned"):
-            witness_from_counts(hv, da, 20, 2)
+            witness_from_counts(da, da)
         with pytest.raises(ValueError, match="eta_hwp"):
-            witness_from_counts(hv, da, d, f, eta_hwp=0.0)
+            witness_from_counts(hv, da, eta_hwp=0.0)
+
+    @pytest.mark.parametrize("other", [20, BinningConfig(10, 32, 2)], ids=["d", "f"])
+    def test_sets_of_different_binnings_rejected(self, other):
+        """Both the report and the error bar need one binning for the two sets."""
+        hv, _ = exact_count_sets(isotropic(10, 1.0), binning_for(10), 1e6)
+        other = binning_for(other) if isinstance(other, int) else other
+        _, da = exact_count_sets(isotropic(other.d, 1.0), other, 1e6)
+        with pytest.raises(ValueError, match="binned differently"):
+            witness_from_counts(hv, da)
+        with pytest.raises(ValueError, match="binned differently"):
+            resample_witness(hv, da, 10, 0)
 
     def test_report_serializes(self):
         d, f = 10, 1
         hv, da = exact_count_sets(isotropic(d, 0.9), binning_for(d), 1e6)
-        report = witness_from_counts(hv, da, d, f)
+        report = witness_from_counts(hv, da)
         payload = json.dumps(report.to_dict())
         assert '"witness_lower_bound"' in payload
         assert report.witness_lower_bound == min(report.value_wide, report.value_narrow)
@@ -341,7 +348,7 @@ class TestDenseOracle:
                 total = int(counts.sum())
                 sets.append(CountMatrixSet(basis, binning, counts, total, total))
             for eta_hwp in (1.0, 0.7):
-                assert witness_from_counts(*sets, d, f, eta_hwp) == dense_witness_report(
+                assert witness_from_counts(*sets, eta_hwp) == dense_witness_report(
                     *sets, d, f, eta_hwp
                 )
 
@@ -349,7 +356,7 @@ class TestDenseOracle:
 class TestReadMasks:
     def test_cell_counts(self):
         assert CLOCK_DIMS == [10, 20, 40, 80, 160, 320]
-        hv, da = witness_read_masks(80, 8)
+        hv, da = witness_masks(binning_for(80))
         assert hv.shape == da.shape == (4, 80, 80)
         assert hv.sum() == 544 and da.sum() == 288
 
@@ -362,7 +369,7 @@ class TestReadMasks:
         fixed, and every count is positive, so every penalty term can move.
         """
         binning = binning_for(d)
-        masks = witness_read_masks(d, f)
+        masks = witness_masks(binning)
         rng = np.random.default_rng(d)
         observed = [rng.integers(1, 60, (4, d, d)) for _ in masks]
 
@@ -370,7 +377,7 @@ class TestReadMasks:
             return witness_from_counts(*(
                 CountMatrixSet(basis, binning, m, int(m.sum()), int(m.sum()))
                 for basis, m in zip((BASIS_HV, BASIS_DA), counts)
-            ), d, f)
+            ))
 
         base = report(observed)
         for part, mask in enumerate(masks):
@@ -383,7 +390,7 @@ class TestReadMasks:
 
     def test_rejects_bad_shift(self):
         with pytest.raises(ValueError, match="bin shift"):
-            witness_read_masks(10, 10)
+            witness_masks(BinningConfig(10, 32, 10))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -399,7 +406,7 @@ class TestReadMasks:
             binning = binning_for(d)
             f = binning.f_shift
             observed, lumped = [], []
-            for basis, mask in zip((BASIS_HV, BASIS_DA), witness_read_masks(d, f)):
+            for basis, mask in zip((BASIS_HV, BASIS_DA), witness_masks(binning)):
                 counts = rng.integers(0, high + 1, (4, d, d))
                 counts[rng.random(counts.shape) < zero_share] = 0
                 counts[0, 0, 0] += 1
@@ -408,6 +415,6 @@ class TestReadMasks:
                     total = int(m.sum())
                     out.append(CountMatrixSet(basis, binning, m, total, total))
             for eta_hwp in (1.0, 0.7):
-                assert witness_from_counts(*lumped, d, f, eta_hwp) == witness_from_counts(
-                    *observed, d, f, eta_hwp
+                assert witness_from_counts(*lumped, eta_hwp) == witness_from_counts(
+                    *observed, eta_hwp
                 )

@@ -14,7 +14,8 @@ The set covers every subcommand on the default and small configs, a
 jitter-free stream whose signal and noise events often share a tick and
 detector, tag files corrupted in each way ``read_tags`` detects, a good HV
 file with a truncated or bad-magic DA file, an HV/DA pair whose clocks differ,
-and config values and flags that must fail before any output is written.
+config values and flags that must fail before any output is written, and a
+``mub-sweep`` grid whose points are too close to get seeds of their own.
 """
 
 import os
@@ -159,6 +160,9 @@ CHECKS += [
                          "--eta-hwp", "0", out="eta_zero")),
     ("eta_nan", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
                         "--eta-hwp", "nan", out="eta_nan")),
+    # the last two points round to one millionth, the key of their resampling
+    ("mub_close_grid", ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500001:3",
+                        "--counts", "1e4", "--resamples", "50", "--out", "mub_close_grid"]),
 ]
 
 
