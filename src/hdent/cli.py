@@ -16,9 +16,9 @@ keys are declared in one table, ``_CONFIG_KEYS``, whose rows give each key's
 section, default and parser; the loader rejects every section or key that the
 table lacks.  ``mub-sweep`` is configured by its flags.
 
-All outputs are plain CSV/JSON with schema-versioned headers, written
-atomically; identical configs and seeds reproduce them bit for bit,
-independent of the worker count.
+Every table is rendered by ``_csv`` with a schema comment above its header,
+and every CSV or JSON file is written atomically by ``_write_atomic``; identical
+configs and seeds reproduce them bit for bit, independent of the worker count.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ SWEEP_COLUMNS = (
     "certified",
 )
 MANIFEST_SCHEMA = "# hdent-manifest-csv v1"
+MANIFEST_COLUMNS = ("point", "background_rate", "basis", "file", "seed", "sha256")
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -206,13 +207,11 @@ def load_run_config(path=None) -> RunConfig:
         raise ValueError(f"{exc} in {path}") from None
 
 
-def _write_atomic(path, payload) -> None:
+def _write_atomic(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    mode = "wb" if isinstance(payload, bytes) else "w"
-    with open(tmp, mode) as fh:
-        fh.write(payload)
+    tmp.write_text(text, newline="")
     os.replace(tmp, path)
 
 
@@ -226,11 +225,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def sweep_rows_to_csv(rows) -> str:
-    lines = [SWEEP_SCHEMA, ",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in SWEEP_COLUMNS))
+def _csv(schema: str, columns, rows) -> str:
+    """``schema``, a header of ``columns`` and one line of ``_fmt``-ed values per row."""
+    lines = [schema, ",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def sweep_rows_to_csv(rows) -> str:
+    return _csv(SWEEP_SCHEMA, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
 
 
 def _stream_seed(seed: int, point: int, da: bool) -> int:
@@ -380,11 +382,10 @@ def cmd_simulate_tags(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     out = Path(args.out or cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-    seed = cfg.seed
-    manifest = [MANIFEST_SCHEMA, "point,background_rate,basis,file,seed,sha256"]
+    manifest = []
     for point, (rate, models) in enumerate(zip(cfg.background_rates, cfg.point_models)):
         for model, da_flag in zip(models, (False, True)):
-            stream_seed = _stream_seed(seed, point, da_flag)
+            stream_seed = _stream_seed(cfg.seed, point, da_flag)
             name = f"tags_p{point:03d}_{model.basis.lower()}.hdtt"
             tmp = out / (name + ".tmp")
             # one expression, so no stream outlives its file
@@ -392,10 +393,8 @@ def cmd_simulate_tags(args) -> int:
                 tagstream.generate_stream(model, cfg.clock, cfg.n_frames, stream_seed), tmp
             )
             os.replace(tmp, out / name)
-            manifest.append(
-                f"{point},{_fmt(rate)},{model.basis},{name},{stream_seed},{digest}"
-            )
-    _write_atomic(out / "manifest.csv", "\n".join(manifest) + "\n")
+            manifest.append((point, rate, model.basis, name, stream_seed, digest))
+    _write_atomic(out / "manifest.csv", _csv(MANIFEST_SCHEMA, MANIFEST_COLUMNS, manifest))
     print(json.dumps({"written": len(cfg.background_rates) * 2, "out": str(out)}))
     return 0
 
@@ -405,8 +404,13 @@ def cmd_certify_et(args) -> int:
     _named("--resamples", _integer, args.resamples, 2)
     if not 0.0 < args.eta_hwp <= 1.0:
         raise ValueError(f"--eta-hwp must be in (0, 1], got {args.eta_hwp}")
+    if Path(args.hv).resolve() == Path(args.da).resolve():
+        raise ValueError(f"--hv and --da name one file, {args.hv}; the witness needs "
+                         "the HV and the DA stream of one run")
     # one stream at a time: HV is read, sifted and dropped before DA is read
     hv_stream = tagstream.read_tags(args.hv)
+    for d in dims:
+        _named("--dims:", tagstream.BinningConfig.for_dimension, hv_stream.clock, d)
     clock, hv_sets = hv_stream.clock, _sift_stream(hv_stream, dims, tagstream.BASIS_HV)
     del hv_stream
     da_stream = tagstream.read_tags(args.da)
@@ -422,7 +426,7 @@ def cmd_certify_et(args) -> int:
     ):
         d = row["d_or_k"]
         payload = {
-            **report.to_dict(),
+            **dataclasses.asdict(report),
             "sigma": summary.std,
             "three_sigma": summary.three_sigma,
             "resample_mean": summary.mean,
@@ -453,12 +457,13 @@ def cmd_mub_sweep(args) -> int:
     _write_atomic(out / "mub_sweep.csv", sweep_rows_to_csv(rows))
     _write_atomic(out / "mub_thresholds.json", json.dumps(thresholds, sort_keys=True, indent=2))
     if args.export_matrices:
+        columns = ["alice_m", *(f"bob_{n}" for n in range(args.dim))]
         for nf, matrices in zip(nf_grid, per_nf):
             for alpha, matrix in enumerate(matrices):
-                mub.correlation_to_csv(
-                    matrix, out / f"corr_nf{nf:.4f}_b{alpha}.csv", dim=args.dim,
-                    alpha=alpha, beta=alpha, extra=f"nf={nf:.6g}",
-                )
+                schema = (f"# hdent-correlation-csv v1 d={args.dim} alpha={alpha} "
+                          f"beta={alpha} nf={nf:.6g}")
+                _write_atomic(out / f"corr_nf{nf:.4f}_b{alpha}.csv",
+                              _csv(schema, columns, ([m, *row] for m, row in enumerate(matrix))))
     print(json.dumps(thresholds, sort_keys=True))
     return 0
 
@@ -485,12 +490,9 @@ def cmd_sweep_noise(args) -> int:
 def cmd_link_budget(args) -> int:
     if args.db is None and args.km is None:
         raise ValueError("link-budget needs --db or --km")
-    lines = ["# hdent-linkbudget-csv v1", "loss_db,distance_km"]
-    for db in args.db or ():
-        lines.append(f"{_fmt(db)},{_fmt(analysis.fiber_distance(db, args.attenuation))}")
-    for km in args.km or ():
-        lines.append(f"{_fmt(analysis.fiber_loss(km, args.attenuation))},{_fmt(km)}")
-    print("\n".join(lines))
+    rows = [(db, analysis.fiber_distance(db, args.attenuation)) for db in args.db or ()]
+    rows += [(analysis.fiber_loss(km, args.attenuation), km) for km in args.km or ()]
+    print(_csv("# hdent-linkbudget-csv v1", ("loss_db", "distance_km"), rows), end="")
     return 0
 
 

@@ -20,7 +20,6 @@ separable bound below applies unchanged.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,16 +172,3 @@ def mub_noise_threshold(d: int, k: int, pure: SchmidtState | None = None):
     if m1 <= 1e-12:  # roundoff guard: saturating the bound is not a violation
         return None
     return m0 / (m0 - m1)
-
-
-def correlation_to_csv(matrix: np.ndarray, path, *, dim: int, alpha: int, beta: int,
-                       extra: str = "") -> None:
-    """Write a correlation matrix as CSV, rows = Alice index, cols = Bob index."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# hdent-correlation-csv v1 d={dim} alpha={alpha} beta={beta}"
-                 f"{' ' + extra if extra else ''}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["alice_m"] + [f"bob_{n}" for n in range(matrix.shape[1])])
-        for m, row in enumerate(matrix):
-            writer.writerow([m] + [f"{v:.12g}" for v in row])

@@ -130,9 +130,6 @@ class WitnessReport:
     dropped_hv_terms: int
     prefactor: float
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def witness_from_counts(
     hv: CountMatrixSet, da: CountMatrixSet, eta_hwp: float = 1.0

@@ -14,6 +14,8 @@ from scipy import stats
 from hdent import cli, tagstream, witness
 from hdent.analysis import Replicates, poisson_resample
 from hdent.cli import _visibility_excess, load_run_config, main
+from hdent.mub import build_mubs, correlation_matrix
+from hdent.states import NoisyState, make_max_entangled
 
 from conftest import assert_same_law, loop_poisson_resample, put_back, visibility_excess_oracle
 
@@ -316,17 +318,37 @@ class TestSimulateAndCertify:
         assert summary[0] == "# hdent-sweep-csv v1"
         assert summary[1].startswith("d_or_k,")
 
-    def test_certify_rejects_bad_dimension(self, small_config, tmp_path, capsys):
+    def test_certify_rejects_bad_dimension(self, small_config, tmp_path, capsys, monkeypatch):
+        """A d that the HV file's clock cannot bin fails, naming --dims, before any sifting."""
         out = tmp_path / "tags"
         run_cli("simulate-tags", "--config", small_config, "--out", out)
         capsys.readouterr()
+        monkeypatch.setattr(cli.tagstream, "sift_and_bin", None)
         code = run_cli(
             "certify-et",
             "--hv", out / "tags_p000_hv.hdtt",
             "--da", out / "tags_p000_da.hdtt",
-            "--dims", "30",
+            "--dims", "10,30",
         )
         assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = json.loads(captured.err)["message"]
+        assert message.startswith("--dims:") and "d=30" in message
+
+    def test_certify_refuses_one_file_named_twice(self, small_config, tmp_path, capsys,
+                                                  monkeypatch):
+        """A stream paired with itself can certify, so the pair fails before either is read."""
+        out = tmp_path / "tags"
+        run_cli("simulate-tags", "--config", small_config, "--out", out)
+        capsys.readouterr()
+        monkeypatch.setattr(cli.tagstream, "read_tags", None)
+        hv = out / "tags_p000_hv.hdtt"
+        for da in (hv, tmp_path / "tags" / ".." / "tags" / "tags_p000_hv.hdtt"):
+            code = run_cli(
+                "certify-et", "--hv", hv, "--da", da, "--dims", "10", "--out", tmp_path / "rep"
+            )
+            assert_fails_naming(code, capsys, "--hv and --da name one file", tmp_path / "rep")
 
     @pytest.mark.parametrize(
         "dims", ["", "10,20,10", "ten"], ids=["empty", "repeated", "non-integer"]
@@ -475,13 +497,31 @@ class TestMubSweep:
         assert not (tmp_path / "mub").exists()
 
     def test_matrix_export(self, tmp_path, capsys):
-        run_cli(
-            "mub-sweep", "--dim", "2", "--k", "3", "--grid", "0:0.5:2",
+        """One CSV per grid point and basis, rows Alice's outcome m, columns Bob's n."""
+        code = run_cli(
+            "mub-sweep", "--dim", "3", "--k", "2,4", "--grid", "0:0.5:2",
             "--counts", "1e4", "--resamples", "5", "--out", tmp_path,
             "--export-matrices",
         )
-        exported = sorted(p.name for p in tmp_path.glob("corr_*.csv"))
-        assert len(exported) == 6  # 2 grid points x 3 bases
+        assert code == 0
+        assert len(list(tmp_path.glob("corr_*.csv"))) == 8  # 2 grid points x 4 bases
+        mubs = build_mubs(3)
+        for nf in (0.0, 0.5):
+            state = NoisyState(make_max_entangled(3), 1.0 - nf)
+            for alpha in range(4):
+                raw = (tmp_path / f"corr_nf{nf:.4f}_b{alpha}.csv").read_bytes()
+                assert b"\r" not in raw and raw.endswith(b"\n")
+                lines = raw.decode().splitlines()
+                assert lines[0] == (f"# hdent-correlation-csv v1 d=3 alpha={alpha} "
+                                    f"beta={alpha} nf={nf:.6g}")
+                assert lines[1] == "alice_m,bob_0,bob_1,bob_2"
+                assert len(lines) == 2 + 3
+                expected = correlation_matrix(state, mubs, alpha, alpha)
+                for m, line in enumerate(lines[2:]):
+                    index, *values = line.split(",")
+                    assert index == str(m)
+                    assert [float(v) for v in values] == [float(f"{v:.12g}") for v in expected[m]]
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 @given(
@@ -591,6 +631,30 @@ def test_visibility_statistic_rejects_a_basis_without_counts():
     some = Replicates(np.ones((2, 3)), np.array([6.0, 6.0]), np.array([9.0, 9.0]))
     with pytest.raises(ValueError, match="drew no counts; raise --counts"):
         _visibility_excess((some, empty), 1.0)
+
+
+@pytest.mark.parametrize("command", ["simulate-tags", "certify-et", "sweep-noise", "mub-sweep"])
+def test_written_text_files_end_lines_in_lf_and_leave_no_temporaries(
+    command, small_config, tmp_path, capsys
+):
+    tags = tmp_path / "tags"
+    if command == "certify-et":
+        assert run_cli("simulate-tags", "--config", small_config, "--out", tags) == 0
+    argv = {
+        "simulate-tags": ["--config", small_config],
+        "certify-et": ["--hv", tags / "tags_p000_hv.hdtt", "--da", tags / "tags_p000_da.hdtt",
+                       "--dims", "10,20", "--resamples", "8"],
+        "sweep-noise": ["--config", small_config],
+        "mub-sweep": ["--dim", "3", "--k", "2,4", "--grid", "0:0.5:2", "--counts", "1e4",
+                      "--resamples", "5", "--export-matrices"],
+    }[command]
+    assert run_cli(command, *argv, "--out", tmp_path / "out") == 0
+    written = [p for p in tmp_path.rglob("*") if p.is_file() and p.name != "run.ini"]
+    text = [p for p in written if p.suffix != ".hdtt"]  # tag files are binary
+    assert any(p.suffix == ".csv" for p in text)
+    for path in text:
+        assert b"\r" not in path.read_bytes(), path
+    assert not [p for p in written if p.suffix == ".tmp"]
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hdent.mub import (
     build_mubs,
     correlation_matrix,
-    correlation_to_csv,
     is_prime,
     mub_noise_threshold,
     separable_bound,
@@ -208,15 +207,3 @@ class TestNoiseThreshold:
         if threshold is not None:
             assert abs(threshold - bisect_root(margin)) < 1e-8
 
-
-class TestExports:
-    def test_csv_and_json(self, tmp_path):
-        mubs = build_mubs(3)
-        st = NoisyState(make_max_entangled(3), 0.8)
-        m = correlation_matrix(st, mubs, 1, 1)
-        path = tmp_path / "corr.csv"
-        correlation_to_csv(m, path, dim=3, alpha=1, beta=1)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# hdent-correlation-csv v1")
-        assert lines[1] == "alice_m,bob_0,bob_1,bob_2"
-        assert len(lines) == 5

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -319,7 +320,7 @@ class TestWitnessFromCounts:
         d, f = 10, 1
         hv, da = exact_count_sets(isotropic(d, 0.9), binning_for(d), 1e6)
         report = witness_from_counts(hv, da)
-        payload = json.dumps(report.to_dict())
+        payload = json.dumps(dataclasses.asdict(report))
         assert '"witness_lower_bound"' in payload
         assert report.witness_lower_bound == min(report.value_wide, report.value_narrow)
         assert report.witness_lower_bound == pytest.approx(

@@ -14,8 +14,9 @@ The set covers every subcommand on the default and small configs, a
 jitter-free stream whose signal and noise events often share a tick and
 detector, tag files corrupted in each way ``read_tags`` detects, a good HV
 file with a truncated or bad-magic DA file, an HV/DA pair whose clocks differ,
-config values and flags that must fail before any output is written, and a
-``mub-sweep`` grid whose points are too close to get seeds of their own.
+one tag file named as both HV and DA, config values and flags that must fail
+before any output is written, and a ``mub-sweep`` grid whose points are too
+close to get seeds of their own.
 """
 
 import os
@@ -134,6 +135,8 @@ CHECKS += [
 ]
 CHECKS.append(("tagfile_clock_mismatch", certify(
     "tags_small/tags_p000_hv.hdtt", "tags_other_tick/tags_p000_da.hdtt", "10")))
+CHECKS.append(("certify_same_file", certify(
+    "tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_hv.hdtt", "10", out="certify_same_file")))
 CHECKS += [
     ("config_nan_background", ["sweep-noise", "--config", "nan_background.ini",
                                "--out", "config_nan_background"]),
