@@ -42,11 +42,15 @@ from .tagstream import (
     CountMatrixSet,
     Origin,
     SourceModel,
+    TagBlocks,
     TagFormatError,
     TagStream,
+    generate_blocks,
     generate_stream,
+    read_blocks,
     read_tags,
     sift_and_bin,
+    sift_blocks,
     write_tags,
 )
 from .witness import (
@@ -72,6 +76,7 @@ __all__ = [
     "ResampleSummary",
     "SchmidtState",
     "SourceModel",
+    "TagBlocks",
     "TagFormatError",
     "TagStream",
     "ThresholdResult",
@@ -81,6 +86,7 @@ __all__ = [
     "correlation_matrix",
     "element",
     "fiber_distance",
+    "generate_blocks",
     "generate_stream",
     "is_prime",
     "joint_probability",
@@ -89,10 +95,12 @@ __all__ = [
     "mub_noise_threshold",
     "noise_fraction",
     "poisson_resample",
+    "read_blocks",
     "read_tags",
     "resample_witness",
     "separable_bound",
     "sift_and_bin",
+    "sift_blocks",
     "threshold_scan",
     "true_noise_fraction",
     "visibility_sum",

@@ -9,12 +9,16 @@ Subcommands::
     link-budget     loss budget <-> fiber distance table
 
 ``sweep-noise`` and ``certify-et`` certify HV/DA stream pairs through one
-path: ``_sift_stream`` bins one stream at every d, and ``_certify_counts``
-certifies the two lists of count sets, so neither command holds two streams
-at once.  The INI config drives ``simulate-tags`` and ``sweep-noise``.  Its
-keys are declared in one table, ``_CONFIG_KEYS``, whose rows give each key's
-section, default and parser; the loader rejects every section or key that the
-table lacks.  ``mub-sweep`` is configured by its flags.
+path: each stream is binned at every d, ``sweep-noise``'s in memory by
+``_sift_stream`` and ``certify-et``'s tag files one block at a time by
+``_sift_file``, and ``_certify_counts`` certifies the two lists of count
+sets, so ``sweep-noise`` holds one stream at a time.  ``simulate-tags``
+writes each stream as it is generated, block by block, so neither file
+command ever holds a whole stream.  The INI config drives ``simulate-tags``
+and ``sweep-noise``.  Its keys are declared in one table, ``_CONFIG_KEYS``,
+whose rows give each key's section, default and parser; the loader rejects
+every section or key that the table lacks.  ``mub-sweep`` is configured by
+its flags.
 
 Every table is rendered by ``_csv`` with a schema comment above its header,
 and every CSV or JSON file is written atomically by ``_write_atomic``; identical
@@ -252,6 +256,27 @@ def _sift_stream(stream, dims, basis) -> list:
     return [tagstream.sift_and_bin(stream, binning, basis) for binning in binnings]
 
 
+def _sift_file(path, dims, basis, clock=None) -> tuple:
+    """The clock of the tag file at ``path`` and its count matrices at each d of ``dims``.
+
+    The file is read and sifted one block at a time.  Its clock must equal
+    ``clock``, where one is given, and allow every d (the error names
+    ``--dims``); either error is raised only once the records are read, so
+    that a defect in the file is reported first.
+    """
+    stream = tagstream.read_blocks(path)
+    try:
+        if clock not in (None, stream.clock):
+            raise ValueError("HV and DA tag files use different clock configs")
+        binnings = [_named("--dims:", tagstream.BinningConfig.for_dimension, stream.clock, d)
+                    for d in dims]
+    except ValueError:
+        for _ in stream.blocks:
+            pass
+        raise
+    return stream.clock, tagstream.sift_blocks(stream, binnings, basis)
+
+
 def _certify_counts(hv_sets, da_sets, eta_hwp, resamples, seed):
     """Per d: evaluate and resample the witness of one HV and one DA count set, estimate NF.
 
@@ -388,11 +413,14 @@ def cmd_simulate_tags(args) -> int:
             stream_seed = _stream_seed(cfg.seed, point, da_flag)
             name = f"tags_p{point:03d}_{model.basis.lower()}.hdtt"
             tmp = out / (name + ".tmp")
-            # one expression, so no stream outlives its file
-            digest = tagstream.write_tags(
-                tagstream.generate_stream(model, cfg.clock, cfg.n_frames, stream_seed), tmp
-            )
-            os.replace(tmp, out / name)
+            # generated and written block by block, so no whole stream is held
+            blocks = tagstream.generate_blocks(model, cfg.clock, cfg.n_frames, stream_seed)
+            try:
+                digest = tagstream.write_tags(blocks, tmp)
+                os.replace(tmp, out / name)
+            except BaseException:  # an error or Ctrl-C mid-write leaves no partial file
+                tmp.unlink(missing_ok=True)
+                raise
             manifest.append((point, rate, model.basis, name, stream_seed, digest))
     _write_atomic(out / "manifest.csv", _csv(MANIFEST_SCHEMA, MANIFEST_COLUMNS, manifest))
     print(json.dumps({"written": len(cfg.background_rates) * 2, "out": str(out)}))
@@ -407,17 +435,9 @@ def cmd_certify_et(args) -> int:
     if Path(args.hv).resolve() == Path(args.da).resolve():
         raise ValueError(f"--hv and --da name one file, {args.hv}; the witness needs "
                          "the HV and the DA stream of one run")
-    # one stream at a time: HV is read, sifted and dropped before DA is read
-    hv_stream = tagstream.read_tags(args.hv)
-    for d in dims:
-        _named("--dims:", tagstream.BinningConfig.for_dimension, hv_stream.clock, d)
-    clock, hv_sets = hv_stream.clock, _sift_stream(hv_stream, dims, tagstream.BASIS_HV)
-    del hv_stream
-    da_stream = tagstream.read_tags(args.da)
-    if da_stream.clock != clock:
-        raise ValueError("HV and DA tag files use different clock configs")
-    da_sets = _sift_stream(da_stream, dims, tagstream.BASIS_DA)
-    del da_stream
+    # one file at a time, one block at a time: HV is sifted before DA is opened
+    clock, hv_sets = _sift_file(args.hv, dims, tagstream.BASIS_HV)
+    _, da_sets = _sift_file(args.da, dims, tagstream.BASIS_DA, clock)
     out = Path(args.out) if args.out else None
     rows = []
     reports = {}

@@ -32,6 +32,13 @@ share both, the signal event comes first.  Generation holds each event as
 one tagged int64 key ``((ts * 4 + ch) << 1) | origin`` (origin 0 signal,
 1 noise) and sorts the keys, so that rule is the key's low bit.  The key
 needs ts < 2**60, so a generated frame range must end by 2**59 ticks.
+
+A stream flows either whole, as a ``TagStream``, or as a ``TagBlocks``: its
+clock and its events in consecutive sorted blocks, made as they are read.
+``generate_blocks`` and ``read_blocks`` are block sources; ``write_tags`` and
+``sift_blocks`` are sinks that take either form and hold one block at a time,
+so a tag file can be made or certified at any length.  ``generate_stream`` and
+``read_tags`` are the concatenations of the two sources.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -63,9 +70,15 @@ _HEADER = struct.Struct("<4sHQIIQ")
 # a record is two little-endian u64 words: the timestamp in ticks, then the
 # flag word ``channel | origin << 8``, whose upper 48 bits are reserved zeros
 _RECORD_DTYPE = np.dtype([("timestamp", "<u8"), ("flags", "<u8")])
-# events per block in the loops that write, read and scan a whole stream, so
-# that they hold one block, not a copy of the stream
+# events per block in the loops that write, read and scan a stream, so that
+# they hold one block, not a copy of the stream
 _BLOCK_RECORDS = 1 << 16
+# the largest |z| of a standard normal jitter draw that generation accepts; it
+# bounds how far before its frame an event can land
+_MAX_JITTER_Z = 16.0
+# the rules that ``_check_events`` applies, in the order in which it reports them
+_RULES = ("unknown channel code", "unknown origin code",
+          "records not sorted by (timestamp, channel)")
 
 
 class Origin(enum.IntEnum):
@@ -83,24 +96,30 @@ class TagFormatError(ValueError):
 
 
 class _BadEvent(ValueError):
-    """Event ``index`` breaks a rule; ``field`` is the byte of its file record at fault."""
+    """Event ``index`` breaks rule ``_RULES[rank]``; ``field`` is its record's byte at fault."""
 
-    def __init__(self, rule: str, index, field: int):
-        super().__init__(f"{rule} at event {index}")
-        self.rule, self.index, self.field = rule, int(index), field
+    def __init__(self, rank: int, index, field: int):
+        self.rank, self.rule, self.index, self.field = rank, _RULES[rank], int(index), field
+        super().__init__(f"{self.rule} at event {self.index}")
 
 
-def _check_events(ts: np.ndarray, ch: np.ndarray, og: np.ndarray) -> None:
-    """Raise ``_BadEvent`` at the first break of the channel, origin or order rule, in turn."""
-    for rule, field, codes, top in (("channel", 8, ch, 3), ("origin", 9, og, 2)):
+def _check_events(ts: np.ndarray, ch: np.ndarray, og: np.ndarray, last=None) -> None:
+    """Raise ``_BadEvent`` at the first break of the channel, origin or order rule, in turn.
+
+    ``last`` is the (timestamp, channel) of the event just before ``ts[0]``,
+    where the events continue a stream.
+    """
+    for rank, (field, codes, top) in enumerate(((8, ch, 3), (9, og, 2))):
         if codes.max(initial=0) > top:
-            raise _BadEvent(f"unknown {rule} code", np.flatnonzero(codes > top)[0], field)
+            raise _BadEvent(rank, np.flatnonzero(codes > top)[0], field)
+    if last is not None and len(ts) and (int(ts[0]), int(ch[0])) < last:
+        raise _BadEvent(2, 0, 0)
     # blocks overlap by one event, so a break across a block edge is seen
     for start in range(1, len(ts), _BLOCK_RECORDS):
         t, c = ts[start - 1 : start + _BLOCK_RECORDS], ch[start - 1 : start + _BLOCK_RECORDS]
         bad = np.flatnonzero((t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (c[1:] < c[:-1])))
         if bad.size:
-            raise _BadEvent("records not sorted by (timestamp, channel)", start + bad[0], 0)
+            raise _BadEvent(2, start + bad[0], 0)
 
 
 @dataclass(frozen=True)
@@ -189,27 +208,14 @@ class TagStream:
 
         ``a[k]`` is the Alice event and ``b[k]`` the Bob event of the k-th such
         frame, in time order.  Which frames qualify does not depend on the
-        binning, so this is found once per stream, block by block from a mark
-        on each event that opens a frame; both arrays are read-only.
+        binning, so this is found once per stream, block by block as
+        ``sift_blocks`` finds them; both arrays are read-only.
         """
-        ts, n = self.timestamps, len(self.timestamps)
-        opens = np.ones(n + 2, dtype=bool)  # two opens past the end close the last frame
-        for start in range(1, n, _BLOCK_RECORDS):
-            frames = ts[start - 1 : start + _BLOCK_RECORDS] // self.clock.frame_ticks
-            opens[start : start + len(frames) - 1] = frames[1:] != frames[:-1]
-        # events are sorted, so a frame is one run of equal frame numbers: event
-        # i starts a run of two when it opens a frame, i + 1 does not, i + 2 does
-        runs = [np.empty(0, dtype=np.intp)]
-        for start in range(0, n, _BLOCK_RECORDS):
-            o = opens[start : start + _BLOCK_RECORDS + 2]
-            runs.append(np.flatnonzero(o[:-2] & ~o[1:-1] & o[2:]) + start)
-        i = np.concatenate(runs)
-        # keep the runs of two events that lie on different sides
-        a_first = self.channels[i] <= 1
-        split = a_first != (self.channels[i + 1] <= 1)
-        i, a_first = i[split], a_first[split]
-        a = np.where(a_first, i, i + 1)
-        b = np.where(a_first, i + 1, i)
+        a_parts, b_parts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for offset, _, _, _, a, b in _kept_chunks(self):
+            a_parts.append(a + offset)
+            b_parts.append(b + offset)
+        a, b = np.concatenate(a_parts), np.concatenate(b_parts)
         a.setflags(write=False)
         b.setflags(write=False)
         return a, b
@@ -218,26 +224,131 @@ class TagStream:
     def kept_events(self) -> tuple:
         """What every binning reads of the kept frames, gathered once.
 
-        ``(pair, ticks_a, ticks_b, noise_coincidences, frames_total)``: the
-        PAIR_LABELS index and the Alice and Bob ticks within the frame of each
-        kept pair (int64), the kept pairs with a background event (None when
-        an origin is unknown), and the frames from frame 0 to the last event's.
+        ``(pair, ticks_a, ticks_b, noise_coincidences, frames_total)``: as
+        ``_kept_values`` gives them for all kept pairs, and the frames from
+        frame 0 to the last event's.
         """
-        F = self.clock.frame_ticks
-        ts, ch, og = self.timestamps, self.channels, self.origins
-        a, b = self.kept_pairs
-        pair = ch[a].astype(np.int64) * 2 + (ch[b] - 2)
-        ticks_a = (ts[a] % F).astype(np.int64)
-        ticks_b = (ts[b] % F).astype(np.int64)
-        og_a, og_b = og[a], og[b]
-        if np.any(og_a == Origin.UNKNOWN) or np.any(og_b == Origin.UNKNOWN):
-            noise = None
-        else:
-            noise = int(np.count_nonzero((og_a == Origin.NOISE) | (og_b == Origin.NOISE)))
-        frames_total = int(ts[-1]) // F + 1 if len(ts) else 0
+        ts = self.timestamps
+        pair, ticks_a, ticks_b, noise = _kept_values(
+            ts, self.channels, self.origins, *self.kept_pairs, self.clock.frame_ticks
+        )
+        frames_total = int(ts[-1]) // self.clock.frame_ticks + 1 if len(ts) else 0
         for arr in (pair, ticks_a, ticks_b):
             arr.setflags(write=False)
         return pair, ticks_a, ticks_b, noise, frames_total
+
+
+@dataclass(frozen=True)
+class TagBlocks:
+    """A stream as its clock and consecutive blocks ``(timestamps, channels, origins)``.
+
+    Each block is sorted, keeps the stream rules and continues the one
+    before; the two sources, ``generate_blocks`` and ``read_blocks``, check
+    every block as ``TagStream`` checks a stream.  ``blocks`` is then a
+    one-shot iterator (a stream being generated, a file being read), so the
+    stream is read once, in order, and is never held whole.
+    """
+
+    clock: ClockConfig
+    blocks: Iterable
+
+
+def _pieces(stream):
+    """The blocks of a ``TagStream`` or ``TagBlocks``, cut to at most ``_BLOCK_RECORDS`` events."""
+    if isinstance(stream, TagStream):
+        blocks = [(stream.timestamps, stream.channels, stream.origins)]
+    else:
+        blocks = stream.blocks
+    for ts, ch, og in blocks:
+        for start in range(0, len(ts), _BLOCK_RECORDS):
+            stop = start + _BLOCK_RECORDS
+            yield ts[start:stop], ch[start:stop], og[start:stop]
+
+
+def _kept_pairs(ts, ch, frame_ticks: int, lead: int, final: bool) -> tuple:
+    """Chunk indices ``(a, b)`` of the Alice and Bob event of each kept frame the chunk decides.
+
+    A kept frame holds exactly one click per side.  Events are sorted, so a
+    frame is one run of equal frame numbers, and the kept frames are the runs
+    of two events on different sides.  The first ``lead`` events (0 or 1)
+    only tell whether the next one opens a frame; without one, the first
+    event opens a frame.  A run is decided by the event after it, so runs
+    that start at the chunk's last two events stay undecided unless the chunk
+    ends the stream (``final``).
+    """
+    frames = ts // frame_ticks
+    n = len(frames)
+    opens = np.ones(n + 2, dtype=bool)  # two opens past the end close the last frame
+    opens[1:n] = frames[1:] != frames[:-1]
+    stop = n if final else max(n - 2, lead)
+    # event i starts a run of two when it opens a frame, i + 1 does not, i + 2 does
+    i = np.flatnonzero(
+        opens[lead:stop] & ~opens[lead + 1 : stop + 1] & opens[lead + 2 : stop + 2]
+    ) + lead
+    # keep the runs of two events that lie on different sides
+    a_first = ch[i] <= 1
+    split = a_first != (ch[i + 1] <= 1)
+    i, a_first = i[split], a_first[split]
+    return np.where(a_first, i, i + 1), np.where(a_first, i + 1, i)
+
+
+def _kept_chunks(stream):
+    """Each chunk of ``stream`` with the kept pairs it decides: ``(offset, ts, ch, og, a, b)``.
+
+    A chunk is one block of ``_pieces(stream)`` after the events carried over
+    from the chunk before: those whose runs are still undecided, and the
+    event before them.  A ``TagStream``'s chunk is a view of its arrays,
+    since a copy per block fragments the heap of a long in-memory sweep; a
+    ``TagBlocks`` chunk joins the carried events to the block.  ``offset``
+    is the stream index of the chunk's first event and ``(a, b)``
+    are chunk indices from ``_kept_pairs``.  After the last block, the
+    carried events (at most three) make the chunk that ends the stream.
+    """
+    frame_ticks = stream.clock.frame_ticks
+    whole = isinstance(stream, TagStream)
+    offset, lead, carry = 0, 0, None
+    for block in _pieces(stream):
+        if carry is None:
+            chunk = block
+        elif whole:
+            stop = offset + len(carry[0]) + len(block[0])
+            chunk = (stream.timestamps[offset:stop], stream.channels[offset:stop],
+                     stream.origins[offset:stop])
+        else:
+            chunk = tuple(map(np.concatenate, zip(carry, block)))
+        a, b = _kept_pairs(chunk[0], chunk[1], frame_ticks, lead, final=False)
+        yield (offset, *chunk, a, b)
+        undecided = max(lead, len(chunk[0]) - 2)
+        start = max(undecided - 1, 0)
+        carry = tuple(part[start:].copy() for part in chunk)
+        offset, lead = offset + start, undecided - start
+    if carry is not None:
+        yield (offset, *carry, *_kept_pairs(carry[0], carry[1], frame_ticks, lead, final=True))
+
+
+def _kept_values(ts, ch, og, a, b, frame_ticks: int) -> tuple:
+    """What every binning reads of the kept pairs ``(a, b)``: ``(pair, ticks_a, ticks_b, noise)``.
+
+    The PAIR_LABELS index and the Alice and Bob ticks within the frame of
+    each pair (int64), and the pairs with a background event (None when an
+    origin is unknown).
+    """
+    pair = ch[a].astype(np.int64) * 2 + (ch[b] - 2)
+    ticks_a = (ts[a] % frame_ticks).astype(np.int64)
+    ticks_b = (ts[b] % frame_ticks).astype(np.int64)
+    og_a, og_b = og[a], og[b]
+    if np.any(og_a == Origin.UNKNOWN) or np.any(og_b == Origin.UNKNOWN):
+        noise = None
+    else:
+        noise = int(np.count_nonzero((og_a == Origin.NOISE) | (og_b == Origin.NOISE)))
+    return pair, ticks_a, ticks_b, noise
+
+
+def _binned(pair, ticks_a, ticks_b, binning) -> np.ndarray:
+    """The (4, d, d) histogram of kept pairs at ``binning``."""
+    d = binning.d
+    flat = (pair * d + ticks_a // binning.bin_ticks) * d + ticks_b // binning.bin_ticks
+    return np.bincount(flat, minlength=4 * d * d).reshape(4, d, d)
 
 
 @dataclass(frozen=True)
@@ -382,30 +493,42 @@ def check_source(model: SourceModel, clock: ClockConfig) -> None:
             )
 
 
-def _event_capacity(n_frames: int, lam_bg: float, q_emit: float) -> int:
+def _event_capacity(model: SourceModel, clock: ClockConfig, n_frames: int) -> int:
     """Events to allocate for: the expected count plus eight times its square root."""
-    mean = n_frames * (4 * lam_bg + 2 * q_emit)
+    frame_seconds = clock.frame_seconds
+    mean = n_frames * (4 * model.background_rate_per_detector * frame_seconds
+                       - 2 * math.expm1(-model.pair_rate * frame_seconds))
     return int(mean + 8 * math.sqrt(mean)) + 1
 
 
-def _sorted_blocks(model: SourceModel, clock: ClockConfig, seed: int, lo: int, hi: int) -> tuple:
-    """Tagged keys of frames [lo, hi), each frame block sorted, and where each block ends.
+def _sorted_blocks(model: SourceModel, clock: ClockConfig, seed: int, lo: int, hi: int):
+    """Tagged keys of frames [lo, hi) in stream order, as sorted chunks; none is negative.
 
-    The keys share one buffer sized for the expected event count (pages past
-    the last event stay untouched); the per-block arrays are freed on return.
+    Each frame block's keys are sorted, with the keys held back from the
+    block before.  No event lands more than ``reach`` ticks before its frame:
+    the jitter is at most ``_MAX_JITTER_Z`` sigma (checked on every draw),
+    plus the rounding of the float sum.  So every key of every later block is
+    at least the key of the next block's first tick less ``reach``; the keys
+    below that are final and yielded, and the rest are held back.  At the
+    default jitter that is a few events; only jitter wider than a block holds
+    back more than one block.  Keys of events jittered before t = 0 are
+    dropped.  A yielded chunk is not read again here, so its consumer may
+    change it.
     """
     lam_bg = model.background_rate_per_detector * clock.frame_seconds
     tables = _signal_tables(model, clock) if model.pair_rate > 0 else None
     q_emit = -math.expm1(-model.pair_rate * clock.frame_seconds)
     sigma_ticks = model.jitter_fwhm_seconds / FWHM_TO_SIGMA / clock.tick_seconds
     F = clock.frame_ticks
+    reach = 0
+    if sigma_ticks > 0:
+        reach = math.ceil(_MAX_JITTER_Z * sigma_ticks + 2 * math.ulp(float(hi * F))) + 1
     # background key of detector c in frame j of a block, less the block's first tick
     cell_keys = (np.arange(CHUNK_FRAMES, dtype=np.int64)[:, None] * (8 * F)
                  + np.arange(4) * 2 + Origin.NOISE).ravel()
 
-    keys = np.empty(_event_capacity(hi - lo, lam_bg, q_emit), dtype=np.int64)
-    n, ends = 0, []  # events so far, and where each block's events end
-    for block in range(lo // CHUNK_FRAMES, (hi - 1) // CHUNK_FRAMES + 1):
+    def block_keys(block, held):
+        """The keys of the frames of ``block`` that lie in [lo, hi) and ``held``, sorted."""
         rng = _block_rng(seed, block)
         first = block * CHUNK_FRAMES
         # Fixed draw order per block: emission, outcome, jitter, background
@@ -428,27 +551,66 @@ def _sorted_blocks(model: SourceModel, clock: ClockConfig, seed: int, lo: int, h
             # both sides at once: row 0 is Alice's, row 1 Bob's
             signal = (emit + first) * F + tables["offsets"][:, oc]
             if z is not None:
-                signal = np.rint(signal + z[emit].T * sigma_ticks).astype(np.int64)
+                jitter = z[emit].T
+                if np.abs(jitter).max(initial=0.0) > _MAX_JITTER_Z:
+                    raise ValueError(f"a jitter draw lies beyond {_MAX_JITTER_Z:g} sigma")
+                signal = np.rint(signal + jitter * sigma_ticks).astype(np.int64)
             signal <<= 3
             signal += tables["channels"][:, oc] << 1  # origin SIGNAL is 0
         n_noise = int(n_bg[start:stop].sum()) if lam_bg > 0 else 0
-        size = signal.size + n_noise
-        if n + size > len(keys):  # more events than the buffer holds: grow it
-            keys = np.resize(keys, 2 * (n + size))
-        out = keys[n : n + size]
-        out[: signal.size] = signal.ravel()
+        keys = np.empty(len(held) + signal.size + n_noise, dtype=np.int64)
+        keys[: len(held)] = held
+        keys[len(held) : len(held) + signal.size] = signal.ravel()
         if n_noise:
             # background events come frame by frame, then detector by detector
             skip = int(n_bg[:start].sum())
-            noise = out[signal.size :]
+            noise = keys[len(held) + signal.size :]
             noise[:] = u_bg[skip : skip + n_noise] * F  # floor, as u >= 0
             noise <<= 3
             noise += np.repeat(cell_keys[4 * start : 4 * stop], n_bg[start:stop].ravel())
             noise += first * 8 * F
-        out.sort()
-        n += size
-        ends.append(n)
-    return keys[:n], ends
+        keys.sort()
+        return keys
+
+    held = np.empty(0, dtype=np.int64)
+    last = (hi - 1) // CHUNK_FRAMES
+    for block in range(lo // CHUNK_FRAMES, last + 1):
+        keys = block_keys(block, held)
+        final = len(keys)
+        if block < last:
+            # the key of that tick; keys below 0 are dropped, so no bound need be lower
+            final = np.searchsorted(keys, 8 * max((block + 1) * CHUNK_FRAMES * F - reach, 0))
+        part = keys[np.searchsorted(keys[:final], 0) : final]
+        if len(part):
+            yield part
+        held = keys[final:].copy()
+
+
+def _stream_keys(model, clock, n_frames, seed, frame_offset):
+    """Check the arguments of ``generate_stream``, then return its key chunks."""
+    if n_frames < 1:
+        raise ValueError("n_frames must be >= 1")
+    if frame_offset < 0:
+        raise ValueError("frame_offset must be >= 0")
+    # then ts < 2**60 for any jitter short of 2**59 ticks: the key fits int64
+    if (frame_offset + n_frames) * clock.frame_ticks > 2 ** 59:
+        raise ValueError("frame range ends beyond 2**59 ticks")
+    check_source(model, clock)
+    return _sorted_blocks(model, clock, seed, frame_offset, frame_offset + n_frames)
+
+
+def _decode(keys: np.ndarray) -> tuple:
+    """``(timestamps, channels, origins)`` of tagged keys; the timestamps are ``keys``, shifted."""
+    ts = keys.view(np.uint64)
+    channels = np.empty(len(ts), dtype=np.uint8)
+    origins = np.empty(len(ts), dtype=np.uint8)
+    for i in range(0, len(ts), _BLOCK_RECORDS):
+        part = ts[i : i + _BLOCK_RECORDS]
+        np.bitwise_and(part, 1, out=origins[i : i + _BLOCK_RECORDS])
+        part >>= 1
+        np.bitwise_and(part, 3, out=channels[i : i + _BLOCK_RECORDS])
+        part >>= 2
+    return ts, channels, origins
 
 
 def generate_stream(
@@ -470,40 +632,46 @@ def generate_stream(
     signal, 1 noise): keys sort by (timestamp, channel), signal first at a tie,
     and equal keys are equal events, so any sort algorithm gives this stream.
     The key needs ts < 2**60, so the range must end by 2**59 ticks (about 1.5
-    years of 82.3 ps ticks).  Each frame block is sorted in place; where
-    jitter carried events out of order across a block edge, only the keys
-    around that edge are sorted again.
+    years of 82.3 ps ticks).  The stream is the concatenation of the sorted
+    key chunks of ``generate_blocks``, in one array sized for the expected
+    events (pages past the last event stay untouched), so the stream is never
+    held twice; a stream that outgrows it grows it.
     """
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
-    if frame_offset < 0:
-        raise ValueError("frame_offset must be >= 0")
-    # then ts < 2**60 for any jitter short of 2**59 ticks: the key fits int64
-    if (frame_offset + n_frames) * clock.frame_ticks > 2 ** 59:
-        raise ValueError("frame range ends beyond 2**59 ticks")
-    check_source(model, clock)
-    keys, ends = _sorted_blocks(model, clock, seed, frame_offset, frame_offset + n_frames)
-    n = len(keys)
-    # Jitter can carry events out of order across a block edge.  The stream
-    # before the edge is sorted and so is the block after it, so sorting the
-    # keys that overlap across the edge sorts the whole stream.
-    for edge, end in zip(ends, ends[1:]):
-        if 0 < edge < n and keys[edge] < keys[edge - 1]:
-            window = slice(np.searchsorted(keys[:edge], keys[edge], side="right"),
-                           edge + np.searchsorted(keys[edge:end], keys[edge - 1]))
-            keys[window] = np.sort(keys[window])
-    # jitter may push the first frames before t = 0: their keys are negative
-    # and sort first
-    ts = keys[np.searchsorted(keys, 0) :].view(np.uint64)
-    channels = np.empty(len(ts), dtype=np.uint8)
-    origins = np.empty(len(ts), dtype=np.uint8)
-    for i in range(0, len(ts), _BLOCK_RECORDS):
-        part = ts[i : i + _BLOCK_RECORDS]
-        np.bitwise_and(part, 1, out=origins[i : i + _BLOCK_RECORDS])
-        part >>= 1
-        np.bitwise_and(part, 3, out=channels[i : i + _BLOCK_RECORDS])
-        part >>= 2
-    return TagStream(clock, ts, channels, origins)
+    keys, n = np.empty(_event_capacity(model, clock, n_frames), dtype=np.int64), 0
+    for chunk in _stream_keys(model, clock, n_frames, seed, frame_offset):
+        if n + len(chunk) > len(keys):
+            keys.resize(2 * (n + len(chunk)), refcheck=False)
+        keys[n : n + len(chunk)] = chunk
+        n += len(chunk)
+    keys.resize(n, refcheck=False)
+    return TagStream(clock, *_decode(keys))
+
+
+def _decoded_blocks(chunks):
+    """Each key chunk as ``(timestamps, channels, origins)``, checked as a stream continues."""
+    last = None
+    for keys in chunks:
+        ts, ch, og = _decode(keys)
+        _check_events(ts, ch, og, last)
+        last = int(ts[-1]), int(ch[-1])
+        yield ts, ch, og
+
+
+def generate_blocks(
+    model: SourceModel,
+    clock: ClockConfig,
+    n_frames: int,
+    seed: int,
+    frame_offset: int = 0,
+) -> TagBlocks:
+    """The stream of ``generate_stream`` as ``TagBlocks``, made block by block as it is read.
+
+    The arguments are checked now.  A block is the final keys of about one
+    frame block; making one holds about two frame blocks of keys, whatever
+    the stream's length.
+    """
+    chunks = _stream_keys(model, clock, n_frames, seed, frame_offset)
+    return TagBlocks(clock, _decoded_blocks(chunks))
 
 
 def sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str) -> CountMatrixSet:
@@ -519,43 +687,66 @@ def sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str) -> Count
     never kept and the tie rule cannot change the counts.
     """
     binning.check_against(stream.clock)
-    d = binning.d
     pair, ticks_a, ticks_b, noise, frames_total = stream.kept_events
-    flat = (pair * d + ticks_a // binning.bin_ticks) * d + ticks_b // binning.bin_ticks
-    matrices = np.bincount(flat, minlength=4 * d * d).reshape(4, d, d)
+    matrices = _binned(pair, ticks_a, ticks_b, binning)
     return CountMatrixSet(basis, binning, matrices, frames_total, len(pair), noise)
 
 
-def write_tags(stream: TagStream, path) -> str:
-    """Write the binary tag format: magic, version, clock, then 16-byte records.
+def sift_blocks(stream, binnings, basis: str) -> list:
+    """``sift_and_bin`` of a ``TagBlocks`` (or ``TagStream``) at each binning, in one pass.
 
-    Records are filled, hashed and written one block at a time; returns the
-    hex sha256 of the bytes written, so the file need not be read back.
+    Each block's kept pairs are found as ``TagStream.kept_pairs`` finds them
+    and added to the counts of every binning; the frame still open at a
+    block's end is carried into the next.  Holds one block of the stream.
     """
-    tick_fs = round(stream.clock.tick_seconds * 1e15)
-    n = len(stream)
-    header = _HEADER.pack(
-        FORMAT_MAGIC,
-        FORMAT_VERSION,
-        tick_fs,
-        stream.clock.frame_ticks,
-        stream.clock.imbalance_ticks,
-        n,
-    )
-    digest = hashlib.sha256(header)
-    block = np.empty(min(n, _BLOCK_RECORDS), dtype=_RECORD_DTYPE)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for start in range(0, n, _BLOCK_RECORDS):
-            stop = min(start + _BLOCK_RECORDS, n)
-            records = block[: stop - start]
-            records["timestamp"] = stream.timestamps[start:stop]
+    frame_ticks = stream.clock.frame_ticks
+    for binning in binnings:
+        binning.check_against(stream.clock)
+    counts = [np.zeros((4, b.d, b.d), dtype=np.int64) for b in binnings]
+    kept, noise, frames_total = 0, 0, 0
+    for _, ts, ch, og, a, b in _kept_chunks(stream):
+        pair, ticks_a, ticks_b, chunk_noise = _kept_values(ts, ch, og, a, b, frame_ticks)
+        for matrices, binning in zip(counts, binnings):
+            matrices += _binned(pair, ticks_a, ticks_b, binning)
+        kept += len(pair)
+        noise = None if noise is None or chunk_noise is None else noise + chunk_noise
+        frames_total = int(ts[-1]) // frame_ticks + 1
+    return [CountMatrixSet(basis, binning, matrices, frames_total, kept, noise)
+            for binning, matrices in zip(binnings, counts)]
+
+
+def write_tags(stream, path) -> str:
+    """Write a ``TagStream`` or ``TagBlocks`` in the binary tag format.
+
+    The format is magic, version, clock and record count, then 16-byte
+    records.  Records are filled and written one block at a time, and the
+    count goes into the header after the last block; returns the hex sha256
+    of the file, read back once it is complete.
+    """
+    clock = stream.clock
+
+    def header(count):
+        return _HEADER.pack(FORMAT_MAGIC, FORMAT_VERSION, round(clock.tick_seconds * 1e15),
+                            clock.frame_ticks, clock.imbalance_ticks, count)
+
+    count = 0
+    with open(path, "w+b") as fh:
+        fh.write(header(count))
+        for ts, ch, og in _pieces(stream):
+            records = np.empty(len(ts), dtype=_RECORD_DTYPE)
+            records["timestamp"] = ts
             flags = records["flags"]
-            flags[:] = stream.origins[start:stop]
+            flags[:] = og
             flags <<= 8
-            flags |= stream.channels[start:stop]
-            digest.update(records)
+            flags |= ch
             fh.write(records)
+            count += len(ts)
+        fh.seek(0)
+        fh.write(header(count))
+        fh.seek(0)
+        digest = hashlib.sha256()
+        while data := fh.read(1 << 20):
+            digest.update(data)
     return digest.hexdigest()
 
 
@@ -564,12 +755,59 @@ def _record_offset(index, field: int = 0) -> int:
     return _HEADER.size + int(index) * _RECORD_DTYPE.itemsize + field
 
 
-def read_tags(path) -> TagStream:
-    """Read and validate a tag file; bit-exact inverse of ``write_tags``.
+def _record_blocks(fh, count: int, defect: Optional[Exception] = None):
+    """The ``count`` records that follow the header in ``fh``, block by block, checked.
 
-    Records are read block by block into the stream's own arrays, so reading
-    takes about one stream plus one block of memory.  The first event that
-    ``TagStream`` rejects is reported at its bad field's byte offset.
+    Reserved bits and short reads raise where they are met.  Any other
+    defect is raised at the end of the file, so that one that outranks it
+    can still be found: ``defect`` if one is given, else the file's first
+    channel defect, then its first origin defect, then its first order
+    defect, each at the byte offset of its field.  No block is yielded once
+    a defect is known.
+    """
+    rank = -1 if defect is not None else len(_RULES)
+    last = None
+    block = np.empty(min(count, _BLOCK_RECORDS), dtype=_RECORD_DTYPE)
+    for start in range(0, count, _BLOCK_RECORDS):
+        stop = min(start + _BLOCK_RECORDS, count)
+        records = block[: stop - start]
+        got = fh.readinto(records)
+        if got != records.nbytes:
+            raise TagFormatError(
+                f"file ended after {got} of the {records.nbytes} bytes of records "
+                f"{start}..{stop - 1}",
+                _record_offset(start) + got,
+            )
+        flags = records["flags"]
+        bad = np.flatnonzero(flags > 0xFFFF)
+        if bad.size:
+            raise TagFormatError(
+                "reserved record bytes not zero", _record_offset(start + bad[0], 10)
+            )
+        if rank <= 0:  # nothing found here can outrank the known defect
+            continue
+        ts = records["timestamp"].copy()
+        ch = flags.astype(np.uint8)  # the low byte
+        og = (flags >> 8).astype(np.uint8)
+        try:
+            _check_events(ts, ch, og, last)
+        except _BadEvent as exc:
+            if exc.rank < rank:
+                rank = exc.rank
+                defect = TagFormatError(exc.rule, _record_offset(start + exc.index, exc.field))
+        if defect is None:
+            yield ts, ch, og
+        last = int(ts[-1]), int(ch[-1])
+    if defect is not None:
+        raise defect
+
+
+def _tag_file(path):
+    """Yield a tag file's clock and record count, then its records as ``_record_blocks`` does.
+
+    The magic, version and size are checked first.  A clock that
+    ``ClockConfig`` rejects is reported after the records have been read for
+    reserved bits and short reads, before any event rule.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -587,31 +825,42 @@ def read_tags(path) -> TagStream:
                 f"expected {expected} bytes for {count} records, got {size}",
                 min(size, expected),
             )
-        ts = np.empty(count, dtype=np.uint64)
-        ch = np.empty(count, dtype=np.uint8)
-        og = np.empty(count, dtype=np.uint8)
-        block = np.empty(min(count, _BLOCK_RECORDS), dtype=_RECORD_DTYPE)
-        for start in range(0, count, _BLOCK_RECORDS):
-            stop = min(start + _BLOCK_RECORDS, count)
-            records = block[: stop - start]
-            got = fh.readinto(records)
-            if got != records.nbytes:
-                raise TagFormatError(
-                    f"file ended after {got} of the {records.nbytes} bytes of records "
-                    f"{start}..{stop - 1}",
-                    _record_offset(start) + got,
-                )
-            flags = records["flags"]
-            bad = np.flatnonzero(flags > 0xFFFF)
-            if bad.size:
-                raise TagFormatError(
-                    "reserved record bytes not zero", _record_offset(start + bad[0], 10)
-                )
-            ts[start:stop] = records["timestamp"]
-            ch[start:stop] = flags  # the low byte
-            og[start:stop] = flags >> 8
-    clock = ClockConfig(tick_fs * 1e-15, frame_ticks, imbalance)
-    try:
-        return TagStream(clock, ts, ch, og)
-    except _BadEvent as exc:
-        raise TagFormatError(exc.rule, _record_offset(exc.index, exc.field)) from None
+        try:
+            clock = ClockConfig(tick_fs * 1e-15, frame_ticks, imbalance)
+        except ValueError as exc:
+            yield from _record_blocks(fh, count, exc)  # raises ``exc`` at the end of the file
+        yield clock, count
+        yield from _record_blocks(fh, count)
+
+
+def read_blocks(path) -> TagBlocks:
+    """A tag file as ``TagBlocks``: the header is read now, the records block by block.
+
+    Every defect is reported as ``read_tags`` reports it, with the same
+    message, byte offset and precedence; a defect in the records is raised
+    by the iteration over the blocks, at the end of the file at the latest.
+    """
+    blocks = _tag_file(path)
+    clock, _ = next(blocks)
+    return TagBlocks(clock, blocks)
+
+
+def read_tags(path) -> TagStream:
+    """Read and validate a tag file; bit-exact inverse of ``write_tags``.
+
+    The concatenation of the blocks of ``read_blocks``, in the stream's own
+    arrays, so reading takes about one stream plus one block of memory.
+    Every error names the byte offset of the defect; reserved bits come
+    first, then the clock, then channel, origin and order.
+    """
+    blocks = _tag_file(path)
+    clock, count = next(blocks)
+    ts = np.empty(count, dtype=np.uint64)
+    ch = np.empty(count, dtype=np.uint8)
+    og = np.empty(count, dtype=np.uint8)
+    stop = 0
+    for block in blocks:
+        start, stop = stop, stop + len(block[0])
+        for whole, part in zip((ts, ch, og), block):
+            whole[start:stop] = part
+    return TagStream(clock, ts, ch, og)

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import re
 import subprocess
@@ -285,6 +287,52 @@ class TestSimulateAndCertify:
         manifest = (out1 / "manifest.csv").read_text()
         assert manifest.startswith("# hdent-manifest-csv v1")
         assert manifest == (out2 / "manifest.csv").read_text()
+
+    def test_simulate_writes_the_files_of_whole_streams(self, small_config, tmp_path, capsys):
+        """Each tag file, generated and written block by block, and its manifest
+        sha256 are those of ``write_tags(generate_stream(...))``."""
+        out = tmp_path / "tags"
+        assert run_cli("simulate-tags", "--config", small_config, "--out", out) == 0
+        cfg = load_run_config(small_config)
+        lines = (out / "manifest.csv").read_text().splitlines()[2:]
+        assert len(lines) == 4
+        for line in lines:
+            point, _, basis, name, seed, sha256 = line.split(",")
+            model = cfg.point_models[int(point)][basis == "DA"]
+            whole = tmp_path / "whole.hdtt"
+            digest = tagstream.write_tags(
+                tagstream.generate_stream(model, cfg.clock, cfg.n_frames, int(seed)), whole
+            )
+            blob = (out / name).read_bytes()
+            assert blob == whole.read_bytes()
+            assert sha256 == digest == hashlib.sha256(blob).hexdigest()
+
+    @pytest.mark.parametrize("error", [OSError(27, "File too large"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_simulate_failing_mid_write_leaves_no_file(self, small_config, tmp_path, capsys,
+                                                       monkeypatch, error):
+        """Generation runs inside the write, so a stream that fails after its first
+        block must take its ``.tmp`` file with it."""
+        real = tagstream.generate_blocks
+
+        def one_block_then_fail(*args):
+            stream = real(*args)
+
+            def blocks():
+                yield next(iter(stream.blocks))
+                raise error
+
+            return tagstream.TagBlocks(stream.clock, blocks())
+
+        monkeypatch.setattr(cli.tagstream, "generate_blocks", one_block_then_fail)
+        out = tmp_path / "tags"
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run_cli("simulate-tags", "--config", small_config, "--out", out)
+        else:
+            assert run_cli("simulate-tags", "--config", small_config, "--out", out) == 1
+            assert "File too large" in json.loads(capsys.readouterr().err)["message"]
+        assert out.is_dir() and not list(out.iterdir())
 
     def test_certify_matches_library_calls(self, small_config, tmp_path, capsys):
         out = tmp_path / "tags"
@@ -683,3 +731,22 @@ class TestSweepNoise:
         lines = outs[1].decode().splitlines()
         assert lines[0] == "# hdent-sweep-csv v1"
         assert len(lines) == 2 + 2 * 2  # two rates x two dims
+
+
+def test_cli_snapshot_fails_when_a_command_that_must_succeed_fails(tmp_path, monkeypatch,
+                                                                   capsys):
+    """``tools/cli_snapshot.py`` exits 1 naming a failed command; a failed check only records."""
+    script = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", script)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    monkeypatch.setattr(snapshot, "CONFIGS", {})
+    monkeypatch.setattr(snapshot, "corrupt", lambda out: None)
+    monkeypatch.setattr(snapshot, "CHECKS", [("expected_failure", ["link-budget"])])
+    works = ("works", ["link-budget", "--km", "410"])
+    monkeypatch.setattr(snapshot, "COMMANDS", [works])
+    assert snapshot.main([str(tmp_path / "a")]) == 0
+    assert (tmp_path / "a" / "runs" / "expected_failure.exit").read_text() == "1\n"
+    monkeypatch.setattr(snapshot, "COMMANDS", [("breaks", ["link-budget"]), works])
+    assert snapshot.main([str(tmp_path / "b")]) == 1
+    assert "failed: breaks" in capsys.readouterr().err

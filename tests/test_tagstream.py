@@ -23,13 +23,17 @@ from hdent.tagstream import (
     CountMatrixSet,
     Origin,
     SourceModel,
+    TagBlocks,
     TagFormatError,
     TagStream,
     _block_rng,
     _signal_tables,
+    generate_blocks,
     generate_stream,
+    read_blocks,
     read_tags,
     sift_and_bin,
+    sift_blocks,
     write_tags,
 )
 
@@ -265,6 +269,47 @@ class TestBlockAssembly:
         assert_same_stream(stream, concat_generate_stream(m, CLOCK, 64, 3))
 
 
+class TestHoldBack:
+    """The generator yields each key as soon as no later frame block can hold a smaller one."""
+
+    def test_default_jitter_holds_at_most_two_frame_blocks_of_keys(self, noisy_stream, monkeypatch):
+        """At 800 ps FWHM, when the generator starts a frame block it has yielded
+        every event before that block but a few of its last ticks, so it holds
+        the block it builds and far less than one more."""
+        m = model(d=80, pair_rate=1.5e6, bg=4e7, jitter=800e-12)
+        ts = noisy_stream.timestamps
+        block_ticks = CHUNK_FRAMES * CLOCK.frame_ticks
+        per_block = len(ts) * CHUNK_FRAMES / 100_000
+        yielded, behind = 0, []
+        block_rng = tagstream._block_rng
+
+        def spy(seed, block):
+            # events of the stream before this block that are not yielded yet
+            behind.append(int(np.searchsorted(ts, block * block_ticks)) - yielded)
+            return block_rng(seed, block)
+
+        monkeypatch.setattr(tagstream, "_block_rng", spy)
+        for keys in tagstream._sorted_blocks(m, CLOCK, 7, 0, 100_000):
+            assert yielded == 0 or int(keys[0]) >= last  # stream order across yields
+            yielded, last = yielded + len(keys), int(keys[-1])
+        assert yielded == len(ts) and len(behind) == 25
+        assert 0 <= min(behind) and max(behind) < 0.01 * per_block
+
+    def test_blocks_are_checked_across_their_edges(self, monkeypatch):
+        """Each generated block is checked with the last event of the block before."""
+        chunks = [np.array([8 * 10, 8 * 20]), np.array([8 * 15, 8 * 30])]
+        monkeypatch.setattr(tagstream, "_sorted_blocks", lambda *args: iter(chunks))
+        blocks = iter(generate_blocks(model(), CLOCK, 100, 1).blocks)
+        next(blocks)
+        with pytest.raises(ValueError, match="not sorted .* at event 0$"):
+            next(blocks)
+
+    def test_jitter_beyond_the_checked_limit_stops_generation(self, monkeypatch):
+        monkeypatch.setattr(tagstream, "_MAX_JITTER_Z", 0.5)
+        with pytest.raises(ValueError, match="beyond 0.5 sigma"):
+            generate_stream(model(jitter=800e-12), CLOCK, 1000, 1)
+
+
 def stream_digests(stream):
     """The first 16 hex digits of the sha256 of each of a stream's arrays."""
     return tuple(hashlib.sha256(getattr(stream, field).tobytes()).hexdigest()[:16]
@@ -303,21 +348,6 @@ class TestGoldenStreams:
         stream = generate_stream(model(**kwargs), CLOCK, n_frames, seed, offset)
         assert len(stream) == events
         assert stream_digests(stream) == digests
-
-    def test_wide_jitter_sorts_again_only_around_block_edges(self, monkeypatch):
-        # blocks are sorted in place; ``np.sort`` sorts only the edge windows
-        window_lengths = []
-        sort = np.sort
-
-        def spy(keys, *args, **kwargs):
-            window_lengths.append(len(keys))
-            return sort(keys, *args, **kwargs)
-
-        monkeypatch.setattr(tagstream.np, "sort", spy)
-        kwargs, n_frames, seed, offset, events, _ = GOLDEN_STREAMS["wide-jitter"]
-        generate_stream(model(**kwargs), CLOCK, n_frames, seed, offset)
-        assert window_lengths  # events out of order across an edge
-        assert max(window_lengths) < events / 100
 
     def test_buffer_growth_keeps_the_stream(self, monkeypatch):
         monkeypatch.setattr(tagstream, "_event_capacity", lambda *args: 1)
@@ -475,6 +505,65 @@ class TestSiftOracle:
         assert_same_counts(
             sift_and_bin(coarse_first, b80, BASIS_HV), loop_sift_and_bin(source, b80, BASIS_HV)
         )
+
+
+class TestBlockSifting:
+    """``sift_blocks`` on a stream cut into blocks against whole-stream sifting."""
+
+    @given(
+        pair_rate=st.one_of(st.just(0.0), st.floats(1e5, 2e7)),
+        bg=st.one_of(st.just(0.0), st.floats(1e5, 4e7)),
+        # up to 1 ms FWHM, a sigma of about four frame blocks
+        jitter=st.one_of(st.just(0.0), st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e)),
+        basis=st.sampled_from([BASIS_HV, BASIS_DA]),
+        seed=st.integers(0, 2 ** 64),
+        offset=st.integers(0, 2 * CHUNK_FRAMES),
+        n_frames=st.integers(1, 2 * CHUNK_FRAMES + 10),
+        pieces=st.integers(1, 300),
+        unknown=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    )
+    @example(pair_rate=2e6, bg=4e7, jitter=1e-3, basis=BASIS_HV, seed=5, offset=100,
+             n_frames=2 * CHUNK_FRAMES + 10, pieces=7, unknown=0.0)
+    @example(pair_rate=3e6, bg=1e6, jitter=0.0, basis=BASIS_DA, seed=2, offset=0,
+             n_frames=40, pieces=300, unknown=0.1)  # about one event per block
+    @settings(deadline=None, max_examples=40)
+    def test_streamed_sifting_matches_whole_stream(
+        self, pair_rate, bg, jitter, basis, seed, offset, n_frames, pieces, unknown,
+        tmp_path_factory,
+    ):
+        m = model(d=80, pair_rate=pair_rate, bg=bg, jitter=jitter, basis=basis)
+        stream = generate_stream(m, CLOCK, n_frames, seed, offset)
+        if unknown:
+            og = stream.origins.copy()
+            og[np.random.default_rng(seed).random(len(og)) < unknown] = Origin.UNKNOWN
+            stream = TagStream(CLOCK, stream.timestamps, stream.channels, og)
+        binnings = [BinningConfig.for_dimension(CLOCK, d) for d in (10, 20, 40, 80)]
+        want = [loop_sift_and_bin(stream, binning, basis) for binning in binnings]
+        for got, oracle in zip((sift_and_bin(stream, b, basis) for b in binnings), want):
+            assert_same_counts(got, oracle)
+        path = tmp_path_factory.mktemp("sift") / "s.hdtt"
+        write_tags(stream, path)
+        sources = [lambda: read_blocks(path), lambda: stream]
+        if not unknown:
+            sources.append(lambda: generate_blocks(m, CLOCK, n_frames, seed, offset))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tagstream, "_BLOCK_RECORDS", max(1, -(-len(stream) // pieces)))
+            for source in sources:
+                for got, oracle in zip(sift_blocks(source(), binnings, basis), want):
+                    assert_same_counts(got, oracle)
+
+    def test_blocks_of_any_size_and_empty_streams(self):
+        stream = generate_stream(model(bg=4e6, jitter=800e-12), CLOCK, 3000, 9)
+        binnings = [BinningConfig.for_dimension(CLOCK, 10)]
+        want = sift_and_bin(stream, binnings[0], BASIS_HV)
+        cuts = [0, 1, 2, 3, 5, 8, 200, 201, len(stream) - 1, len(stream)]
+        blocks = [tuple(getattr(stream, f)[i:j] for f in ("timestamps", "channels", "origins"))
+                  for i, j in zip(cuts, cuts[1:])]
+        (got,) = sift_blocks(TagBlocks(CLOCK, iter(blocks)), binnings, BASIS_HV)
+        assert_same_counts(got, want)
+        (empty,) = sift_blocks(TagBlocks(CLOCK, iter([])), binnings, BASIS_HV)
+        assert (empty.frames_total, empty.frames_kept, empty.total_counts()) == (0, 0, 0)
+        assert empty.noise_coincidences == 0
 
 
 class TestCrosstalk:
@@ -674,6 +763,15 @@ def tag_file_bytes(clock, ts, ch, og):
 B = _BLOCK_RECORDS
 
 
+def read_streamed(path):
+    """Read and sift a tag file one block at a time, as ``certify-et`` does."""
+    return sift_blocks(read_blocks(path), [BinningConfig.for_dimension(CLOCK, 10)], BASIS_HV)
+
+
+# each way of reading a tag file must report a defect with the same message and offset
+READERS = pytest.mark.parametrize("read", [read_tags, read_streamed], ids=["whole", "streamed"])
+
+
 class TestTagBlocks:
     """Tag files are written and read one block of records at a time."""
 
@@ -708,19 +806,22 @@ class TestTagBlocks:
         ],
         ids=["reserved", "order", "channel", "reserved-after-earlier-disorder"],
     )
-    def test_faults_in_later_blocks_keep_their_offsets(self, edits, message, offset, tmp_path):
+    @READERS
+    def test_faults_in_later_blocks_keep_their_offsets(self, edits, message, offset, read,
+                                                       tmp_path):
         blob = bytearray(tag_file_bytes(CLOCK, *sorted_records(2 * B + 1)))
         for at, data in edits:
             blob[at : at + len(data)] = data
         path = tmp_path / "f.hdtt"
         path.write_bytes(blob)
         with pytest.raises(TagFormatError, match=message) as err:
-            read_tags(path)
+            read(path)
         assert err.value.offset == offset
 
     @pytest.mark.parametrize("at", [B - 1, B, B + 1, B + 2, 2 * B, 2 * B + 1])
     @pytest.mark.parametrize("tie", [False, True], ids=["timestamp", "channel-tie"])
-    def test_order_break_at_block_edges(self, at, tie, tmp_path):
+    @READERS
+    def test_order_break_at_block_edges(self, at, tie, read, tmp_path):
         """The order check runs block by block; breaks on either side of an edge
         keep their event index and byte offset."""
         ts, ch, og = sorted_records(2 * B + 3, seed=at)
@@ -733,8 +834,38 @@ class TestTagBlocks:
         path = tmp_path / "o.hdtt"
         path.write_bytes(tag_file_bytes(CLOCK, ts, ch, og))
         with pytest.raises(TagFormatError, match="sorted") as err:
-            read_tags(path)
+            read(path)
         assert err.value.offset == 30 + 16 * at
+
+    @pytest.mark.parametrize(
+        "edits, error, offset",
+        [([(30 + 16 * (B + 2) + 9, b"\x04"), (30 + 16 * 2 * B + 8, b"\x05")], "channel",
+          30 + 16 * 2 * B + 8),
+         ([(30 + 16 * (B + 2) + 8, b"\x05"), (30 + 16 * 2 * B + 9, b"\x04")], "channel",
+          30 + 16 * (B + 2) + 8),
+         ([(30 + 16 * 3, (2 ** 40).to_bytes(8, "little")), (30 + 16 * 2 * B + 9, b"\x04")],
+          "origin", 30 + 16 * 2 * B + 9),
+         ([(18, b"\x00\x00\x00\x00"), (30 + 16 * 3 + 8, b"\x05")], "imbalance_ticks", None),
+         ([(18, b"\x00\x00\x00\x00"), (30 + 16 * 2 * B + 12, b"\x01")], "reserved",
+          30 + 16 * 2 * B + 10),
+         ([(30 + 16 * (B - 1) + 9, b"\x04"), (30 + 16 * 2 * B + 9, b"\x07")], "origin",
+          30 + 16 * (B - 1) + 9)],
+        ids=["channel-after-origin", "channel-before-origin", "origin-after-order",
+             "clock-before-channel", "reserved-before-clock", "first-of-two-origin"],
+    )
+    @READERS
+    def test_defect_of_higher_rank_is_reported_wherever_it_lies(self, edits, error, offset,
+                                                                  read, tmp_path):
+        """Reserved bits first, then the header's clock, then the file's first
+        channel, origin and order defect, in that order."""
+        blob = bytearray(tag_file_bytes(CLOCK, *sorted_records(2 * B + 1)))
+        for at, data in edits:
+            blob[at : at + len(data)] = data
+        path = tmp_path / "r.hdtt"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=error) as err:
+            read(path)
+        assert getattr(err.value, "offset", None) == offset
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4])
     def test_every_order_break_is_found_at_any_block_size(self, block, monkeypatch):
@@ -791,7 +922,8 @@ def stream_bytes(stream):
 
 
 class TestStreamMemory:
-    """Whole-stream stages hold about one stream, not several copies of it.
+    """Whole-stream stages hold about one stream, not several copies of it,
+    and the file commands hold one block, whatever the stream's length.
 
     Each stage's traced peak includes what it returns; the per-block arrays
     add about 1 MiB, a quarter of this stream's 4 MiB.
@@ -826,18 +958,41 @@ class TestStreamMemory:
         assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
         assert peak < 0.5 * stream_bytes(noisy_stream)
 
-    def test_certify_et_holds_one_stream(self, noisy_stream, tmp_path, capsys):
-        """``certify-et`` reads, sifts and drops HV before it reads DA."""
-        da = generate_stream(model(d=80, pair_rate=1.5e6, bg=4e7, jitter=800e-12,
-                                   basis=BASIS_DA), CLOCK, 100_000, seed=8)
-        write_tags(noisy_stream, tmp_path / "hv.hdtt")
-        write_tags(da, tmp_path / "da.hdtt")
-        del da
-        argv = ["certify-et", "--hv", str(tmp_path / "hv.hdtt"), "--da", str(tmp_path / "da.hdtt"),
-                "--dims", "10,80", "--resamples", "2"]
-        code, peak = traced_peak(lambda: cli.main(argv))
-        assert code == 0, capsys.readouterr().err
-        assert peak < 2.0 * stream_bytes(noisy_stream)
+    @staticmethod
+    def config(tmp_path, n_frames):
+        """A one-point run config at the brightest default background rate."""
+        path = tmp_path / f"run{n_frames}.ini"
+        path.write_text(f"[source]\nbackground_rates = 4e7\n[sweep]\nn_frames = {n_frames}\n")
+        return path
+
+    def test_simulate_tags_holds_one_block(self, tmp_path, capsys):
+        """Eight times the frames (1.4 M events, 22 MiB a file, against 2.6 read
+        blocks) raise the traced peak of ``simulate-tags`` by less than one 1 MiB block."""
+        peaks = []
+        for n_frames in (40_000, 320_000):
+            argv = ["simulate-tags", "--config", str(self.config(tmp_path, n_frames)),
+                    "--out", str(tmp_path / f"tags{n_frames}")]
+            code, peak = traced_peak(lambda: cli.main(argv))
+            assert code == 0, capsys.readouterr().err
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 1 << 20
+
+    def test_certify_et_holds_one_block(self, tmp_path, capsys):
+        """``certify-et`` reads and sifts each file one block at a time, HV before DA:
+        eight times the frames raise its traced peak by less than one 1 MiB block."""
+        peaks = []
+        for n_frames in (40_000, 320_000):
+            out = tmp_path / f"tags{n_frames}"
+            argv = ["simulate-tags", "--config", str(self.config(tmp_path, n_frames)),
+                    "--out", str(out)]
+            assert cli.main(argv) == 0, capsys.readouterr().err
+            argv = ["certify-et", "--hv", str(out / "tags_p000_hv.hdtt"),
+                    "--da", str(out / "tags_p000_da.hdtt"), "--dims", "10,80",
+                    "--resamples", "2"]
+            code, peak = traced_peak(lambda: cli.main(argv))
+            assert code == 0, capsys.readouterr().err
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 1 << 20
 
 
 class TestCountMatrixSet:
