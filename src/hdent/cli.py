@@ -11,14 +11,14 @@ Subcommands::
 ``sweep-noise`` and ``certify-et`` certify HV/DA stream pairs through one
 path: each stream is binned at every d, ``sweep-noise``'s in memory by
 ``_sift_stream`` and ``certify-et``'s tag files one block at a time by
-``_sift_file``, and ``_certify_counts`` certifies the two lists of count
-sets, so ``sweep-noise`` holds one stream at a time.  ``simulate-tags``
-writes each stream as it is generated, block by block, so neither file
-command ever holds a whole stream.  The INI config drives ``simulate-tags``
-and ``sweep-noise``.  Its keys are declared in one table, ``_CONFIG_KEYS``,
-whose rows give each key's section, default and parser; the loader rejects
-every section or key that the table lacks.  ``mub-sweep`` is configured by
-its flags.
+``_sift_file``, both through the one binning loop of ``tagstream``, and
+``_certify_counts`` certifies the two lists of count sets, so ``sweep-noise``
+holds one stream at a time.  ``simulate-tags`` writes each stream as it is
+generated, block by block, so neither file command ever holds a whole
+stream.  The INI config drives ``simulate-tags`` and ``sweep-noise``.  Its
+keys are declared in one table, ``_CONFIG_KEYS``, whose rows give each key's
+section, default and parser; the loader rejects every section or key that
+the table lacks.  ``mub-sweep`` is configured by its flags.
 
 Every table is rendered by ``_csv`` with a schema comment above its header,
 and every CSV or JSON file is written atomically by ``_write_atomic``; identical

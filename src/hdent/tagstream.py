@@ -35,10 +35,14 @@ needs ts < 2**60, so a generated frame range must end by 2**59 ticks.
 
 A stream flows either whole, as a ``TagStream``, or as a ``TagBlocks``: its
 clock and its events in consecutive sorted blocks, made as they are read.
-``generate_blocks`` and ``read_blocks`` are block sources; ``write_tags`` and
-``sift_blocks`` are sinks that take either form and hold one block at a time,
-so a tag file can be made or certified at any length.  ``generate_stream`` and
-``read_tags`` are the concatenations of the two sources.
+Both forms have ``blocks``; a ``TagStream`` is one block.  ``generate_blocks``
+and ``read_blocks`` are block sources; ``write_tags`` and ``sift_blocks`` are
+sinks that take either form and hold one block at a time, so a tag file can
+be made or certified at any length.  ``generate_stream`` and ``read_tags`` are
+the concatenations of the two sources.  There is one sifter: ``sift_blocks``
+finds the kept frames chunk by chunk and bins them, and ``sift_and_bin`` bins
+the same chunks of a held stream, found once and kept in
+``TagStream.kept_events``.
 """
 
 from __future__ import annotations
@@ -202,40 +206,23 @@ class TagStream:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    @functools.cached_property
-    def kept_pairs(self) -> tuple:
-        """Event indices ``(a, b)`` of the frames with exactly one click per side.
-
-        ``a[k]`` is the Alice event and ``b[k]`` the Bob event of the k-th such
-        frame, in time order.  Which frames qualify does not depend on the
-        binning, so this is found once per stream, block by block as
-        ``sift_blocks`` finds them; both arrays are read-only.
-        """
-        a_parts, b_parts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-        for offset, _, _, _, a, b in _kept_chunks(self):
-            a_parts.append(a + offset)
-            b_parts.append(b + offset)
-        a, b = np.concatenate(a_parts), np.concatenate(b_parts)
-        a.setflags(write=False)
-        b.setflags(write=False)
-        return a, b
+    @property
+    def blocks(self) -> tuple:
+        """The stream as one block ``(timestamps, channels, origins)``, as in ``TagBlocks``."""
+        return ((self.timestamps, self.channels, self.origins),)
 
     @functools.cached_property
     def kept_events(self) -> tuple:
-        """What every binning reads of the kept frames, gathered once.
+        """The ``_kept_values`` of each chunk (``_kept_chunks``), found once and kept.
 
-        ``(pair, ticks_a, ticks_b, noise_coincidences, frames_total)``: as
-        ``_kept_values`` gives them for all kept pairs, and the frames from
-        frame 0 to the last event's.
+        Which frames are kept does not depend on the binning, so each
+        ``sift_and_bin`` call only bins these.  Their arrays are read-only.
         """
-        ts = self.timestamps
-        pair, ticks_a, ticks_b, noise = _kept_values(
-            ts, self.channels, self.origins, *self.kept_pairs, self.clock.frame_ticks
-        )
-        frames_total = int(ts[-1]) // self.clock.frame_ticks + 1 if len(ts) else 0
-        for arr in (pair, ticks_a, ticks_b):
-            arr.setflags(write=False)
-        return pair, ticks_a, ticks_b, noise, frames_total
+        chunks = tuple(_kept_chunks(self))
+        for chunk in chunks:
+            for arr in chunk[:3]:
+                arr.setflags(write=False)
+        return chunks
 
 
 @dataclass(frozen=True)
@@ -246,7 +233,9 @@ class TagBlocks:
     before; the two sources, ``generate_blocks`` and ``read_blocks``, check
     every block as ``TagStream`` checks a stream.  ``blocks`` is then a
     one-shot iterator (a stream being generated, a file being read), so the
-    stream is read once, in order, and is never held whole.
+    stream is read once, in order, and is never held whole.  A held
+    ``TagStream`` has ``blocks`` too, as one block, so every sink reads both
+    forms through that one attribute.
     """
 
     clock: ClockConfig
@@ -255,11 +244,7 @@ class TagBlocks:
 
 def _pieces(stream):
     """The blocks of a ``TagStream`` or ``TagBlocks``, cut to at most ``_BLOCK_RECORDS`` events."""
-    if isinstance(stream, TagStream):
-        blocks = [(stream.timestamps, stream.channels, stream.origins)]
-    else:
-        blocks = stream.blocks
-    for ts, ch, og in blocks:
+    for ts, ch, og in stream.blocks:
         for start in range(0, len(ts), _BLOCK_RECORDS):
             stop = start + _BLOCK_RECORDS
             yield ts[start:stop], ch[start:stop], og[start:stop]
@@ -292,17 +277,37 @@ def _kept_pairs(ts, ch, frame_ticks: int, lead: int, final: bool) -> tuple:
     return np.where(a_first, i, i + 1), np.where(a_first, i + 1, i)
 
 
+def _kept_values(ts, ch, og, frame_ticks: int, lead: int, final: bool) -> tuple:
+    """What every binning reads of the kept frames that a chunk decides (``_kept_pairs``).
+
+    ``(pair, ticks_a, ticks_b, noise, frames)``: the PAIR_LABELS index and
+    the Alice and Bob ticks within the frame of each kept pair (int64), the
+    pairs with a background event (None when an origin is unknown), and the
+    frame span from frame 0 to the frame of the chunk's last event.  A chunk
+    is never empty.
+    """
+    a, b = _kept_pairs(ts, ch, frame_ticks, lead, final)
+    pair = ch[a].astype(np.int64) * 2 + (ch[b] - 2)
+    ticks_a = (ts[a] % frame_ticks).astype(np.int64)
+    ticks_b = (ts[b] % frame_ticks).astype(np.int64)
+    og_a, og_b = og[a], og[b]
+    if np.any(og_a == Origin.UNKNOWN) or np.any(og_b == Origin.UNKNOWN):
+        noise = None
+    else:
+        noise = int(np.count_nonzero((og_a == Origin.NOISE) | (og_b == Origin.NOISE)))
+    return pair, ticks_a, ticks_b, noise, int(ts[-1]) // frame_ticks + 1
+
+
 def _kept_chunks(stream):
-    """Each chunk of ``stream`` with the kept pairs it decides: ``(offset, ts, ch, og, a, b)``.
+    """The ``_kept_values`` of each chunk of a ``TagStream`` or ``TagBlocks``, in stream order.
 
     A chunk is one block of ``_pieces(stream)`` after the events carried over
     from the chunk before: those whose runs are still undecided, and the
     event before them.  A ``TagStream``'s chunk is a view of its arrays,
     since a copy per block fragments the heap of a long in-memory sweep; a
-    ``TagBlocks`` chunk joins the carried events to the block.  ``offset``
-    is the stream index of the chunk's first event and ``(a, b)``
-    are chunk indices from ``_kept_pairs``.  After the last block, the
-    carried events (at most three) make the chunk that ends the stream.
+    ``TagBlocks`` chunk joins the carried events to the block.  After the
+    last block, the carried events (at most three) make the chunk that ends
+    the stream.  An empty stream has no chunk.
     """
     frame_ticks = stream.clock.frame_ticks
     whole = isinstance(stream, TagStream)
@@ -316,39 +321,13 @@ def _kept_chunks(stream):
                      stream.origins[offset:stop])
         else:
             chunk = tuple(map(np.concatenate, zip(carry, block)))
-        a, b = _kept_pairs(chunk[0], chunk[1], frame_ticks, lead, final=False)
-        yield (offset, *chunk, a, b)
+        yield _kept_values(*chunk, frame_ticks, lead, final=False)
         undecided = max(lead, len(chunk[0]) - 2)
         start = max(undecided - 1, 0)
         carry = tuple(part[start:].copy() for part in chunk)
         offset, lead = offset + start, undecided - start
     if carry is not None:
-        yield (offset, *carry, *_kept_pairs(carry[0], carry[1], frame_ticks, lead, final=True))
-
-
-def _kept_values(ts, ch, og, a, b, frame_ticks: int) -> tuple:
-    """What every binning reads of the kept pairs ``(a, b)``: ``(pair, ticks_a, ticks_b, noise)``.
-
-    The PAIR_LABELS index and the Alice and Bob ticks within the frame of
-    each pair (int64), and the pairs with a background event (None when an
-    origin is unknown).
-    """
-    pair = ch[a].astype(np.int64) * 2 + (ch[b] - 2)
-    ticks_a = (ts[a] % frame_ticks).astype(np.int64)
-    ticks_b = (ts[b] % frame_ticks).astype(np.int64)
-    og_a, og_b = og[a], og[b]
-    if np.any(og_a == Origin.UNKNOWN) or np.any(og_b == Origin.UNKNOWN):
-        noise = None
-    else:
-        noise = int(np.count_nonzero((og_a == Origin.NOISE) | (og_b == Origin.NOISE)))
-    return pair, ticks_a, ticks_b, noise
-
-
-def _binned(pair, ticks_a, ticks_b, binning) -> np.ndarray:
-    """The (4, d, d) histogram of kept pairs at ``binning``."""
-    d = binning.d
-    flat = (pair * d + ticks_a // binning.bin_ticks) * d + ticks_b // binning.bin_ticks
-    return np.bincount(flat, minlength=4 * d * d).reshape(4, d, d)
+        yield _kept_values(*carry, frame_ticks, lead, final=True)
 
 
 @dataclass(frozen=True)
@@ -674,45 +653,51 @@ def generate_blocks(
     return TagBlocks(clock, _decoded_blocks(chunks))
 
 
+def _counts(kept, binnings, basis: str) -> list:
+    """The ``CountMatrixSet`` at each of ``binnings`` of a stream's ``_kept_chunks``.
+
+    Each chunk's kept pairs are added to the counts of every binning; the
+    stream's frame span is its last chunk's, and an empty stream spans none.
+    """
+    counts = [np.zeros((4, b.d, b.d), dtype=np.int64) for b in binnings]
+    frames_kept, noise, frames_total = 0, 0, 0
+    for pair, ticks_a, ticks_b, chunk_noise, frames_total in kept:
+        for matrices, binning in zip(counts, binnings):
+            d = binning.d
+            flat = (pair * d + ticks_a // binning.bin_ticks) * d + ticks_b // binning.bin_ticks
+            matrices += np.bincount(flat, minlength=4 * d * d).reshape(4, d, d)
+        frames_kept += len(pair)
+        noise = None if noise is None or chunk_noise is None else noise + chunk_noise
+    return [CountMatrixSet(basis, binning, matrices, frames_total, frames_kept, noise)
+            for binning, matrices in zip(binnings, counts)]
+
+
 def sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str) -> CountMatrixSet:
     """Histogram the frames with exactly one click per side at ``binning``.
 
-    The kept frames and their events' detector pair, ticks in frame, noise
-    coincidences and frame span are gathered once per stream
-    (``TagStream.kept_events``); each call only divides the ticks by the bin
-    width and counts.  The frame span runs from frame 0 to the frame of the
-    last event.  Events tied on (timestamp, channel), signal first in a
-    generated stream (the low bit of its key ``((ts * 4 + ch) << 1) | origin``,
-    which bounds generation to 2**59 ticks), share a side, so their frame is
-    never kept and the tie rule cannot change the counts.
+    ``sift_blocks`` at one binning, with the kept frames of a held stream
+    found once (``TagStream.kept_events``): each call only divides their
+    ticks by the bin width and counts.  The frame span runs from frame 0 to
+    the frame of the last event.  Events tied on (timestamp, channel),
+    signal first in a generated stream (the low bit of its key
+    ``((ts * 4 + ch) << 1) | origin``, which bounds generation to 2**59
+    ticks), share a side, so their frame is never kept and the tie rule
+    cannot change the counts.
     """
     binning.check_against(stream.clock)
-    pair, ticks_a, ticks_b, noise, frames_total = stream.kept_events
-    matrices = _binned(pair, ticks_a, ticks_b, binning)
-    return CountMatrixSet(basis, binning, matrices, frames_total, len(pair), noise)
+    return _counts(stream.kept_events, [binning], basis)[0]
 
 
 def sift_blocks(stream, binnings, basis: str) -> list:
-    """``sift_and_bin`` of a ``TagBlocks`` (or ``TagStream``) at each binning, in one pass.
+    """The ``sift_and_bin`` of a ``TagBlocks`` (or ``TagStream``) at each binning, in one pass.
 
-    Each block's kept pairs are found as ``TagStream.kept_pairs`` finds them
-    and added to the counts of every binning; the frame still open at a
-    block's end is carried into the next.  Holds one block of the stream.
+    Each chunk's kept frames are found and added to the counts of every
+    binning; the frame still open at a block's end is carried into the
+    next.  Holds one block of the stream.
     """
-    frame_ticks = stream.clock.frame_ticks
     for binning in binnings:
         binning.check_against(stream.clock)
-    counts = [np.zeros((4, b.d, b.d), dtype=np.int64) for b in binnings]
-    kept, noise, frames_total = 0, 0, 0
-    for _, ts, ch, og, a, b in _kept_chunks(stream):
-        pair, ticks_a, ticks_b, chunk_noise = _kept_values(ts, ch, og, a, b, frame_ticks)
-        for matrices, binning in zip(counts, binnings):
-            matrices += _binned(pair, ticks_a, ticks_b, binning)
-        kept += len(pair)
-        noise = None if noise is None or chunk_noise is None else noise + chunk_noise
-        frames_total = int(ts[-1]) // frame_ticks + 1
-    return [CountMatrixSet(basis, binning, matrices, frames_total, kept, noise)
-            for binning, matrices in zip(binnings, counts)]
+    return _counts(_kept_chunks(stream), binnings, basis)
 
 
 def write_tags(stream, path) -> str:
@@ -721,12 +706,18 @@ def write_tags(stream, path) -> str:
     The format is magic, version, clock and record count, then 16-byte
     records.  Records are filled and written one block at a time, and the
     count goes into the header after the last block; returns the hex sha256
-    of the file, read back once it is complete.
+    of the file, read back once it is complete.  The header holds the tick
+    as a whole number of femtoseconds, which the reader divides by 1e15; a
+    tick that does not come back exactly is refused before the file is opened.
     """
     clock = stream.clock
+    tick_fs = clock.tick_seconds * 1e15
+    if not 1 <= tick_fs < 2 ** 64 or round(tick_fs) / 1e15 != clock.tick_seconds:
+        raise ValueError(f"tick_seconds = {clock.tick_seconds!r} is not a whole number of "
+                         "femtoseconds from 1 to 2**64 - 1, so no tag file can hold it")
 
     def header(count):
-        return _HEADER.pack(FORMAT_MAGIC, FORMAT_VERSION, round(clock.tick_seconds * 1e15),
+        return _HEADER.pack(FORMAT_MAGIC, FORMAT_VERSION, round(tick_fs),
                             clock.frame_ticks, clock.imbalance_ticks, count)
 
     count = 0
@@ -826,7 +817,7 @@ def _tag_file(path):
                 min(size, expected),
             )
         try:
-            clock = ClockConfig(tick_fs * 1e-15, frame_ticks, imbalance)
+            clock = ClockConfig(tick_fs / 1e15, frame_ticks, imbalance)
         except ValueError as exc:
             yield from _record_blocks(fh, count, exc)  # raises ``exc`` at the end of the file
         yield clock, count

@@ -444,9 +444,10 @@ def concat_generate_stream(model, clock, n_frames: int, seed: int,
 
 
 def whole_stream_kept_pairs(stream: TagStream) -> tuple:
-    """Reference for ``TagStream.kept_pairs`` from whole-stream frame numbers.
+    """Event indices ``(a, b)`` of the Alice and Bob event of each kept frame, in time order.
 
-    Divides every timestamp by the frame length at once and keeps the runs
+    The reference for the block-by-block kept frames of ``tagstream``: it
+    divides every timestamp by the frame length at once and keeps the runs
     of exactly two events of one frame that lie on different sides.
     """
     frames = stream.timestamps // stream.clock.frame_ticks
@@ -458,6 +459,17 @@ def whole_stream_kept_pairs(stream: TagStream) -> tuple:
     i = i[is_a[i] != is_a[i + 1]]
     a_first = is_a[i]
     return np.where(a_first, i, i + 1), np.where(a_first, i + 1, i)
+
+
+def whole_stream_kept_values(stream: TagStream) -> tuple:
+    """``(pair, ticks_a, ticks_b)`` of each kept frame, gathered at ``whole_stream_kept_pairs``.
+
+    The PAIR_LABELS index and the Alice and Bob ticks within the frame.
+    """
+    a, b = whole_stream_kept_pairs(stream)
+    ts, ch = stream.timestamps, stream.channels.astype(np.int64)
+    frame_ticks = stream.clock.frame_ticks
+    return ch[a] * 2 + ch[b] - 2, ts[a] % frame_ticks, ts[b] % frame_ticks
 
 
 def bisect_root(func, lo=0.0, hi=1.0, tol=1e-9):

@@ -334,6 +334,16 @@ class TestSimulateAndCertify:
             assert "File too large" in json.loads(capsys.readouterr().err)["message"]
         assert out.is_dir() and not list(out.iterdir())
 
+    def test_simulate_refuses_a_tick_no_tag_file_can_hold(self, small_config, tmp_path, capsys):
+        """A tick under 1 fs would be stored as 0, which no reader accepts."""
+        path = tmp_path / "tick.ini"
+        path.write_text(small_config.read_text().replace(
+            "[source]", "[clock]\ntick_seconds = 3e-16\n\n[source]"))
+        out = tmp_path / "tags"
+        assert run_cli("simulate-tags", "--config", path, "--out", out) == 1
+        assert "tick_seconds = 3e-16 " in json.loads(capsys.readouterr().err)["message"]
+        assert out.is_dir() and not list(out.iterdir())
+
     def test_certify_matches_library_calls(self, small_config, tmp_path, capsys):
         out = tmp_path / "tags"
         run_cli("simulate-tags", "--config", small_config, "--out", out)

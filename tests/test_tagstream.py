@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 import tracemalloc
 
@@ -44,7 +45,7 @@ from conftest import (
     exact_hv_probabilities,
     loop_sift_and_bin,
     spill_probabilities,
-    whole_stream_kept_pairs,
+    whole_stream_kept_values,
 )
 
 CLOCK = ClockConfig()
@@ -431,6 +432,13 @@ def assert_same_counts(got, want):
     assert got.noise_coincidences == want.noise_coincidences
 
 
+def joined_kept(chunks) -> list:
+    """``[pair, ticks_a, ticks_b]`` of the kept values of a stream's chunks, joined."""
+    chunks = list(chunks)
+    return [np.concatenate([np.empty(0, np.int64), *(chunk[k] for chunk in chunks)])
+            for k in range(3)]
+
+
 @st.composite
 def small_streams(draw):
     """Sorted streams over a few dozen frames: empty, single- and multi-click frames."""
@@ -467,22 +475,32 @@ class TestSiftOracle:
                 assert_same_counts(
                     sift_and_bin(stream, binning, basis), loop_sift_and_bin(stream, binning, basis)
                 )
-        a, b = stream.kept_pairs
-        assert stream.kept_pairs is stream.kept_pairs
-        assert not a.flags.writeable and not b.flags.writeable
-        with pytest.raises(ValueError):
-            a[:1] = 0
+        kept = stream.kept_events
+        assert stream.kept_events is kept
+        for chunk in kept:
+            for arr in chunk[:3]:
+                with pytest.raises(ValueError):
+                    arr[:1] = 0
 
-    @given(stream_data=small_streams(), block=st.integers(min_value=1, max_value=8))
+    @given(stream_data=small_streams(), block=st.integers(min_value=1, max_value=8),
+           data=st.data())
     @settings(deadline=None, max_examples=150)
-    def test_kept_pairs_match_whole_stream_frames(self, stream_data, block):
+    def test_kept_events_match_whole_stream_frames(self, stream_data, block, data):
+        """A held stream cut into blocks of ``block`` events, and the same stream as
+        ``TagBlocks`` cut anywhere (empty blocks and blocks of 1-3 events included),
+        keep the frames that whole-stream frame numbers keep."""
         clock, _, ts, ch, og = stream_data
         stream = TagStream(clock, ts, ch, og)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tagstream, "_BLOCK_RECORDS", block)
-            a, b = stream.kept_pairs
-        want_a, want_b = whole_stream_kept_pairs(stream)
-        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+            held = joined_kept(stream.kept_events)
+        sizes = data.draw(st.lists(st.integers(0, 3) | st.integers(0, len(ts)), max_size=12))
+        cuts = [*np.minimum(np.cumsum([0, *sizes]), len(ts)), len(ts)]
+        blocks = [(ts[i:j], ch[i:j], og[i:j]) for i, j in zip(cuts, cuts[1:])]
+        streamed = joined_kept(tagstream._kept_chunks(TagBlocks(clock, iter(blocks))))
+        want = whole_stream_kept_values(stream)
+        for got in (held, streamed):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     def test_call_order_does_not_matter(self):
         m = model(d=80, pair_rate=2e6, bg=1e7, jitter=800e-12, p=0.8)
@@ -645,7 +663,7 @@ class TestTagFormat:
     )
     @settings(deadline=None, max_examples=60)
     def test_roundtrip_random_records(self, data, tick_fs, tmp_path_factory):
-        clock = ClockConfig(tick_fs * 1e-15, 320, 32)
+        clock = ClockConfig(tick_fs / 1e15, 320, 32)
         data.sort()
         ts = np.array([r[0] for r in data], dtype=np.uint64)
         ch = np.array([r[1] for r in data], dtype=np.uint8)
@@ -658,6 +676,21 @@ class TestTagFormat:
         assert np.array_equal(back.timestamps, ts)
         assert np.array_equal(back.channels, ch)
         assert np.array_equal(back.origins, og)
+
+    def test_tick_reads_back_as_written(self, tmp_path):
+        """82.31e-12 s is 82 310 fs, whose product with 1e-15 is one ulp above it."""
+        stream = generate_stream(model(bg=2e5), ClockConfig(82.31e-12), 200, seed=3)
+        write_tags(stream, tmp_path / "t.hdtt")
+        assert read_tags(tmp_path / "t.hdtt").clock == stream.clock
+
+    @pytest.mark.parametrize("tick", [3e-16, 1e5, 1e300, 82.3456e-12])
+    def test_tick_no_file_can_hold_is_refused_before_the_file_opens(self, tmp_path, tick):
+        """Under 1 fs, past 2**64 - 1 fs, or not a whole number of femtoseconds."""
+        empty = (np.empty(0, np.uint64), np.empty(0, np.uint8), np.empty(0, np.uint8))
+        path = tmp_path / "t.hdtt"
+        with pytest.raises(ValueError, match=re.escape(f"tick_seconds = {tick!r} ")):
+            write_tags(TagStream(ClockConfig(tick), *empty), path)
+        assert not path.exists()
 
     def _valid_file(self, tmp_path):
         stream = generate_stream(model(), CLOCK, 200, seed=1)
@@ -950,12 +983,12 @@ class TestStreamMemory:
         assert_same_stream(fresh, noisy_stream)
         assert peak < 8 * _BLOCK_RECORDS
 
-    def test_kept_pairs_peak(self, noisy_stream):
+    def test_kept_events_peak(self, noisy_stream):
         fresh = TagStream(CLOCK, noisy_stream.timestamps, noisy_stream.channels,
                           noisy_stream.origins)
-        (a, b), peak = traced_peak(lambda: fresh.kept_pairs)
-        want_a, want_b = whole_stream_kept_pairs(noisy_stream)
-        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+        kept, peak = traced_peak(lambda: fresh.kept_events)
+        got, want = joined_kept(kept), whole_stream_kept_values(noisy_stream)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
         assert peak < 0.5 * stream_bytes(noisy_stream)
 
     @staticmethod
