@@ -11,18 +11,22 @@ Subcommands::
 ``sweep-noise`` and ``certify-et`` certify HV/DA stream pairs through one
 path: each stream is binned at every d, ``sweep-noise``'s in memory by
 ``_sift_stream`` and ``certify-et``'s tag files one block at a time by
-``_sift_file``, both through the one binning loop of ``tagstream``, and
+``sift_blocks``, both through the one binning loop of ``tagstream``, and
 ``_certify_counts`` certifies the two lists of count sets, so ``sweep-noise``
 holds one stream at a time.  ``simulate-tags`` writes each stream as it is
-generated, block by block, so neither file command ever holds a whole
-stream.  The INI config drives ``simulate-tags`` and ``sweep-noise``.  Its
-keys are declared in one table, ``_CONFIG_KEYS``, whose rows give each key's
-section, default and parser; the loader rejects every section or key that
-the table lacks.  ``mub-sweep`` is configured by its flags.
+generated, block by block, so neither file command ever holds a whole stream.
+``certify-et`` reports the first error in this order: its flags, the HV then
+the DA header, a clock mismatch, ``--dims``, HV's then DA's records; so no
+record is read before a header or ``--dims`` error.  The INI config drives
+``simulate-tags`` and ``sweep-noise``.  Its keys are declared in one table,
+``_CONFIG_KEYS``, whose rows give each key's section, default and parser; the
+loader rejects every section or key that the table lacks.  ``mub-sweep`` is
+configured by its flags.
 
 Every table is rendered by ``_csv`` with a schema comment above its header,
-and every CSV or JSON file is written atomically by ``_write_atomic``; identical
-configs and seeds reproduce them bit for bit, independent of the worker count.
+and every output file, tag files included, is written by ``_publish``;
+identical configs and seeds reproduce them bit for bit, independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -211,12 +215,23 @@ def load_run_config(path=None) -> RunConfig:
         raise ValueError(f"{exc} in {path}") from None
 
 
-def _write_atomic(path, text: str) -> None:
+def _publish(path, write):
+    """``write(tmp)``, with ``tmp = <path>.tmp`` then renamed to ``path``; any exception,
+    Ctrl-C included, unlinks ``tmp``, so a failed write leaves no file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, newline="")
-    os.replace(tmp, path)
+    try:
+        result = write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return result
+
+
+def _write_atomic(path, text: str) -> None:
+    _publish(path, lambda tmp: tmp.write_text(text, newline=""))
 
 
 def _fmt(value) -> str:
@@ -254,27 +269,6 @@ def _sift_stream(stream, dims, basis) -> list:
     """``stream``'s count matrices at each d of ``dims``."""
     binnings = (tagstream.BinningConfig.for_dimension(stream.clock, d) for d in dims)
     return [tagstream.sift_and_bin(stream, binning, basis) for binning in binnings]
-
-
-def _sift_file(path, dims, basis, clock=None) -> tuple:
-    """The clock of the tag file at ``path`` and its count matrices at each d of ``dims``.
-
-    The file is read and sifted one block at a time.  Its clock must equal
-    ``clock``, where one is given, and allow every d (the error names
-    ``--dims``); either error is raised only once the records are read, so
-    that a defect in the file is reported first.
-    """
-    stream = tagstream.read_blocks(path)
-    try:
-        if clock not in (None, stream.clock):
-            raise ValueError("HV and DA tag files use different clock configs")
-        binnings = [_named("--dims:", tagstream.BinningConfig.for_dimension, stream.clock, d)
-                    for d in dims]
-    except ValueError:
-        for _ in stream.blocks:
-            pass
-        raise
-    return stream.clock, tagstream.sift_blocks(stream, binnings, basis)
 
 
 def _certify_counts(hv_sets, da_sets, eta_hwp, resamples, seed):
@@ -318,6 +312,7 @@ def _timebin_point(task):
 def run_timebin_sweep(cfg: RunConfig, workers: int = 1):
     """All sweep rows for the time-bin route, bit-identical for any worker count."""
     tasks = [(cfg, point, rate) for point, rate in enumerate(cfg.background_rates)]
+    workers = min(workers, len(tasks))  # a pool starts all its workers at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # not loaded by importing the CLI
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -406,21 +401,14 @@ def cmd_simulate_tags(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     out = Path(args.out or cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = []
     for point, (rate, models) in enumerate(zip(cfg.background_rates, cfg.point_models)):
         for model, da_flag in zip(models, (False, True)):
             stream_seed = _stream_seed(cfg.seed, point, da_flag)
             name = f"tags_p{point:03d}_{model.basis.lower()}.hdtt"
-            tmp = out / (name + ".tmp")
             # generated and written block by block, so no whole stream is held
             blocks = tagstream.generate_blocks(model, cfg.clock, cfg.n_frames, stream_seed)
-            try:
-                digest = tagstream.write_tags(blocks, tmp)
-                os.replace(tmp, out / name)
-            except BaseException:  # an error or Ctrl-C mid-write leaves no partial file
-                tmp.unlink(missing_ok=True)
-                raise
+            digest = _publish(out / name, functools.partial(tagstream.write_tags, blocks))
             manifest.append((point, rate, model.basis, name, stream_seed, digest))
     _write_atomic(out / "manifest.csv", _csv(MANIFEST_SCHEMA, MANIFEST_COLUMNS, manifest))
     print(json.dumps({"written": len(cfg.background_rates) * 2, "out": str(out)}))
@@ -435,9 +423,15 @@ def cmd_certify_et(args) -> int:
     if Path(args.hv).resolve() == Path(args.da).resolve():
         raise ValueError(f"--hv and --da name one file, {args.hv}; the witness needs "
                          "the HV and the DA stream of one run")
-    # one file at a time, one block at a time: HV is sifted before DA is opened
-    clock, hv_sets = _sift_file(args.hv, dims, tagstream.BASIS_HV)
-    _, da_sets = _sift_file(args.da, dims, tagstream.BASIS_DA, clock)
+    # both headers, their clocks and --dims are judged before any record is read;
+    # then HV is sifted, then DA, each one block at a time
+    hv, da = tagstream.read_blocks(args.hv), tagstream.read_blocks(args.da)
+    if hv.clock != da.clock:
+        raise ValueError("HV and DA tag files use different clock configs")
+    binnings = [_named("--dims:", tagstream.BinningConfig.for_dimension, hv.clock, d)
+                for d in dims]
+    hv_sets = tagstream.sift_blocks(hv, binnings, tagstream.BASIS_HV)
+    da_sets = tagstream.sift_blocks(da, binnings, tagstream.BASIS_DA)
     out = Path(args.out) if args.out else None
     rows = []
     reports = {}

@@ -746,18 +746,17 @@ def _record_offset(index, field: int = 0) -> int:
     return _HEADER.size + int(index) * _RECORD_DTYPE.itemsize + field
 
 
-def _record_blocks(fh, count: int, defect: Optional[Exception] = None):
+def _record_blocks(fh, count: int):
     """The ``count`` records that follow the header in ``fh``, block by block, checked.
 
     Reserved bits and short reads raise where they are met.  Any other
     defect is raised at the end of the file, so that one that outranks it
-    can still be found: ``defect`` if one is given, else the file's first
-    channel defect, then its first origin defect, then its first order
-    defect, each at the byte offset of its field.  No block is yielded once
-    a defect is known.
+    can still be found: the file's first channel defect, then its first
+    origin defect, then its first order defect, each at the byte offset of
+    its field, whatever ``_BLOCK_RECORDS`` is.  No block is yielded once a
+    defect is known.
     """
-    rank = -1 if defect is not None else len(_RULES)
-    last = None
+    rank, defect, last = len(_RULES), None, None
     block = np.empty(min(count, _BLOCK_RECORDS), dtype=_RECORD_DTYPE)
     for start in range(0, count, _BLOCK_RECORDS):
         stop = min(start + _BLOCK_RECORDS, count)
@@ -775,8 +774,6 @@ def _record_blocks(fh, count: int, defect: Optional[Exception] = None):
             raise TagFormatError(
                 "reserved record bytes not zero", _record_offset(start + bad[0], 10)
             )
-        if rank <= 0:  # nothing found here can outrank the known defect
-            continue
         ts = records["timestamp"].copy()
         ch = flags.astype(np.uint8)  # the low byte
         og = (flags >> 8).astype(np.uint8)
@@ -796,9 +793,7 @@ def _record_blocks(fh, count: int, defect: Optional[Exception] = None):
 def _tag_file(path):
     """Yield a tag file's clock and record count, then its records as ``_record_blocks`` does.
 
-    The magic, version and size are checked first.  A clock that
-    ``ClockConfig`` rejects is reported after the records have been read for
-    reserved bits and short reads, before any event rule.
+    The header (magic, version, size, then clock) is judged before any record is read.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -816,20 +811,15 @@ def _tag_file(path):
                 f"expected {expected} bytes for {count} records, got {size}",
                 min(size, expected),
             )
-        try:
-            clock = ClockConfig(tick_fs / 1e15, frame_ticks, imbalance)
-        except ValueError as exc:
-            yield from _record_blocks(fh, count, exc)  # raises ``exc`` at the end of the file
-        yield clock, count
+        yield ClockConfig(tick_fs / 1e15, frame_ticks, imbalance), count
         yield from _record_blocks(fh, count)
 
 
 def read_blocks(path) -> TagBlocks:
-    """A tag file as ``TagBlocks``: the header is read now, the records block by block.
+    """A tag file as ``TagBlocks``: the header is judged now, the records block by block.
 
-    Every defect is reported as ``read_tags`` reports it, with the same
-    message, byte offset and precedence; a defect in the records is raised
-    by the iteration over the blocks, at the end of the file at the latest.
+    Defects are reported as ``read_tags`` reports them; one in the records is
+    raised by the iteration over the blocks, at the end of the file at the latest.
     """
     blocks = _tag_file(path)
     clock, _ = next(blocks)
@@ -841,8 +831,9 @@ def read_tags(path) -> TagStream:
 
     The concatenation of the blocks of ``read_blocks``, in the stream's own
     arrays, so reading takes about one stream plus one block of memory.
-    Every error names the byte offset of the defect; reserved bits come
-    first, then the clock, then channel, origin and order.
+    The header is judged first (magic, version, size, then clock), then the
+    records: reserved bits where met, then the first channel, origin and
+    order defect.  A format error names the byte offset of the defect.
     """
     blocks = _tag_file(path)
     clock, count = next(blocks)

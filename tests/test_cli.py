@@ -54,6 +54,11 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def no_records(*args):
+    """Stands in for ``tagstream._record_blocks`` where no record may be read."""
+    raise AssertionError("a record was read")
+
+
 class TestLinkBudget:
     def test_reference_values(self, capsys):
         assert run_cli("link-budget", "--db", "82", "102") == 0
@@ -377,11 +382,12 @@ class TestSimulateAndCertify:
         assert summary[1].startswith("d_or_k,")
 
     def test_certify_rejects_bad_dimension(self, small_config, tmp_path, capsys, monkeypatch):
-        """A d that the HV file's clock cannot bin fails, naming --dims, before any sifting."""
+        """A d that the files' clock cannot bin fails, naming --dims, before a
+        record of either file is read."""
         out = tmp_path / "tags"
         run_cli("simulate-tags", "--config", small_config, "--out", out)
         capsys.readouterr()
-        monkeypatch.setattr(cli.tagstream, "sift_and_bin", None)
+        monkeypatch.setattr(cli.tagstream, "_record_blocks", no_records)
         code = run_cli(
             "certify-et",
             "--hv", out / "tags_p000_hv.hdtt",
@@ -434,15 +440,69 @@ class TestSimulateAndCertify:
         message = json.loads(capsys.readouterr().err)["message"]
         assert "--dims" in message and "'ten'" in message
 
-    def test_rejects_different_clocks(self, small_config, tmp_path, capsys):
+    def test_da_header_defect_comes_before_hv_record_defects(self, small_config, tmp_path,
+                                                             capsys):
+        """Both headers are judged before HV's records are read, so the DA file's
+        bad magic is reported, not the HV file's unknown channel."""
+        out = tmp_path / "tags"
+        run_cli("simulate-tags", "--config", small_config, "--out", out)
+        capsys.readouterr()
+        hv = bytearray((out / "tags_p000_hv.hdtt").read_bytes())
+        hv[30 + 16 * 2 + 8] = 7  # an unknown channel
+        (out / "bad_hv.hdtt").write_bytes(hv)
+        da = bytearray((out / "tags_p000_da.hdtt").read_bytes())
+        da[:4] = b"NOPE"
+        (out / "bad_da.hdtt").write_bytes(da)
+        code = run_cli("certify-et", "--hv", out / "bad_hv.hdtt", "--da", out / "bad_da.hdtt",
+                       "--dims", "10")
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["message"] == "bad magic (byte offset 0)"
+
+    def test_unlabelled_files_certify_as_labelled_ones(self, small_config, tmp_path, capsys):
+        """A time-tagger gives no origin labels (origin 2): ``nf_true`` is then
+        unknown, and every other output is that of the labelled pair."""
+        out = tmp_path / "tags"
+        run_cli("simulate-tags", "--config", small_config, "--out", out)
+        for basis in ("hv", "da"):
+            blob = bytearray((out / f"tags_p001_{basis}.hdtt").read_bytes())
+            records = np.frombuffer(blob, dtype="<u8", offset=30).reshape(-1, 2)
+            records[:, 1] = (records[:, 1] & 0xFF) | 2 << 8
+            (out / f"unlabelled_{basis}.hdtt").write_bytes(blob)
+        capsys.readouterr()
+        reports = {}
+        for name in ("tags_p001", "unlabelled"):
+            code = run_cli("certify-et", "--hv", out / f"{name}_hv.hdtt",
+                           "--da", out / f"{name}_da.hdtt", "--dims", "10,20",
+                           "--resamples", "8", "--out", tmp_path / name)
+            assert code == 0
+            reports[name] = json.loads(capsys.readouterr().out)
+        labelled, unlabelled = reports["tags_p001"], reports["unlabelled"]
+        assert set(labelled) == set(unlabelled) == {"10", "20"}
+        for d in labelled:
+            assert labelled[d]["nf_true"] > 0 and unlabelled[d]["nf_true"] is None
+            assert {**unlabelled[d], "nf_true": labelled[d]["nf_true"]} == labelled[d]
+            assert json.loads((tmp_path / "unlabelled" / f"witness_d{d}.json").read_text()) \
+                == unlabelled[d]
+        rows = {name: [line.split(",") for line in
+                       (tmp_path / name / "certify_summary.csv").read_text().splitlines()[2:]]
+                for name in reports}
+        column = cli.SWEEP_COLUMNS.index("nf_true")
+        for got, want in zip(rows["unlabelled"], rows["tags_p001"], strict=True):
+            assert got[column] == "" and want[column] != ""
+            assert got[:column] + got[column + 1:] == want[:column] + want[column + 1:]
+
+    def test_rejects_different_clocks(self, small_config, tmp_path, capsys, monkeypatch):
+        """A clock mismatch fails before ``--dims`` is checked and before a
+        record of either file is read."""
         out = tmp_path / "tags"
         run_cli("simulate-tags", "--config", small_config, "--out", out)
         capsys.readouterr()
         da = tagstream.read_tags(out / "tags_p000_da.hdtt")
         other = out / "tags_p000_da_other_tick.hdtt"
         tagstream.write_tags(replace(da, clock=replace(da.clock, tick_seconds=80e-12)), other)
+        monkeypatch.setattr(cli.tagstream, "_record_blocks", no_records)
         code = run_cli(
-            "certify-et", "--dims", "10", "--hv", out / "tags_p000_hv.hdtt", "--da", other
+            "certify-et", "--dims", "10,30", "--hv", out / "tags_p000_hv.hdtt", "--da", other
         )
         assert code == 1
         captured = capsys.readouterr()
@@ -715,6 +775,30 @@ def test_written_text_files_end_lines_in_lf_and_leave_no_temporaries(
     assert not [p for p in written if p.suffix == ".tmp"]
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [("sweep-noise", "sweep.csv"), ("certify-et", "certify_summary.csv"),
+     ("mub-sweep", "mub_sweep.csv")],
+)
+def test_a_failed_write_leaves_no_temporary(command, name, small_config, tmp_path, capsys):
+    """An output path held by a directory fails the command; its ``.tmp`` file goes too."""
+    tags = tmp_path / "tags"
+    assert run_cli("simulate-tags", "--config", small_config, "--out", tags) == 0
+    argv = {
+        "certify-et": ["--hv", tags / "tags_p000_hv.hdtt", "--da", tags / "tags_p000_da.hdtt",
+                       "--dims", "10", "--resamples", "8"],
+        "sweep-noise": ["--config", small_config],
+        "mub-sweep": ["--dim", "3", "--k", "2", "--grid", "0:0.5:2", "--counts", "1e4",
+                      "--resamples", "5"],
+    }[command]
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    capsys.readouterr()
+    assert run_cli(command, *argv, "--out", out) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_importing_the_cli_loads_no_process_pool():
     """Only a sweep with more than one worker imports the process pool."""
     code = "import sys, hdent.cli; print('concurrent.futures.process' in sys.modules)"
@@ -742,6 +826,36 @@ class TestSweepNoise:
         assert lines[0] == "# hdent-sweep-csv v1"
         assert len(lines) == 2 + 2 * 2  # two rates x two dims
 
+    def test_pool_gets_no_more_workers_than_points(self, small_config, tmp_path, monkeypatch):
+        """A process pool starts all its workers at once, so it is sized by the
+        points; one point runs in this process.  The pool here is a stand-in
+        that maps in this process, so no worker is started."""
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks):
+                return map(func, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = load_run_config(small_config)
+        serial = cli.run_timebin_sweep(cfg, workers=1)
+        assert cli.run_timebin_sweep(cfg, workers=64) == serial
+        assert sizes == [2]
+        one = replace(cfg, background_rates=cfg.background_rates[1:])
+        assert cli.run_timebin_sweep(one, workers=2) == cli.run_timebin_sweep(one, workers=1)
+        assert sizes == [2]
+
 
 def test_cli_snapshot_fails_when_a_command_that_must_succeed_fails(tmp_path, monkeypatch,
                                                                    capsys):
@@ -751,7 +865,8 @@ def test_cli_snapshot_fails_when_a_command_that_must_succeed_fails(tmp_path, mon
     snapshot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snapshot)
     monkeypatch.setattr(snapshot, "CONFIGS", {})
-    monkeypatch.setattr(snapshot, "corrupt", lambda out: None)
+    monkeypatch.setattr(snapshot, "derive", lambda out: None)
+    monkeypatch.setattr(snapshot, "DERIVED", [])
     monkeypatch.setattr(snapshot, "CHECKS", [("expected_failure", ["link-budget"])])
     works = ("works", ["link-budget", "--km", "410"])
     monkeypatch.setattr(snapshot, "COMMANDS", [works])

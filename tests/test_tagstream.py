@@ -879,17 +879,17 @@ class TestTagBlocks:
          ([(30 + 16 * 3, (2 ** 40).to_bytes(8, "little")), (30 + 16 * 2 * B + 9, b"\x04")],
           "origin", 30 + 16 * 2 * B + 9),
          ([(18, b"\x00\x00\x00\x00"), (30 + 16 * 3 + 8, b"\x05")], "imbalance_ticks", None),
-         ([(18, b"\x00\x00\x00\x00"), (30 + 16 * 2 * B + 12, b"\x01")], "reserved",
-          30 + 16 * 2 * B + 10),
+         ([(18, b"\x00\x00\x00\x00"), (30 + 16 * 2 * B + 12, b"\x01")], "imbalance_ticks",
+          None),
          ([(30 + 16 * (B - 1) + 9, b"\x04"), (30 + 16 * 2 * B + 9, b"\x07")], "origin",
           30 + 16 * (B - 1) + 9)],
         ids=["channel-after-origin", "channel-before-origin", "origin-after-order",
-             "clock-before-channel", "reserved-before-clock", "first-of-two-origin"],
+             "clock-before-channel", "clock-before-reserved", "first-of-two-origin"],
     )
     @READERS
     def test_defect_of_higher_rank_is_reported_wherever_it_lies(self, edits, error, offset,
                                                                   read, tmp_path):
-        """Reserved bits first, then the header's clock, then the file's first
+        """The header's clock first, then reserved bits, then the file's first
         channel, origin and order defect, in that order."""
         blob = bytearray(tag_file_bytes(CLOCK, *sorted_records(2 * B + 1)))
         for at, data in edits:
@@ -899,6 +899,31 @@ class TestTagBlocks:
         with pytest.raises(ValueError, match=error) as err:
             read(path)
         assert getattr(err.value, "offset", None) == offset
+
+    @pytest.mark.parametrize(
+        "at, data, error",
+        [(0, b"NOPE", "bad magic"), (4, b"\x02", "version 2"), (22, b"\x09", "expected"),
+         (18, b"\x00\x00\x00\x00", "imbalance_ticks"), (14, b"\x07", "not divisible")],
+        ids=["magic", "version", "size", "zero-imbalance", "frame-not-multiple"],
+    )
+    def test_header_defects_are_raised_before_any_record_is_read(self, at, data, error,
+                                                                  tmp_path, monkeypatch):
+        """``read_blocks`` judges the whole header, clock included, when it is
+        called; ``read_tags`` does too.  The records carry a reserved-bit
+        defect, which a record read would report instead."""
+        blob = bytearray(tag_file_bytes(CLOCK, *sorted_records(B + 1)))
+        blob[30 + 16 * 3 + 12] = 1
+        blob[at : at + len(data)] = data
+        path = tmp_path / "h.hdtt"
+        path.write_bytes(blob)
+
+        def no_records(*args):
+            raise AssertionError("a record was read")
+
+        monkeypatch.setattr(tagstream, "_record_blocks", no_records)
+        for read in (read_blocks, read_tags):
+            with pytest.raises(ValueError, match=error):
+                read(path)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4])
     def test_every_order_break_is_found_at_any_block_size(self, block, monkeypatch):
@@ -1011,8 +1036,8 @@ class TestStreamMemory:
         assert peaks[1] - peaks[0] < 1 << 20
 
     def test_certify_et_holds_one_block(self, tmp_path, capsys):
-        """``certify-et`` reads and sifts each file one block at a time, HV before DA:
-        eight times the frames raise its traced peak by less than one 1 MiB block."""
+        """``certify-et`` opens both files, then reads and sifts each one block at a
+        time, HV before DA: eight times the frames raise its traced peak by less than one 1 MiB block."""
         peaks = []
         for n_frames in (40_000, 320_000):
             out = tmp_path / f"tags{n_frames}"

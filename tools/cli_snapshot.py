@@ -10,14 +10,17 @@ this script.  Each command's output files land under ``OUT``, and its stdout,
 stderr and exit code under ``OUT/runs/<name>.{stdout,stderr,exit}``.  Run the
 script in two checkouts and compare them with ``diff -r``.  The script exits
 1, naming them, when any of ``COMMANDS`` (which must all succeed) exits
-non-zero; the exit codes of ``CHECKS``, many of them expected failures, are
-only recorded.
+non-zero; so does one of ``DERIVED``, which run on copies of a tag-file pair
+that ``derive`` makes once ``COMMANDS`` have run.  The exit codes of
+``CHECKS``, many of them expected failures, are only recorded.
 
 The set covers every subcommand on the default and small configs, a
 jitter-free stream whose signal and noise events often share a tick and
-detector, tag files corrupted in each way ``read_tags`` detects, a good HV
-file with a truncated or bad-magic DA file, an HV/DA pair whose clocks differ,
-one tag file named as both HV and DA, config values and flags that must fail
+detector, a tag-file pair without origin labels, tag files corrupted in each
+way ``read_tags`` detects, a good HV file with a truncated or bad-magic DA
+file, faults in both files or in a file and ``--dims`` (``certify-et`` must
+name the first in its error order), an HV/DA pair whose clocks differ, one
+tag file named as both HV and DA, config values and flags that must fail
 before any output is written, and a ``mub-sweep`` grid whose points are too
 close to get seeds of their own.
 """
@@ -88,6 +91,8 @@ CORRUPTIONS = {
     "origin": [(30 + 16 * 3 + 9, b"\x05")],
     "unsorted": [(30, (2 ** 40).to_bytes(8, "little"))],
     "two_defects": [(30, (2 ** 40).to_bytes(8, "little")), (30 + 16 * 4 + 10, b"\x01")],
+    # a zero imbalance in the header's clock, then reserved bits in a record
+    "clock_reserved": [(18, b"\x00\x00\x00\x00"), (30 + 16 * 2 + 13, b"\x01")],
 }
 
 TAGS = "tags_default/tags_p{:03d}_{}.hdtt"
@@ -125,7 +130,11 @@ COMMANDS = [
                         "--export-matrices", "--out", "mub_d11_export"]),
     ("link_budget", ["link-budget", "--db", "82", "102", "--km", "410"]),
 ]
-# these read the corrupted copies, which are made once the commands above have run
+# these read the copies that ``derive`` makes once the commands above have run
+DERIVED = [
+    ("certify_unlabelled", certify("derived/unlabelled_hv.hdtt", "derived/unlabelled_da.hdtt",
+                                   "10,20", out="certify_unlabelled")),
+]
 CHECKS = [
     (f"tagfile_{name}", certify(f"corrupt/{name}.hdtt", "tags_small/tags_p000_da.hdtt", "10"))
     for name in (*CORRUPTIONS, "truncated")
@@ -137,6 +146,11 @@ CHECKS += [
 ]
 # a d that the clock cannot bin
 CHECKS.append(("certify_d30", certify(TAGS.format(0, "hv"), TAGS.format(0, "da"), "30")))
+# a header or --dims error comes before any record defect, of either file
+CHECKS.append(("certify_reserved_d30", certify(
+    "corrupt/reserved.hdtt", "tags_small/tags_p000_da.hdtt", "30")))
+CHECKS.append(("tagfile_channel_da_bad_magic", certify(
+    "corrupt/channel.hdtt", "corrupt/bad_magic.hdtt", "10")))
 CHECKS.append(("tagfile_clock_mismatch", certify(
     "tags_small/tags_p000_hv.hdtt", "tags_other_tick/tags_p000_da.hdtt", "10")))
 CHECKS.append(("certify_same_file", certify(
@@ -173,8 +187,19 @@ CHECKS += [
 ]
 
 
-def corrupt(out: Path) -> None:
-    """Write the malformed copies of one small tag file under ``out/corrupt``."""
+def derive(out: Path) -> None:
+    """Write the copies of the small config's tag files that ``DERIVED`` and ``CHECKS`` read.
+
+    ``out/derived`` gets point 1's pair with every origin set to 2 (unknown),
+    as a time-tagger writes it; ``out/corrupt`` gets the malformed copies of
+    point 0's HV file.
+    """
+    (out / "derived").mkdir()
+    for basis in ("hv", "da"):
+        blob = bytearray((out / "tags_small" / f"tags_p001_{basis}.hdtt").read_bytes())
+        for offset in range(30 + 9, len(blob), 16):  # the origin byte of each record
+            blob[offset] = 2
+        (out / "derived" / f"unlabelled_{basis}.hdtt").write_bytes(bytes(blob))
     good = (out / "tags_small" / "tags_p000_hv.hdtt").read_bytes()
     (out / "corrupt").mkdir()
     for name, edits in CORRUPTIONS.items():
@@ -211,7 +236,8 @@ def main(argv) -> int:
     for name, text in CONFIGS.items():
         (out / name).write_text(text)
     failed = run(out, COMMANDS)
-    corrupt(out)
+    derive(out)
+    failed += run(out, DERIVED)
     run(out, CHECKS)
     if failed:
         print(f"commands that must succeed failed: {', '.join(failed)}", file=sys.stderr)
