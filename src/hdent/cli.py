@@ -343,9 +343,9 @@ def _visibility_excess(reps, bound: float) -> np.ndarray:
 def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     """Sweep rows, per-k thresholds and correlation matrices for the MUB route.
 
-    The matrices are those of the first max(k_list) bases, one list per grid
-    point in grid order.  The resampling of each (nf, k) is keyed by nf in
-    millionths, so grid points that round to one millionth are refused.
+    Each k reads the first k of one matrix set per grid point (returned in grid
+    order) and, for its exact threshold, of one set at p = 0 and one at p = 1.
+    Resampling is keyed by nf in millionths: points that round alike are refused.
     """
     mubs = mub.build_mubs(dim)
     pure = states.make_max_entangled(dim)
@@ -356,19 +356,21 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     if len(set(keys)) < len(keys):
         raise ValueError("--grid has points that round to the same millionth, so their "
                          "error bars would share one seed; space the points wider")
+
+    def matched(p):
+        state = states.NoisyState(pure, p)
+        return [mub.correlation_matrix(state, mubs, alpha, alpha) for alpha in range(k_max)]
+
     off_diagonal = ~np.eye(dim, dtype=bool)
     rows, per_nf = [], []
     for nf, key in zip(nf_grid, keys):
-        state = states.NoisyState(pure, 1.0 - nf)
-        matrices = [
-            mub.correlation_matrix(state, mubs, alpha, alpha) for alpha in range(k_max)
-        ]
+        matrices = matched(1.0 - nf)
         per_nf.append(matrices)
         # per basis, all the statistic reads: diagonal and off-diagonal sums (1 - trace may be < 0)
         expected = [counts_per_basis * np.array([np.trace(m), m[off_diagonal].sum()])
                     for m in matrices]
         for k in k_list:
-            report = mub.visibility_sum(state, mubs, k)
+            report = mub.visibility_sum(matrices[:k])
             statistic = functools.partial(_visibility_excess, bound=report.separable_bound)
             summary = analysis.poisson_resample(
                 tuple(expected[:k]), statistic, resamples,
@@ -386,9 +388,10 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
                     "certified": report.certified,
                 }
             )
+    at_0, at_1 = matched(0.0), matched(1.0)
     thresholds = {}
     for k in k_list:
-        exact = mub.mub_noise_threshold(dim, k)
+        exact = mub.mub_noise_threshold(*(mub.visibility_sum(at[:k]) for at in (at_0, at_1)))
         thresholds[str(k)] = {
             "scan": _rows_to_threshold(rows, k),
             "exact_nf_star": None if exact is None else 1.0 - exact,
@@ -464,6 +467,10 @@ def cmd_mub_sweep(args) -> int:
     if not 0.0 < args.counts < math.inf:
         raise ValueError(f"--counts must be finite and positive, got {args.counts}")
     _named("--resamples", _integer, args.resamples, 2)
+    names = [f"corr_nf{nf:.4f}" for nf in nf_grid]  # export names: nf to 4 decimals
+    if args.export_matrices and len(set(names)) < len(names):
+        raise ValueError("--grid has points that round to the same 4 decimals, so "
+                         "--export-matrices would write one point's files over another's")
     rows, thresholds, per_nf = run_mub_sweep(
         args.dim, k_list, nf_grid, args.counts, args.resamples, args.seed
     )
@@ -472,11 +479,11 @@ def cmd_mub_sweep(args) -> int:
     _write_atomic(out / "mub_thresholds.json", json.dumps(thresholds, sort_keys=True, indent=2))
     if args.export_matrices:
         columns = ["alice_m", *(f"bob_{n}" for n in range(args.dim))]
-        for nf, matrices in zip(nf_grid, per_nf):
+        for nf, name, matrices in zip(nf_grid, names, per_nf):
             for alpha, matrix in enumerate(matrices):
                 schema = (f"# hdent-correlation-csv v1 d={args.dim} alpha={alpha} "
                           f"beta={alpha} nf={nf:.6g}")
-                _write_atomic(out / f"corr_nf{nf:.4f}_b{alpha}.csv",
+                _write_atomic(out / f"{name}_b{alpha}.csv",
                               _csv(schema, columns, ([m, *row] for m, row in enumerate(matrix))))
     print(json.dumps(thresholds, sort_keys=True))
     return 0

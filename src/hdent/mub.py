@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import NoisyState, Pairing, SchmidtState, make_max_entangled
+from .states import NoisyState, Pairing
 
 
 def is_prime(n: int) -> bool:
@@ -133,42 +133,35 @@ class VisibilityReport:
     certified: bool
 
 
-def visibility_sum(state: NoisyState, mubs: MubSet, k: int) -> VisibilityReport:
-    """Sum of matched-basis visibilities over the first k bases.
+def visibility_sum(matrices) -> VisibilityReport:
+    """Sum of matched-basis visibilities over the first k bases, one matrix each.
 
-    The visibility of basis alpha is the diagonal sum of its correlation
-    matrix; entanglement is certified when the sum exceeds 1 + (k-1)/d.
+    ``matrices[alpha]`` is ``correlation_matrix(state, mubs, alpha, alpha)``
+    for alpha = 0..k-1; its visibility is its diagonal sum.  Entanglement is
+    certified when the sum exceeds 1 + (k-1)/d.
     """
-    d = state.dim
+    k = len(matrices)
+    d = len(matrices[0]) if k else 0
     if not 2 <= k <= d + 1:
-        raise ValueError(f"k must be in 2..{d + 1}, got {k}")
-    per_basis = tuple(
-        float(np.trace(correlation_matrix(state, mubs, alpha, alpha)))
-        for alpha in range(k)
-    )
+        raise ValueError(f"k must be in 2..d+1, got {k} matrices of d = {d}")
+    per_basis = tuple(float(np.trace(m)) for m in matrices)
     total = float(sum(per_basis))
     bound = separable_bound(d, k)
     return VisibilityReport(d, k, per_basis, total, bound, total > bound)
 
 
-def mub_noise_threshold(d: int, k: int, pure: SchmidtState | None = None):
-    """Mixing weight p* where the k-basis visibility sum meets the bound.
+def mub_noise_threshold(at_0: VisibilityReport, at_1: VisibilityReport):
+    """Mixing weight p* where the visibility sum meets the bound.
 
-    The family is p |pure><pure| + (1-p)/d^2 (default ``pure``: maximally
-    entangled).  Every correlation matrix is affine in p, so the margin
-    ``visibility_sum - separable_bound`` is too, and p* is the root of the
-    line through its values m0 at p = 0 and m1 at p = 1.  Returns None when
-    the pure state does not beat the bound (margins within roundoff of zero
-    count as non-certifying, so bound-saturating states report no threshold).
+    ``at_0`` and ``at_1`` are the k-basis reports of p |pure><pure| + (1-p)/d^2
+    at p = 0 and p = 1.  Every correlation matrix is affine in p, so the margin
+    ``visibility_sum - separable_bound`` is too, and p* is the root of the line
+    through its values m0 at p = 0 and m1 at p = 1.  Returns None when the pure
+    state does not beat the bound (margins within roundoff of zero count as
+    non-certifying, so bound-saturating states report no threshold).
     """
-    pure = make_max_entangled(d) if pure is None else pure
-    mubs = build_mubs(d)
-
-    def margin(p):
-        report = visibility_sum(NoisyState(pure, p), mubs, k)
-        return report.visibility_sum - report.separable_bound
-
-    m0, m1 = margin(0.0), margin(1.0)
+    m0 = at_0.visibility_sum - at_0.separable_bound
+    m1 = at_1.visibility_sum - at_1.separable_bound
     if m1 <= 1e-12:  # roundoff guard: saturating the bound is not a violation
         return None
     return m0 / (m0 - m1)

@@ -8,8 +8,8 @@ import pytest
 
 from hdent import analysis, witness
 from hdent.analysis import Replicates, ResampleSummary
-from hdent.mub import MubSet
-from hdent.states import NoisyState, element
+from hdent.mub import MubSet, build_mubs, correlation_matrix, mub_noise_threshold, visibility_sum
+from hdent.states import NoisyState, SchmidtState, element, make_max_entangled
 from hdent.tagstream import (
     BASIS_DA,
     BASIS_HV,
@@ -285,6 +285,24 @@ def max_mub_deviation(mubs: MubSet) -> float:
             target = np.eye(d) if a == b else np.full((d, d), 1.0 / d)
             worst = max(worst, float(np.max(np.abs(gram - target))))
     return worst
+
+
+def matched_matrices(state: NoisyState, mubs: MubSet, k: int) -> list:
+    """The correlation matrices of the first k matched bases, as ``visibility_sum`` reads them."""
+    return [correlation_matrix(state, mubs, alpha, alpha) for alpha in range(k)]
+
+
+def vis(state: NoisyState, mubs: MubSet, k: int):
+    """``visibility_sum`` of ``state`` over the first k bases of ``mubs``."""
+    return visibility_sum(matched_matrices(state, mubs, k))
+
+
+def threshold(d: int, k: int, pure: SchmidtState | None = None):
+    """``mub_noise_threshold`` of ``pure`` (default: maximally entangled) over k bases of d."""
+    pure = make_max_entangled(d) if pure is None else pure
+    mubs = build_mubs(d)
+    return mub_noise_threshold(vis(NoisyState(pure, 0.0), mubs, k),
+                               vis(NoisyState(pure, 1.0), mubs, k))
 
 
 def dense_witness_report(hv: CountMatrixSet, da: CountMatrixSet, d: int, f: int,

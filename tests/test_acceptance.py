@@ -16,7 +16,7 @@ from hdent.analysis import (
     true_noise_fraction,
 )
 from hdent.cli import RunConfig, run_timebin_sweep, sweep_rows_to_csv
-from hdent.mub import build_mubs, mub_noise_threshold, visibility_sum
+from hdent.mub import build_mubs
 from hdent.states import NoisyState, SchmidtState, make_max_entangled, materialize
 from hdent.tagstream import (
     BASIS_DA,
@@ -39,6 +39,8 @@ from conftest import (
     exact_count_sets,
     max_mub_deviation,
     spill_probabilities,
+    threshold,
+    vis,
 )
 
 CLOCK = ClockConfig()
@@ -84,7 +86,7 @@ def test_criterion_2_separable_bound_saturation():
         amps = np.zeros(d)
         amps[0] = 1.0
         product = NoisyState(SchmidtState.from_amplitudes(amps), 1.0)
-        report = visibility_sum(product, build_mubs(d), d + 1)
+        report = vis(product, build_mubs(d), d + 1)
         assert abs(report.visibility_sum - 2.0) < 1e-10
     print("ACCEPTANCE 2 PASS: |00> visibility sum equals 2.0 within 1e-10 "
           "for d in {2,3,5,7}")
@@ -93,7 +95,7 @@ def test_criterion_2_separable_bound_saturation():
 def test_criterion_3_ideal_mub_thresholds():
     nf_stars = []
     for d, k in ((2, 3), (3, 4), (5, 6), (7, 8)):
-        p_star = mub_noise_threshold(d, k)
+        p_star = threshold(d, k)
         assert abs(p_star - 1 / k) < 1e-4
         nf_stars.append(1 - p_star)
     assert all(b > a for a, b in zip(nf_stars, nf_stars[1:]))
@@ -110,7 +112,7 @@ def test_criterion_4_noise_region_grows_with_k():
     for k in (2, 3, 4):
         margins = []
         for nf in grid:
-            report = visibility_sum(NoisyState(pure, 1.0 - nf), mubs, k)
+            report = vis(NoisyState(pure, 1.0 - nf), mubs, k)
             margins.append(report.visibility_sum - report.separable_bound)
         thresholds.append(threshold_scan(grid, margins, [0.0] * len(grid)).nf_star)
     assert thresholds[0] < thresholds[1] < thresholds[2]

@@ -14,7 +14,7 @@ from hdent.analysis import (
     threshold_scan,
     true_noise_fraction,
 )
-from hdent.mub import build_mubs, correlation_matrix, visibility_sum
+from hdent.mub import build_mubs, correlation_matrix
 from hdent.states import NoisyState, make_max_entangled
 from hdent.tagstream import (
     BASIS_DA,
@@ -33,6 +33,7 @@ from conftest import (
     each_replicate,
     exact_count_sets,
     loop_poisson_resample,
+    vis,
     witness_masks,
 )
 
@@ -263,7 +264,7 @@ class TestThresholdScan:
         pure = make_max_entangled(d)
         points = []
         for nf in np.linspace(0.0, 0.95, 20):
-            report = visibility_sum(NoisyState(pure, 1.0 - nf), mubs, k)
+            report = vis(NoisyState(pure, 1.0 - nf), mubs, k)
             points.append((float(nf), report.visibility_sum - report.separable_bound))
         result = scan(points)
         assert abs(result.nf_star - 0.75) < 0.01

@@ -19,7 +19,14 @@ from hdent.cli import _visibility_excess, load_run_config, main
 from hdent.mub import build_mubs, correlation_matrix
 from hdent.states import NoisyState, make_max_entangled
 
-from conftest import assert_same_law, loop_poisson_resample, put_back, visibility_excess_oracle
+from conftest import (
+    assert_same_law,
+    loop_poisson_resample,
+    put_back,
+    threshold,
+    vis,
+    visibility_excess_oracle,
+)
 
 SMALL_CONFIG = """
 [run]
@@ -604,6 +611,57 @@ class TestMubSweep:
         sigmas = [line.split(",")[5] for line in
                   (tmp_path / "mub_sweep.csv").read_text().splitlines()[2:]]
         assert len(set(sigmas)) == 3
+
+    def test_grid_points_sharing_an_export_name_fail_before_any_row(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        """Export file names hold nf to 4 decimals; 0.5 and 0.50005 would share them."""
+        argv = ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.5001:3",
+                "--counts", "1e4", "--resamples", "5"]
+        assert run_cli(*argv, "--out", tmp_path / "plain") == 0  # without files, no clash
+        capsys.readouterr()
+        monkeypatch.setattr(cli.mub, "correlation_matrix", None)  # every row calls it
+        code = run_cli(*argv, "--export-matrices", "--out", tmp_path / "mub")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = json.loads(captured.err)["message"]
+        assert "--grid" in message and "--export-matrices" in message
+        assert not (tmp_path / "mub").exists()
+
+    @pytest.mark.parametrize("dim,k_list", [(2, (2, 3)), (3, (4, 2, 3)), (5, (2, 6)),
+                                            (11, (2, 7, 12))])
+    def test_rows_equal_the_direct_computation(self, dim, k_list):
+        """Every row and exact threshold, with ==, against matrices built for that (nf, k)."""
+        grid = cli._parse_grid("0:0.95:7")
+        rows, thresholds, _ = cli.run_mub_sweep(dim, k_list, grid, 1e4, 3, 1)
+        mubs, pure = build_mubs(dim), make_max_entangled(dim)
+        assert [(row["nf_true"], row["d_or_k"]) for row in rows] == [
+            (nf, k) for nf in grid for k in k_list]
+        for row in rows:
+            report = vis(NoisyState(pure, 1.0 - row["nf_true"]), mubs, row["d_or_k"])
+            assert row["witness_or_visibility_sum"] == report.visibility_sum
+            assert row["margin"] == report.visibility_sum - report.separable_bound
+            assert row["certified"] == report.certified
+        for k in k_list:
+            assert thresholds[str(k)]["exact_nf_star"] == 1.0 - threshold(dim, k)
+
+    def test_each_matrix_is_built_once(self, tmp_path, capsys, monkeypatch):
+        """k_max matrices per grid point plus one set at p = 0 and one at p = 1; one MUB set."""
+        calls = {"corr": 0, "build": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli.mub, "correlation_matrix",
+                            counting("corr", cli.mub.correlation_matrix))
+        monkeypatch.setattr(cli.mub, "build_mubs", counting("build", cli.mub.build_mubs))
+        code = run_cli("mub-sweep", "--dim", "11", "--k", "2,4,8,12", "--grid", "0:0.95:5",
+                       "--counts", "1e4", "--resamples", "5", "--out", tmp_path)
+        assert code == 0
+        assert calls == {"corr": 12 * (5 + 2), "build": 1}
 
     @pytest.mark.parametrize("k", ["", "2,2", "2,x"], ids=["empty", "repeated", "non-integer"])
     def test_empty_or_repeated_k_fails(self, tmp_path, capsys, k):

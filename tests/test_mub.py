@@ -13,7 +13,7 @@ from hdent.mub import (
 )
 from hdent.states import NoisyState, Pairing, SchmidtState, make_max_entangled, materialize
 
-from conftest import bisect_root, max_mub_deviation
+from conftest import bisect_root, matched_matrices, max_mub_deviation, threshold, vis
 
 
 def product_state(d):
@@ -125,14 +125,14 @@ class TestVisibilitySum:
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_product_state_saturates_full_bound(self, d):
-        report = visibility_sum(product_state(d), build_mubs(d), d + 1)
+        report = vis(product_state(d), build_mubs(d), d + 1)
         assert abs(report.visibility_sum - 2.0) < 1e-10
         # saturation, not violation: any excess is float roundoff
         assert report.visibility_sum - report.separable_bound < 1e-10
 
     def test_report_consistency(self):
         mubs = build_mubs(3)
-        report = visibility_sum(NoisyState(make_max_entangled(3), 0.9), mubs, 4)
+        report = vis(NoisyState(make_max_entangled(3), 0.9), mubs, 4)
         assert np.isclose(report.visibility_sum, sum(report.per_basis_visibility))
         assert report.certified == (report.visibility_sum > report.separable_bound)
 
@@ -142,11 +142,11 @@ class TestVisibilitySum:
         # from two exact evaluations once affinity is verified
         mubs = build_mubs(d)
         pure = make_max_entangled(d)
-        v0 = visibility_sum(NoisyState(pure, 0.0), mubs, k).visibility_sum
-        v1 = visibility_sum(NoisyState(pure, 1.0), mubs, k).visibility_sum
+        v0 = vis(NoisyState(pure, 0.0), mubs, k).visibility_sum
+        v1 = vis(NoisyState(pure, 1.0), mubs, k).visibility_sum
         assert v1 > v0  # increasing in p
         for p in (0.2, 0.53, 0.91):
-            direct = visibility_sum(NoisyState(pure, p), mubs, k).visibility_sum
+            direct = vis(NoisyState(pure, p), mubs, k).visibility_sum
             assert abs(direct - (p * v1 + (1 - p) * v0)) < 1e-12
         ps = np.arange(0.0, 1.0 + 1e-4, 1e-4)
         certified = ps * v1 + (1 - ps) * v0 > separable_bound(d, k)
@@ -154,11 +154,20 @@ class TestVisibilitySum:
         assert abs(first - 1 / k) <= 1.01e-4
 
     def test_k_out_of_range(self):
-        mubs = build_mubs(3)
-        st = NoisyState(make_max_entangled(3), 1.0)
-        for k in (1, 5):
-            with pytest.raises(ValueError):
-                visibility_sum(st, mubs, k)
+        matrices = matched_matrices(NoisyState(make_max_entangled(3), 1.0), build_mubs(3), 4)
+        for wrong in ([], matrices[:1], matrices + matrices[:1]):
+            with pytest.raises(ValueError, match="k must be in 2..d\\+1"):
+                visibility_sum(wrong)
+
+    def test_reads_the_matrices_it_is_given(self):
+        """Per-basis traces summed left to right; a stacked array reads like a list."""
+        matrices = matched_matrices(NoisyState(make_max_entangled(5), 0.35), build_mubs(5), 6)
+        for k in range(2, 7):
+            report = visibility_sum(matrices[:k])
+            assert report.per_basis_visibility == tuple(float(np.trace(m)) for m in matrices[:k])
+            assert report.visibility_sum == float(sum(report.per_basis_visibility))
+            assert (report.dim, report.k, report.separable_bound) == (5, k, separable_bound(5, k))
+            assert visibility_sum(np.stack(matrices[:k])) == report
 
 
 class TestNoiseThreshold:
@@ -166,14 +175,23 @@ class TestNoiseThreshold:
         "d,k,expected", [(2, 3, 1 / 3), (3, 4, 0.25), (7, 8, 0.125)]
     )
     def test_ideal_thresholds(self, d, k, expected):
-        assert abs(mub_noise_threshold(d, k) - expected) < 1e-12
+        assert abs(threshold(d, k) - expected) < 1e-12
+
+    def test_root_of_the_margin_line_through_two_reports(self):
+        matrices = matched_matrices(NoisyState(make_max_entangled(3), 1.0), build_mubs(3), 4)
+        at_1 = visibility_sum(matrices)
+        at_0 = visibility_sum([np.full((3, 3), 1 / 9)] * 4)  # white noise in every basis
+        m0, m1 = at_0.visibility_sum - 2.0, at_1.visibility_sum - 2.0
+        assert mub_noise_threshold(at_0, at_1) == m0 / (m0 - m1)
+        assert abs(mub_noise_threshold(at_0, at_1) - 0.25) < 1e-12
+        assert mub_noise_threshold(at_0, at_0) is None  # white noise beats no bound
 
     def test_no_threshold_for_separable_family(self):
         d = 3
-        assert mub_noise_threshold(d, d + 1, product_state(d).pure) is None
+        assert threshold(d, d + 1, product_state(d).pure) is None
 
     def test_tolerated_noise_weight_increases_with_dimension(self):
-        weights = [1 - mub_noise_threshold(d, d + 1) for d in (2, 3, 5, 7)]
+        weights = [1 - threshold(d, d + 1) for d in (2, 3, 5, 7)]
         assert all(b > a for a, b in zip(weights, weights[1:]))
 
     @given(
@@ -196,14 +214,14 @@ class TestNoiseThreshold:
         mubs = build_mubs(d)
 
         def total(q):
-            return visibility_sum(NoisyState(pure, q), mubs, k).visibility_sum
+            return vis(NoisyState(pure, q), mubs, k).visibility_sum
 
         def margin(q):
             return total(q) - separable_bound(d, k)
 
         assert abs(total(p) - ((1.0 - p) * total(0.0) + p * total(1.0))) < 1e-12
-        threshold = mub_noise_threshold(d, k, pure)
-        assert (threshold is None) == (margin(1.0) <= 1e-12)
-        if threshold is not None:
-            assert abs(threshold - bisect_root(margin)) < 1e-8
+        p_star = threshold(d, k, pure)
+        assert (p_star is None) == (margin(1.0) <= 1e-12)
+        if p_star is not None:
+            assert abs(p_star - bisect_root(margin)) < 1e-8
 

@@ -21,8 +21,9 @@ way ``read_tags`` detects, a good HV file with a truncated or bad-magic DA
 file, faults in both files or in a file and ``--dims`` (``certify-et`` must
 name the first in its error order), an HV/DA pair whose clocks differ, one
 tag file named as both HV and DA, config values and flags that must fail
-before any output is written, and a ``mub-sweep`` grid whose points are too
-close to get seeds of their own.
+before any output is written, ``mub-sweep`` at d = 2 (whose MUB set is built
+apart from the odd primes'), and ``mub-sweep`` grids whose points are too close
+to get seeds of their own or, with ``--export-matrices``, file names of their own.
 """
 
 import os
@@ -124,6 +125,8 @@ COMMANDS = [
     ("mub_d5", ["mub-sweep", "--dim", "5", "--k", "2,3,6", "--grid", "0:0.9:5",
                 "--export-matrices", "--out", "mub_d5"]),
     ("mub_d3", ["mub-sweep", "--dim", "3", "--k", "2,3,4", "--out", "mub_d3"]),
+    ("mub_d2", ["mub-sweep", "--dim", "2", "--k", "2,3", "--export-matrices",
+                "--out", "mub_d2"]),
     ("mub_d11", ["mub-sweep", "--dim", "11", "--k", "2,12", "--grid", "0:0.95:6",
                  "--out", "mub_d11"]),
     ("mub_d11_export", ["mub-sweep", "--dim", "11", "--k", "2,4,8,12", "--grid", "0:0.95:20",
@@ -184,6 +187,9 @@ CHECKS += [
     # the last two points round to one millionth, the key of their resampling
     ("mub_close_grid", ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500001:3",
                         "--counts", "1e4", "--resamples", "50", "--out", "mub_close_grid"]),
+    # 0.5 and 0.50005 have seeds of their own but one export file name, nf to 4 decimals
+    ("mub_close_export", ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.5001:3",
+                          "--export-matrices", "--out", "mub_close_export"]),
 ]
 
 
