@@ -32,7 +32,7 @@ def noise_fraction(matrices) -> float:
     if total <= 0:
         raise ValueError("cannot estimate a noise fraction without counts")
     n_mat, d, _ = m.shape
-    diag = sum(float(np.trace(mm)) for mm in m)
+    diag = sum(np.trace(m, axis1=1, axis2=2).tolist())
     level = (total - diag) / (n_mat * d * (d - 1))
     return float(min(1.0, max(0.0, level * n_mat * d * d / total)))
 
@@ -90,6 +90,10 @@ def poisson_resample(
     the rest of an array is one lumped Poisson, drawn next.  The joint law of
     the read cells and the totals is exact, so the result is correct only if
     ``statistic`` depends on nothing else.
+
+    The counts of all parts are converted to floats in one buffer and checked
+    together, once per call; a failing check names the first bad ``data[i]``
+    or ``reads[i]``.  Each part then makes its own two draws, cells first.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
@@ -98,19 +102,20 @@ def poisson_resample(
             f"reads[{min(len(reads), len(data))}]: need one mask per part of data, "
             f"got {len(reads)} masks for {len(data)} parts"
         )
+    parts = [np.asarray(part) for part in data]
+    # one float buffer for every part's counts; each part below draws from a view of it
+    flat = np.concatenate([np.zeros(0), *(part.ravel() for part in parts)], dtype=float)
+    bounds = np.cumsum([0, *(part.size for part in parts)]).tolist()
+    lams = [flat[lo:hi].reshape(part.shape) for part, lo, hi in zip(parts, bounds, bounds[1:])]
+    masks = [np.asarray(mask) for mask in reads]
+    if not (
+        np.isfinite(flat).all() and (flat >= 0).all()
+        and all(mask.dtype == bool and mask.shape == lam.shape for lam, mask in zip(lams, masks))
+    ):
+        _raise_first_bad_part(lams, masks)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
     batch = []
-    for index, (part, mask) in enumerate(zip(data, reads)):
-        lam, mask = np.asarray(part, dtype=float), np.asarray(mask)
-        if not np.isfinite(lam).all():
-            raise ValueError(f"data[{index}]: counts must be finite")
-        if np.any(lam < 0):
-            raise ValueError(f"data[{index}]: counts must be non-negative")
-        if mask.dtype != bool or mask.shape != lam.shape:
-            raise ValueError(
-                f"reads[{index}] must be a bool mask of shape {lam.shape}, "
-                f"got {mask.dtype} of shape {mask.shape}"
-            )
+    for lam, mask in zip(lams, masks):
         read = lam[mask]
         cells = rng.poisson(read, (n_resamples, read.size))
         lumped = rng.poisson(lam[~mask].sum(), n_resamples)
@@ -120,6 +125,20 @@ def poisson_resample(
         raise ValueError(f"statistic must return one value per replicate, shape "
                          f"({n_resamples},); got shape {values.shape}")
     return ResampleSummary(float(values.mean()), float(values.std(ddof=1)), n_resamples)
+
+
+def _raise_first_bad_part(lams, masks) -> None:
+    """Raise for the first part whose counts or mask ``poisson_resample`` refuses."""
+    for index, (lam, mask) in enumerate(zip(lams, masks)):
+        if not np.isfinite(lam).all():
+            raise ValueError(f"data[{index}]: counts must be finite")
+        if np.any(lam < 0):
+            raise ValueError(f"data[{index}]: counts must be non-negative")
+        if mask.dtype != bool or mask.shape != lam.shape:
+            raise ValueError(
+                f"reads[{index}] must be a bool mask of shape {lam.shape}, "
+                f"got {mask.dtype} of shape {mask.shape}"
+            )
 
 
 @dataclass(frozen=True)
@@ -155,8 +174,8 @@ def threshold_scan(
     """Locate the certification threshold along a noise sweep.
 
     ``nf``, ``margin`` and ``sigma`` hold, per sweep point, the noise
-    fraction, the certification statistic and its standard error; points
-    must be sorted by noise fraction.  The threshold is the linear
+    fraction, the certification statistic and its standard error, all
+    finite; points must be sorted by noise fraction.  The threshold is the linear
     interpolation of the statistic's sign change, with an uncertainty band
     from interpolating the +/- 1 sigma offsets of the same segment.
     """
@@ -164,6 +183,10 @@ def threshold_scan(
         raise ValueError(
             f"nf, margin and sigma need equal lengths, got {len(nf)}, {len(margin)}, {len(sigma)}"
         )
+    for name, values in (("nf", nf), ("margin", margin), ("sigma", sigma)):
+        for index, value in enumerate(values):
+            if not math.isfinite(value):
+                raise ValueError(f"{name}[{index}] must be finite, got {value}")
     if any(s < 0 for s in sigma):
         raise ValueError("sigma must be non-negative")
     if len(nf) < 2:

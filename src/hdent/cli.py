@@ -148,6 +148,10 @@ def _parse_ints(text: str) -> tuple:
     return values
 
 
+_SHARED_KEYS = ("--grid has points that round to the same millionth, so their "
+                "error bars would share one seed; space the points wider")
+
+
 def _parse_grid(text: str) -> tuple:
     """Noise fractions ``start:stop:count``, evenly spaced; errors name ``--grid``."""
     try:
@@ -159,6 +163,9 @@ def _parse_grid(text: str) -> tuple:
         raise ValueError(f"--grid needs a count of at least 2, got {count}")
     if not 0.0 <= start < stop <= 1.0:
         raise ValueError(f"--grid needs 0 <= start < stop <= 1, got {text!r}")
+    # the resampling keys round(nf * 1e6) of the points take at most this many values
+    if count > round(stop * 1e6) - round(start * 1e6) + 1:
+        raise ValueError(_SHARED_KEYS)
     return tuple(float(v) for v in np.linspace(start, stop, count))
 
 
@@ -343,9 +350,11 @@ def _visibility_excess(reps, bound: float) -> np.ndarray:
 def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     """Sweep rows, per-k thresholds and correlation matrices for the MUB route.
 
-    Each k reads the first k of one matrix set per grid point (returned in grid
-    order) and, for its exact threshold, of one set at p = 0 and one at p = 1.
-    Resampling is keyed by nf in millionths: points that round alike are refused.
+    Each grid point builds its k_max matched-basis matrices as one ``(k_max, d, d)``
+    stack (returned in grid order), and each k reads the first k of it: the
+    per-basis resampling means, the visibility sum and the noise fraction.  The
+    exact thresholds read one stack at p = 0 and one at p = 1.  Resampling is
+    keyed by nf in millionths: points that round alike are refused.
     """
     mubs = mub.build_mubs(dim)
     pure = states.make_max_entangled(dim)
@@ -354,21 +363,24 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
         raise ValueError(f"k values must lie in 2..{dim + 1}")
     keys = [round(nf * 1e6) for nf in nf_grid]
     if len(set(keys)) < len(keys):
-        raise ValueError("--grid has points that round to the same millionth, so their "
-                         "error bars would share one seed; space the points wider")
+        raise ValueError(_SHARED_KEYS)
 
     def matched(p):
-        state = states.NoisyState(pure, p)
-        return [mub.correlation_matrix(state, mubs, alpha, alpha) for alpha in range(k_max)]
+        bases = range(k_max)
+        return mub.correlation_matrix(states.NoisyState(pure, p), mubs, bases, bases)
 
-    off_diagonal = ~np.eye(dim, dtype=bool)
+    # ``take`` keeps each basis's off-diagonal cells contiguous, so each row sums as
+    # ``m[~np.eye(dim, dtype=bool)].sum()`` does, bit for bit
+    off_diagonal = np.flatnonzero(~np.eye(dim, dtype=bool))
     rows, per_nf = [], []
     for nf, key in zip(nf_grid, keys):
         matrices = matched(1.0 - nf)
         per_nf.append(matrices)
         # per basis, all the statistic reads: diagonal and off-diagonal sums (1 - trace may be < 0)
-        expected = [counts_per_basis * np.array([np.trace(m), m[off_diagonal].sum()])
-                    for m in matrices]
+        expected = counts_per_basis * np.stack([
+            np.trace(matrices, axis1=1, axis2=2),
+            matrices.reshape(k_max, dim * dim).take(off_diagonal, axis=1).sum(1),
+        ], axis=1)
         for k in k_list:
             report = mub.visibility_sum(matrices[:k])
             statistic = functools.partial(_visibility_excess, bound=report.separable_bound)
@@ -381,7 +393,7 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
                     "d_or_k": k,
                     "noise_setting": nf,
                     "nf_true": nf,
-                    "nf_estimated": analysis.noise_fraction(np.stack(matrices[:k])),
+                    "nf_estimated": analysis.noise_fraction(matrices[:k]),
                     "witness_or_visibility_sum": report.visibility_sum,
                     "margin": report.visibility_sum - report.separable_bound,
                     "sigma": summary.std,

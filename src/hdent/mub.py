@@ -60,10 +60,13 @@ class MubSet:
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 
-    def basis(self, alpha: int) -> np.ndarray:
-        if not 0 <= alpha <= self.dim:
-            raise IndexError(f"basis index {alpha} out of range 0..{self.dim}")
-        return self.vectors[alpha]
+    def basis(self, alpha) -> np.ndarray:
+        """Vectors of basis ``alpha``; for a sequence of indices, the stack of their bases."""
+        index = np.asarray(alpha)
+        outside = index[(index < 0) | (index > self.dim)]
+        if outside.size:
+            raise IndexError(f"basis index {outside[0]} out of range 0..{self.dim}")
+        return self.vectors[index]
 
 
 def build_mubs(d: int) -> MubSet:
@@ -92,20 +95,23 @@ def build_mubs(d: int) -> MubSet:
     return MubSet(d, vectors)
 
 
-def bob_analyzer(mubs: MubSet, beta: int, pairing: Pairing) -> np.ndarray:
-    """Bob's measurement vectors matched to Alice's basis ``beta``."""
+def bob_analyzer(mubs: MubSet, beta, pairing: Pairing) -> np.ndarray:
+    """Bob's measurement vectors matched to Alice's basis ``beta`` (or a stack, for a sequence)."""
     basis = mubs.basis(beta).conj()
     if pairing is Pairing.ANTICORRELATED:
-        basis = basis[:, ::-1]
+        basis = basis[..., ::-1]
     return basis
 
 
-def correlation_matrix(state: NoisyState, mubs: MubSet, alpha: int, beta: int) -> np.ndarray:
+def correlation_matrix(state: NoisyState, mubs: MubSet, alpha, beta) -> np.ndarray:
     """Joint outcome probabilities P(m, n) with Alice in basis alpha, Bob in beta.
 
     Entry (m, n) is the probability that Alice's projector is vector m of
     basis alpha and Bob's is the matched analyzer vector n of basis beta.
-    Entries sum to 1.
+    Entries sum to 1.  ``alpha`` and ``beta`` may also be equal-length
+    sequences of basis indices: the result is then the ``(len, d, d)`` stack
+    whose entry i pairs ``alpha[i]`` with ``beta[i]``, built as one batched
+    product and equal, bit for bit, to the single-basis matrices.
     """
     d = state.dim
     if mubs.dim != d:
@@ -113,8 +119,8 @@ def correlation_matrix(state: NoisyState, mubs: MubSet, alpha: int, beta: int) -
     alice = mubs.basis(alpha)
     bob = bob_analyzer(mubs, beta, state.pure.pairing)
     # amplitude(m, n) = sum_j c_j conj(alice[m, a(j)]) conj(bob[n, j])
-    weighted = state.pure.coefficients[None, :] * alice[:, state.pure.alice_indices()].conj()
-    amp = weighted @ bob.conj().T
+    weighted = state.pure.coefficients * alice[..., state.pure.alice_indices()].conj()
+    amp = weighted @ np.swapaxes(bob.conj(), -1, -2)
     return state.p * np.abs(amp) ** 2 + (1.0 - state.p) / d ** 2
 
 
@@ -137,14 +143,16 @@ def visibility_sum(matrices) -> VisibilityReport:
     """Sum of matched-basis visibilities over the first k bases, one matrix each.
 
     ``matrices[alpha]`` is ``correlation_matrix(state, mubs, alpha, alpha)``
-    for alpha = 0..k-1; its visibility is its diagonal sum.  Entanglement is
-    certified when the sum exceeds 1 + (k-1)/d.
+    for alpha = 0..k-1, as a list or a ``(k, d, d)`` stack; its visibility is
+    its diagonal sum, and all k are read in one batched trace.  Entanglement
+    is certified when the sum exceeds 1 + (k-1)/d.
     """
-    k = len(matrices)
-    d = len(matrices[0]) if k else 0
+    stack = np.asarray(matrices, dtype=float)
+    k = len(stack)
+    d = stack.shape[-1] if k else 0
     if not 2 <= k <= d + 1:
         raise ValueError(f"k must be in 2..d+1, got {k} matrices of d = {d}")
-    per_basis = tuple(float(np.trace(m)) for m in matrices)
+    per_basis = tuple(np.trace(stack, axis1=1, axis2=2).tolist())
     total = float(sum(per_basis))
     bound = separable_bound(d, k)
     return VisibilityReport(d, k, per_basis, total, bound, total > bound)

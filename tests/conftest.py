@@ -8,8 +8,8 @@ import pytest
 
 from hdent import analysis, witness
 from hdent.analysis import Replicates, ResampleSummary
-from hdent.mub import MubSet, build_mubs, correlation_matrix, mub_noise_threshold, visibility_sum
-from hdent.states import NoisyState, SchmidtState, element, make_max_entangled
+from hdent.mub import MubSet, build_mubs, mub_noise_threshold, visibility_sum
+from hdent.states import NoisyState, Pairing, SchmidtState, element, make_max_entangled
 from hdent.tagstream import (
     BASIS_DA,
     BASIS_HV,
@@ -287,9 +287,64 @@ def max_mub_deviation(mubs: MubSet) -> float:
     return worst
 
 
+def single_basis_correlation_matrix(state: NoisyState, mubs: MubSet, alpha: int,
+                                    beta: int) -> np.ndarray:
+    """P(m, n) for Alice in basis alpha and Bob's matched analyzer of beta, one pair at a time.
+
+    The single-basis expression ``mub.correlation_matrix`` evaluated before it
+    took sequences of bases; a stack must equal it bit for bit.
+    """
+    alice = mubs.vectors[alpha]
+    bob = mubs.vectors[beta].conj()
+    if state.pure.pairing is Pairing.ANTICORRELATED:
+        bob = bob[:, ::-1]
+    weighted = state.pure.coefficients[None, :] * alice[:, state.pure.alice_indices()].conj()
+    amp = weighted @ bob.conj().T
+    return state.p * np.abs(amp) ** 2 + (1.0 - state.p) / state.dim ** 2
+
+
 def matched_matrices(state: NoisyState, mubs: MubSet, k: int) -> list:
     """The correlation matrices of the first k matched bases, as ``visibility_sum`` reads them."""
-    return [correlation_matrix(state, mubs, alpha, alpha) for alpha in range(k)]
+    return [single_basis_correlation_matrix(state, mubs, alpha, alpha) for alpha in range(k)]
+
+
+def noise_fraction_oracle(matrices) -> float:
+    """``analysis.noise_fraction`` with one ``np.trace`` per matrix, summed left to right."""
+    m = np.asarray(matrices, dtype=float)
+    if m.ndim == 2:
+        m = m[None, :, :]
+    n_mat, d, _ = m.shape
+    total = m.sum()
+    diag = sum(float(np.trace(mm)) for mm in m)
+    level = (total - diag) / (n_mat * d * (d - 1))
+    return float(min(1.0, max(0.0, level * n_mat * d * d / total)))
+
+
+def per_part_replicates(data, n_resamples: int, seed: int, reads) -> tuple:
+    """``poisson_resample``'s draws as one ``Replicates`` per part, checked and drawn part by part.
+
+    Each part is converted to floats and checked on its own (finite counts,
+    then non-negative counts, then its mask), so the first bad part raises;
+    then it draws its read cells and its lumped rest from the one generator.
+    """
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
+    batch = []
+    for index, (part, mask) in enumerate(zip(data, reads)):
+        lam, mask = np.asarray(part, dtype=float), np.asarray(mask)
+        if not np.isfinite(lam).all():
+            raise ValueError(f"data[{index}]: counts must be finite")
+        if np.any(lam < 0):
+            raise ValueError(f"data[{index}]: counts must be non-negative")
+        if mask.dtype != bool or mask.shape != lam.shape:
+            raise ValueError(
+                f"reads[{index}] must be a bool mask of shape {lam.shape}, "
+                f"got {mask.dtype} of shape {mask.shape}"
+            )
+        read = lam[mask]
+        cells = rng.poisson(read, (n_resamples, read.size))
+        lumped = rng.poisson(lam[~mask].sum(), n_resamples)
+        batch.append(Replicates(cells, lumped, cells.sum(1) + lumped))
+    return tuple(batch)
 
 
 def vis(state: NoisyState, mubs: MubSet, k: int):

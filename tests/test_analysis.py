@@ -33,6 +33,8 @@ from conftest import (
     each_replicate,
     exact_count_sets,
     loop_poisson_resample,
+    noise_fraction_oracle,
+    per_part_replicates,
     vis,
     witness_masks,
 )
@@ -99,6 +101,21 @@ class TestNoiseFraction:
         empty = stream_counts(0.0, 0.0, seed=7, n=100)
         assert empty.frames_kept == 0 and empty.noise_coincidences == 0
         assert true_noise_fraction(empty) is None
+
+    @pytest.mark.parametrize("d", [2, 10, 20, 40, 80])
+    def test_equals_the_per_matrix_trace_form(self, d, rng):
+        """Bit for bit, on float stacks of every sweep dimension and on single matrices.
+
+        Nearly diagonal stacks make the estimate a small difference of the total
+        and the diagonal sum, so a last-bit change in either shows.
+        """
+        for n_mat in (1, 2, 8, 12):
+            for _ in range(10):
+                m = rng.random((n_mat, d, d)) * 1e-3 + np.eye(d) * rng.random((n_mat, 1, d)) * 1e6
+                for stack in (m, m.transpose(0, 2, 1) * 1e-6 + rng.random((n_mat, d, d))):
+                    assert noise_fraction(stack) == noise_fraction_oracle(stack)
+                    assert noise_fraction(list(stack)) == noise_fraction_oracle(list(stack))
+                    assert noise_fraction(stack[0]) == noise_fraction_oracle(stack[0])
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -239,6 +256,64 @@ class TestPoissonResample:
         with pytest.raises(ValueError, match=message):
             poisson_resample((hv.matrices, da.matrices), lambda reps: np.zeros(10), 10, 0, reads)
 
+    @staticmethod
+    def ragged_parts():
+        """Three parts of different shapes, int and float counts, and masks that read
+        some cells, every cell and no cell."""
+        data = [np.array([[3.0, 0.0, 7.5], [1.0, 2.0, 40.0]]),
+                np.arange(4, dtype=np.int64) * 5,
+                np.full((2, 2, 2), 12.0)]
+        reads = [np.array([[True, False, True], [False, False, True]]),
+                 np.ones(4, dtype=bool),
+                 np.zeros((2, 2, 2), dtype=bool)]
+        return data, reads
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("fault", ["nan", "inf", "-inf", "negative", "mask-dtype",
+                                       "mask-shape", "mask-none", "mask-and-later-count"])
+    def test_names_the_first_bad_part_as_the_per_part_checks_do(self, fault, position):
+        data, reads = self.ragged_parts()
+        data[position] = data[position].astype(float)
+        if fault in ("nan", "inf", "-inf", "negative"):
+            data[position].flat[-1] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                                       "negative": -1.0}[fault]
+        elif fault == "mask-dtype":
+            reads[position] = reads[position].astype(np.uint8)
+        elif fault == "mask-shape":
+            reads[position] = reads[position].ravel()[:-1]
+        elif fault == "mask-none":
+            reads[position] = None
+        else:  # a mask fault here, a count fault in every later part
+            reads[position] = reads[position].astype(int)
+            for later in range(position + 1, len(data)):
+                data[later] = data[later].astype(float)
+                data[later].flat[0] = math.nan
+        with pytest.raises(ValueError) as want:
+            per_part_replicates(data, 5, 3, reads)
+        with pytest.raises(ValueError) as got:
+            poisson_resample(tuple(data), lambda reps: np.zeros(5), 5, 3, tuple(reads))
+        assert str(got.value) == str(want.value)
+        assert f"[{position}]" in str(got.value)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**70 + 5])
+    def test_ragged_parts_draw_as_the_per_part_loop(self, seed):
+        """Bit for bit, with masks that read nothing and every cell, and an empty part."""
+        data, reads = self.ragged_parts()
+        data.append(np.zeros((0, 3)))
+        reads.append(np.zeros((0, 3), dtype=bool))
+        data.append(np.array([[2e6, 5.0], [0.0, 1e-3]]))
+        reads.append(np.array([[True, False], [False, True]]))
+        batches = []
+        poisson_resample(tuple(data), lambda reps: batches.append(reps) or np.zeros(6), 6, seed,
+                         tuple(reads))
+        (got,) = batches
+        want = per_part_replicates(data, 6, seed, reads)
+        assert len(got) == len(want) == len(data)
+        for g, w in zip(got, want):
+            for name in ("cells", "lumped", "totals"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), name
+
     def test_witness_masks_match_the_full_draw_in_law(self):
         """``resample_witness`` against the every-cell loop at d = 20, 2000 replicates each.
 
@@ -327,8 +402,16 @@ class TestThresholdScan:
             ([0.1, 0.2, 0.3], [1.0, -1.0], [0.1, 0.1], "equal lengths"),
             ([0.1, 0.2], [1.0, -1.0], [0.1, -0.1], "non-negative"),
             ([0.1], [1.0], [0.1], "two sweep points"),
+            ([0.1, 0.2, 0.3], [1.0, math.nan, -1.0], [0.1] * 3, r"^margin\[1\] must be finite"),
+            ([0.1, math.nan], [1.0, -1.0], [0.1, 0.1], r"^nf\[1\] must be finite"),
+            ([-math.inf, 0.2], [1.0, -1.0], [0.1, 0.1], r"^nf\[0\] must be finite"),
+            ([0.1, 0.2], [1.0, -math.inf], [0.1, 0.1], r"^margin\[1\] must be finite"),
+            ([0.1, 0.2, 0.3], [1.0, 0.5, -1.0], [0.1, 0.1, math.nan],
+             r"^sigma\[2\] must be finite"),
+            ([0.1, 0.2], [1.0, -1.0], [math.inf, 0.1], r"^sigma\[0\] must be finite"),
         ],
-        ids=["short-sigma", "long-nf", "negative-sigma", "one-point"],
+        ids=["short-sigma", "long-nf", "negative-sigma", "one-point", "nan-margin", "nan-nf",
+             "inf-nf", "inf-margin", "nan-sigma", "inf-sigma"],
     )
     def test_rejects_malformed_sweeps(self, nf, margin, sigma, message):
         with pytest.raises(ValueError, match=message):

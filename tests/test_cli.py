@@ -22,6 +22,8 @@ from hdent.states import NoisyState, make_max_entangled
 from conftest import (
     assert_same_law,
     loop_poisson_resample,
+    matched_matrices,
+    noise_fraction_oracle,
     put_back,
     threshold,
     vis,
@@ -588,6 +590,28 @@ class TestMubSweep:
         assert "--grid" in json.loads(captured.err)["message"]
         assert not (tmp_path / "mub").exists()
 
+    @pytest.mark.parametrize("grid, refused", [
+        ("0.5:0.500001:3", True), ("0.5:0.500002:3", False), ("0.5:0.500002:4", True),
+        ("0:0.000001:3", True), ("0.999999:1:2", False), ("0.999999:1:3", True),
+        ("0.25:0.25001:11", False), ("0.25:0.25001:12", True),
+    ])
+    def test_grid_with_more_points_than_millionths_fails_before_spacing(self, grid, refused,
+                                                                        monkeypatch):
+        """Such a grid always has two points that round to one millionth; it is refused
+        before any point is spaced, so a huge count costs nothing."""
+        spaced = []
+        linspace = np.linspace
+        monkeypatch.setattr(cli.np, "linspace", lambda *args: spaced.append(args) or
+                            linspace(*args))
+        if refused:
+            with pytest.raises(ValueError, match="^--grid has points that round to the same "
+                                                 "millionth"):
+                cli._parse_grid(grid)
+            assert spaced == []
+        else:
+            points = cli._parse_grid(grid)
+            assert len(set(round(nf * 1e6) for nf in points)) == len(points)
+
     def test_grid_points_sharing_a_seed_fail_before_any_row(self, tmp_path, capsys, monkeypatch):
         """Points that round to one millionth would draw their error bars from one key."""
         monkeypatch.setattr(cli.mub, "correlation_matrix", None)  # every row calls it
@@ -601,6 +625,9 @@ class TestMubSweep:
         message = json.loads(captured.err)["message"]
         assert "--grid" in message and "seed" in message
         assert not (tmp_path / "mub").exists()
+        # a library caller's grid is not spaced by ``_parse_grid``; the sweep refuses it too
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            cli.run_mub_sweep(3, (2,), (0.5, 0.7, 0.5000004), 1e4, 5, 0)
 
     def test_grid_points_a_millionth_apart_get_seeds_of_their_own(self, tmp_path, capsys):
         code = run_cli(
@@ -628,40 +655,60 @@ class TestMubSweep:
         assert "--grid" in message and "--export-matrices" in message
         assert not (tmp_path / "mub").exists()
 
-    @pytest.mark.parametrize("dim,k_list", [(2, (2, 3)), (3, (4, 2, 3)), (5, (2, 6)),
-                                            (11, (2, 7, 12))])
-    def test_rows_equal_the_direct_computation(self, dim, k_list):
-        """Every row and exact threshold, with ==, against matrices built for that (nf, k)."""
-        grid = cli._parse_grid("0:0.95:7")
-        rows, thresholds, _ = cli.run_mub_sweep(dim, k_list, grid, 1e4, 3, 1)
+    @pytest.mark.parametrize("dim,k_list", [(2, (3, 2)), (3, (4, 2, 3)), (5, (2, 6, 4, 3, 5)),
+                                            (11, (2, 7, 12, 3, 4, 5, 6, 8, 9, 10, 11))])
+    def test_rows_equal_the_direct_computation(self, dim, k_list, monkeypatch):
+        """Every row, resampling mean and exact threshold, with ==, against matrices built
+        one basis at a time for that (nf, k).
+
+        Counts of 2**20 per basis scale the means exactly, so a last-bit change in a
+        basis's diagonal or off-diagonal sum shows.
+        """
+        means = []
+        resample = cli.analysis.poisson_resample
+        monkeypatch.setattr(cli.analysis, "poisson_resample",
+                            lambda data, *rest: means.append(data) or resample(data, *rest))
+        grid, counts = cli._parse_grid("0:0.95:7"), 2.0 ** 20
+        rows, thresholds, _ = cli.run_mub_sweep(dim, k_list, grid, counts, 3, 1)
         mubs, pure = build_mubs(dim), make_max_entangled(dim)
+        off_diagonal = ~np.eye(dim, dtype=bool)
         assert [(row["nf_true"], row["d_or_k"]) for row in rows] == [
             (nf, k) for nf in grid for k in k_list]
-        for row in rows:
-            report = vis(NoisyState(pure, 1.0 - row["nf_true"]), mubs, row["d_or_k"])
+        assert len(means) == len(rows)
+        for row, data in zip(rows, means):
+            state = NoisyState(pure, 1.0 - row["nf_true"])
+            matrices = matched_matrices(state, mubs, row["d_or_k"])
+            report = vis(state, mubs, row["d_or_k"])
             assert row["witness_or_visibility_sum"] == report.visibility_sum
             assert row["margin"] == report.visibility_sum - report.separable_bound
             assert row["certified"] == report.certified
+            assert row["nf_estimated"] == noise_fraction_oracle(matrices)
+            assert len(data) == len(matrices)
+            for part, m in zip(data, matrices):
+                assert part.tolist() == (counts * np.array([np.trace(m), m[off_diagonal].sum()])
+                                         ).tolist()
         for k in k_list:
             assert thresholds[str(k)]["exact_nf_star"] == 1.0 - threshold(dim, k)
 
     def test_each_matrix_is_built_once(self, tmp_path, capsys, monkeypatch):
-        """k_max matrices per grid point plus one set at p = 0 and one at p = 1; one MUB set."""
-        calls = {"corr": 0, "build": 0}
+        """One stack of k_max bases per grid point, one at p = 0 and one at p = 1; one MUB set."""
+        calls = {"corr": [], "build": 0}
+        correlation_matrix, build_mubs = cli.mub.correlation_matrix, cli.mub.build_mubs
 
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counting_corr(state, mubs, alpha, beta):
+            calls["corr"].append((list(alpha), list(beta)))
+            return correlation_matrix(state, mubs, alpha, beta)
 
-        monkeypatch.setattr(cli.mub, "correlation_matrix",
-                            counting("corr", cli.mub.correlation_matrix))
-        monkeypatch.setattr(cli.mub, "build_mubs", counting("build", cli.mub.build_mubs))
+        def counting_build(d):
+            calls["build"] += 1
+            return build_mubs(d)
+
+        monkeypatch.setattr(cli.mub, "correlation_matrix", counting_corr)
+        monkeypatch.setattr(cli.mub, "build_mubs", counting_build)
         code = run_cli("mub-sweep", "--dim", "11", "--k", "2,4,8,12", "--grid", "0:0.95:5",
                        "--counts", "1e4", "--resamples", "5", "--out", tmp_path)
         assert code == 0
-        assert calls == {"corr": 12 * (5 + 2), "build": 1}
+        assert calls == {"corr": [(list(range(12)), list(range(12)))] * (5 + 2), "build": 1}
 
     @pytest.mark.parametrize("k", ["", "2,2", "2,x"], ids=["empty", "repeated", "non-integer"])
     def test_empty_or_repeated_k_fails(self, tmp_path, capsys, k):

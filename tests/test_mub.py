@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdent.analysis import noise_fraction
 from hdent.mub import (
     build_mubs,
     correlation_matrix,
@@ -13,7 +14,15 @@ from hdent.mub import (
 )
 from hdent.states import NoisyState, Pairing, SchmidtState, make_max_entangled, materialize
 
-from conftest import bisect_root, matched_matrices, max_mub_deviation, threshold, vis
+from conftest import (
+    bisect_root,
+    matched_matrices,
+    max_mub_deviation,
+    noise_fraction_oracle,
+    single_basis_correlation_matrix,
+    threshold,
+    vis,
+)
 
 
 def product_state(d):
@@ -114,8 +123,36 @@ class TestCorrelationMatrix:
     def test_basis_index_range(self):
         mubs = build_mubs(3)
         st = NoisyState(make_max_entangled(3), 1.0)
-        with pytest.raises(IndexError):
-            correlation_matrix(st, mubs, 4, 0)
+        for alpha, beta, bad in ((4, 0, 4), (-1, 0, -1), ([0, 5, 4], [0, 1, 2], 5),
+                                 ([0, 1], [1, -2], -2)):
+            with pytest.raises(IndexError, match=f"basis index {bad} out of range 0..3"):
+                correlation_matrix(st, mubs, alpha, beta)
+
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    @pytest.mark.parametrize("d", [2, 3, 5, 11])
+    def test_stack_reads_as_the_single_basis_expressions(self, d, pairing):
+        """Bit for bit: every matrix of a stack, and every k's traces, visibility sum and
+        noise fraction read from its first k matrices."""
+        mubs, pure, bases = build_mubs(d), make_max_entangled(d, pairing), range(d + 1)
+        for p in (0.0, 0.05, 0.3, 0.5, 0.62, 0.9, 1.0):
+            state = NoisyState(pure, p)
+            singles = [single_basis_correlation_matrix(state, mubs, a, a) for a in bases]
+            stack = correlation_matrix(state, mubs, bases, bases)
+            assert stack.shape == (d + 1, d, d)
+            for alpha in bases:
+                assert (stack[alpha] == singles[alpha]).all()
+                assert (correlation_matrix(state, mubs, alpha, alpha) == singles[alpha]).all()
+            for k in range(2, d + 2):
+                per_basis = tuple(float(np.trace(m)) for m in singles[:k])
+                report = visibility_sum(stack[:k])
+                assert report.per_basis_visibility == per_basis
+                assert report.visibility_sum == float(sum(per_basis))
+                assert noise_fraction(stack[:k]) == noise_fraction_oracle(singles[:k])
+            # unmatched pairs, in any order
+            alphas, betas = [d, 0, 1, d], [1, d, 0, d]
+            mixed = correlation_matrix(state, mubs, alphas, betas)
+            for m, alpha, beta in zip(mixed, alphas, betas):
+                assert (m == single_basis_correlation_matrix(state, mubs, alpha, beta)).all()
 
 
 class TestVisibilitySum:

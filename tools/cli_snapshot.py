@@ -22,8 +22,9 @@ file, faults in both files or in a file and ``--dims`` (``certify-et`` must
 name the first in its error order), an HV/DA pair whose clocks differ, one
 tag file named as both HV and DA, config values and flags that must fail
 before any output is written, ``mub-sweep`` at d = 2 (whose MUB set is built
-apart from the odd primes'), and ``mub-sweep`` grids whose points are too close
-to get seeds of their own or, with ``--export-matrices``, file names of their own.
+apart from the odd primes') and with ``--k`` out of order, and ``mub-sweep``
+grids whose points are too close to get seeds of their own or, with
+``--export-matrices``, file names of their own.
 """
 
 import os
@@ -131,6 +132,9 @@ COMMANDS = [
                  "--out", "mub_d11"]),
     ("mub_d11_export", ["mub-sweep", "--dim", "11", "--k", "2,4,8,12", "--grid", "0:0.95:20",
                         "--export-matrices", "--out", "mub_d11_export"]),
+    # the rows of each k are prefixes of one stack of 12 bases, in the order given
+    ("mub_d11_k_unsorted", ["mub-sweep", "--dim", "11", "--k", "12,3,7", "--grid", "0:0.95:7",
+                            "--out", "mub_d11_k_unsorted"]),
     ("link_budget", ["link-budget", "--db", "82", "102", "--km", "410"]),
 ]
 # these read the copies that ``derive`` makes once the commands above have run
