@@ -91,9 +91,9 @@ def poisson_resample(
     the read cells and the totals is exact, so the result is correct only if
     ``statistic`` depends on nothing else.
 
-    The counts of all parts are converted to floats in one buffer and checked
-    together, once per call; a failing check names the first bad ``data[i]``
-    or ``reads[i]``.  Each part then makes its own two draws, cells first.
+    Each part is checked just before its draws (finite, then non-negative
+    counts, then its mask), so an error names the first bad ``data[i]`` or
+    ``reads[i]``.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
@@ -102,34 +102,10 @@ def poisson_resample(
             f"reads[{min(len(reads), len(data))}]: need one mask per part of data, "
             f"got {len(reads)} masks for {len(data)} parts"
         )
-    parts = [np.asarray(part) for part in data]
-    # one float buffer for every part's counts; each part below draws from a view of it
-    flat = np.concatenate([np.zeros(0), *(part.ravel() for part in parts)], dtype=float)
-    bounds = np.cumsum([0, *(part.size for part in parts)]).tolist()
-    lams = [flat[lo:hi].reshape(part.shape) for part, lo, hi in zip(parts, bounds, bounds[1:])]
-    masks = [np.asarray(mask) for mask in reads]
-    if not (
-        np.isfinite(flat).all() and (flat >= 0).all()
-        and all(mask.dtype == bool and mask.shape == lam.shape for lam, mask in zip(lams, masks))
-    ):
-        _raise_first_bad_part(lams, masks)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
     batch = []
-    for lam, mask in zip(lams, masks):
-        read = lam[mask]
-        cells = rng.poisson(read, (n_resamples, read.size))
-        lumped = rng.poisson(lam[~mask].sum(), n_resamples)
-        batch.append(Replicates(cells, lumped, cells.sum(1) + lumped))
-    values = np.asarray(statistic(tuple(batch)), dtype=float)
-    if values.shape != (n_resamples,):
-        raise ValueError(f"statistic must return one value per replicate, shape "
-                         f"({n_resamples},); got shape {values.shape}")
-    return ResampleSummary(float(values.mean()), float(values.std(ddof=1)), n_resamples)
-
-
-def _raise_first_bad_part(lams, masks) -> None:
-    """Raise for the first part whose counts or mask ``poisson_resample`` refuses."""
-    for index, (lam, mask) in enumerate(zip(lams, masks)):
+    for index, (part, mask) in enumerate(zip(data, reads)):
+        lam, mask = np.asarray(part, dtype=float), np.asarray(mask)
         if not np.isfinite(lam).all():
             raise ValueError(f"data[{index}]: counts must be finite")
         if np.any(lam < 0):
@@ -139,6 +115,15 @@ def _raise_first_bad_part(lams, masks) -> None:
                 f"reads[{index}] must be a bool mask of shape {lam.shape}, "
                 f"got {mask.dtype} of shape {mask.shape}"
             )
+        read = lam[mask]
+        cells = rng.poisson(read, (n_resamples, read.size))
+        lumped = rng.poisson(lam[~mask].sum(), n_resamples)
+        batch.append(Replicates(cells, lumped, cells.sum(1) + lumped))
+    values = np.asarray(statistic(tuple(batch)), dtype=float)
+    if values.shape != (n_resamples,):
+        raise ValueError(f"statistic must return one value per replicate, shape "
+                         f"({n_resamples},); got shape {values.shape}")
+    return ResampleSummary(float(values.mean()), float(values.std(ddof=1)), n_resamples)
 
 
 @dataclass(frozen=True)

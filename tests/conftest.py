@@ -320,33 +320,6 @@ def noise_fraction_oracle(matrices) -> float:
     return float(min(1.0, max(0.0, level * n_mat * d * d / total)))
 
 
-def per_part_replicates(data, n_resamples: int, seed: int, reads) -> tuple:
-    """``poisson_resample``'s draws as one ``Replicates`` per part, checked and drawn part by part.
-
-    Each part is converted to floats and checked on its own (finite counts,
-    then non-negative counts, then its mask), so the first bad part raises;
-    then it draws its read cells and its lumped rest from the one generator.
-    """
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
-    batch = []
-    for index, (part, mask) in enumerate(zip(data, reads)):
-        lam, mask = np.asarray(part, dtype=float), np.asarray(mask)
-        if not np.isfinite(lam).all():
-            raise ValueError(f"data[{index}]: counts must be finite")
-        if np.any(lam < 0):
-            raise ValueError(f"data[{index}]: counts must be non-negative")
-        if mask.dtype != bool or mask.shape != lam.shape:
-            raise ValueError(
-                f"reads[{index}] must be a bool mask of shape {lam.shape}, "
-                f"got {mask.dtype} of shape {mask.shape}"
-            )
-        read = lam[mask]
-        cells = rng.poisson(read, (n_resamples, read.size))
-        lumped = rng.poisson(lam[~mask].sum(), n_resamples)
-        batch.append(Replicates(cells, lumped, cells.sum(1) + lumped))
-    return tuple(batch)
-
-
 def vis(state: NoisyState, mubs: MubSet, k: int):
     """``visibility_sum`` of ``state`` over the first k bases of ``mubs``."""
     return visibility_sum(matched_matrices(state, mubs, k))

@@ -34,7 +34,6 @@ from conftest import (
     exact_count_sets,
     loop_poisson_resample,
     noise_fraction_oracle,
-    per_part_replicates,
     vis,
     witness_masks,
 )
@@ -271,48 +270,65 @@ class TestPoissonResample:
     @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("fault", ["nan", "inf", "-inf", "negative", "mask-dtype",
                                        "mask-shape", "mask-none", "mask-and-later-count"])
-    def test_names_the_first_bad_part_as_the_per_part_checks_do(self, fault, position):
+    def test_names_the_first_bad_part(self, fault, position):
+        """Counts are checked before the mask, and parts in order; later faults never show."""
+        shape = ["(2, 3)", "(4,)", "(2, 2, 2)"][position]
+        refused = f"reads[{position}] must be a bool mask of shape {shape}, got"
         data, reads = self.ragged_parts()
         data[position] = data[position].astype(float)
         if fault in ("nan", "inf", "-inf", "negative"):
             data[position].flat[-1] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
                                        "negative": -1.0}[fault]
+            reads[position] = None  # a mask fault in the same part comes second
+            expected = f"data[{position}]: counts must be " + (
+                "non-negative" if fault == "negative" else "finite")
         elif fault == "mask-dtype":
             reads[position] = reads[position].astype(np.uint8)
+            expected = f"{refused} uint8 of shape {shape}"
         elif fault == "mask-shape":
             reads[position] = reads[position].ravel()[:-1]
+            short = ["(5,)", "(3,)", "(7,)"][position]
+            expected = f"{refused} bool of shape {short}"
         elif fault == "mask-none":
             reads[position] = None
+            expected = f"{refused} object of shape ()"
         else:  # a mask fault here, a count fault in every later part
-            reads[position] = reads[position].astype(int)
+            reads[position] = reads[position].astype(np.int64)
             for later in range(position + 1, len(data)):
                 data[later] = data[later].astype(float)
                 data[later].flat[0] = math.nan
-        with pytest.raises(ValueError) as want:
-            per_part_replicates(data, 5, 3, reads)
+            expected = f"{refused} int64 of shape {shape}"
         with pytest.raises(ValueError) as got:
             poisson_resample(tuple(data), lambda reps: np.zeros(5), 5, 3, tuple(reads))
-        assert str(got.value) == str(want.value)
-        assert f"[{position}]" in str(got.value)
+        assert str(got.value) == expected
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**70 + 5])
-    def test_ragged_parts_draw_as_the_per_part_loop(self, seed):
-        """Bit for bit, with masks that read nothing and every cell, and an empty part."""
+    def test_ragged_parts_draw_a_fixed_sequence(self):
+        """Bit for bit at one seed, with masks that read some cells, every cell and no cell,
+        an empty part and a read mean of 2e6: each part draws its read cells, then its
+        lumped rest, from the one generator."""
         data, reads = self.ragged_parts()
         data.append(np.zeros((0, 3)))
         reads.append(np.zeros((0, 3), dtype=bool))
         data.append(np.array([[2e6, 5.0], [0.0, 1e-3]]))
         reads.append(np.array([[True, False], [False, True]]))
         batches = []
-        poisson_resample(tuple(data), lambda reps: batches.append(reps) or np.zeros(6), 6, seed,
-                         tuple(reads))
+        poisson_resample(tuple(data), lambda reps: batches.append(reps) or np.zeros(3), 3,
+                         2**70 + 5, tuple(reads))
         (got,) = batches
-        want = per_part_replicates(data, 6, seed, reads)
-        assert len(got) == len(want) == len(data)
-        for g, w in zip(got, want):
-            for name in ("cells", "lumped", "totals"):
-                a, b = getattr(g, name), getattr(w, name)
-                assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), name
+        want = [
+            ([[0, 5, 44], [2, 8, 46], [3, 5, 40]], [5, 2, 1]),
+            ([[0, 7, 13, 12], [0, 4, 8, 17], [0, 5, 12, 8]], [0, 0, 0]),
+            (np.zeros((3, 0)), [87, 104, 103]),
+            (np.zeros((3, 0)), [0, 0, 0]),
+            ([[2001587, 0], [1999626, 0], [2000163, 0]], [4, 5, 3]),
+        ]
+        assert len(got) == len(want)
+        for part, (cells, lumped) in zip(got, want):
+            cells, lumped = np.asarray(cells, dtype=np.int64), np.asarray(lumped, dtype=np.int64)
+            for name, value in (("cells", cells), ("lumped", lumped),
+                                ("totals", cells.sum(1) + lumped)):
+                a = getattr(part, name)
+                assert a.dtype == np.int64 and a.shape == value.shape and (a == value).all(), name
 
     def test_witness_masks_match_the_full_draw_in_law(self):
         """``resample_witness`` against the every-cell loop at d = 20, 2000 replicates each.
