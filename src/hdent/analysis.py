@@ -21,11 +21,11 @@ def noise_fraction(matrices) -> float:
     """Label-free noise fraction of one count matrix or a stack of them.
 
     Assumes background counts land uniformly across bins and detector
-    pairs: the pedestal level of all off-diagonal cells is extrapolated
-    under the diagonals.  On exact isotropic-state matrices it returns
-    1 - p.
+    pairs: the pedestal level of all off-diagonal cells is extrapolated under
+    the diagonals.  Sums run in C order whatever the input's memory layout,
+    and on exact isotropic-state matrices the result is 1 - p.
     """
-    m = np.asarray(matrices, dtype=float)
+    m = np.ascontiguousarray(matrices, dtype=float)
     if m.ndim == 2:
         m = m[None, :, :]
     total = m.sum()

@@ -9,8 +9,9 @@ and certifies entanglement when positive.  ``witness_exact`` evaluates it
 analytically; ``witness_from_counts`` estimates a lower bound from measured
 count matrices in the two bases, at their binning's d and f.  It reads only
 the cells listed in one table per (d, f), ``_read_table``, plus the two basis
-totals; ``resample_witness``, its Poisson error bar, draws just those cells
-and one lumped count per basis.
+totals, through one kernel, ``_bounds``, that evaluates a stack of replicates;
+``resample_witness``, its Poisson error bar, draws just those cells and one
+lumped count per basis and hands the kernel all its replicates at once.
 
 Index conventions (0-based recorded bins):
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,11 +98,48 @@ def _read_table(d: int, f: int):
     return table
 
 
-def _shared_binning(hv: CountMatrixSet, da: CountMatrixSet) -> tuple:
-    """(d, f) of the one binning of ``hv`` and ``da``."""
+def _checked_pair(hv: CountMatrixSet, da: CountMatrixSet, eta_hwp: float) -> tuple:
+    """(d, f) of an HV set, then a DA set, of one binning, with ``eta_hwp`` in (0, 1]."""
+    if hv.basis != BASIS_HV or da.basis != BASIS_DA:
+        raise ValueError("witness needs one HV set and one DA set, in that order")
     if hv.binning != da.binning:
         raise ValueError(f"HV and DA sets were binned differently: {hv.binning} and {da.binning}")
+    if not 0.0 < eta_hwp <= 1.0:
+        raise ValueError(f"eta_hwp must be in (0, 1], got {eta_hwp}")
     return hv.binning.d, hv.binning.f_shift
+
+
+def _bounds(d: int, f: int, hv: tuple, da: tuple, eta_hwp: float) -> tuple:
+    """The lower bound of R replicates at once, from each one's read cells and basis totals.
+
+    ``hv`` and ``da`` are ``(counts, flat, totals)``: ``counts[r, k]`` is replicate
+    ``r``'s count in cell ``flat[k]`` of a flat (4, d, d) array, ``flat`` is sorted and
+    holds every cell of ``_read_table(d, f)``, and ``totals[r]`` is the basis total.
+    The first replicate with an empty basis raises, DA before HV.  Returns ``(n1, n2,
+    coherence, penalty, value_wide, value_narrow, value)``, each with a leading
+    replicate axis; ``coherence`` and ``penalty`` hold the d - f terms.
+    """
+    (hv_counts, hv_flat, n1), (da_counts, da_flat, da_totals) = hv, da
+    first = int(np.argmax((da_totals == 0) | (n1 == 0)))
+    if da_totals[first] == 0:
+        raise ValueError("DA count matrices are empty")
+    hv_cells, hv_slots, da_cells = _read_table(d, f)
+    if n1[first] == 0:
+        raise ValueError("HV count matrices are empty")
+    n1 = n1.astype(float)
+    n2 = n1 * eta_hwp ** 2
+    reps, slots = n1.size, 2 * (d - f)
+    keys = (hv_slots + slots * np.arange(reps)[:, None]).ravel()
+    weights = hv_counts[:, np.searchsorted(hv_flat, hv_cells)].ravel()
+    diag = np.bincount(keys, weights, reps * slots).reshape(reps, slots) / n1[:, None]
+    penalty = np.sqrt(diag[:, : d - f] * diag[:, d - f :])
+    a0b0, a0b1, a1b0, a1b1 = np.moveaxis(da_counts[:, np.searchsorted(da_flat, da_cells)], 1, 0)
+    coherence = (a0b0 + a1b1 - a0b1 - a1b0) / n2[:, None]   # index i = t - f
+    terms = coherence - penalty
+    prefactor = 1.0 / math.sqrt(d - 1)
+    wide = prefactor * terms.sum(1)
+    narrow = prefactor * terms[:, : max(d - 2 * f, 0)].sum(1)
+    return n1, n2, coherence, penalty, wide, narrow, np.where(narrow < wide, narrow, wide)
 
 
 @dataclass(frozen=True)
@@ -134,52 +172,23 @@ class WitnessReport:
 def witness_from_counts(
     hv: CountMatrixSet, da: CountMatrixSet, eta_hwp: float = 1.0
 ) -> WitnessReport:
-    """Witness lower bound from one HV and one DA count-matrix set of one binning."""
-    if hv.basis != BASIS_HV or da.basis != BASIS_DA:
-        raise ValueError("witness needs one HV set and one DA set, in that order")
-    d, f = _shared_binning(hv, da)
-    if not 0.0 < eta_hwp <= 1.0:
-        raise ValueError(f"eta_hwp must be in (0, 1], got {eta_hwp}")
-    if da.total_counts() == 0:
-        raise ValueError("DA count matrices are empty")
-    hv_cells, hv_slots, da_cells = _read_table(d, f)
-    n1 = float(hv.total_counts())
-    if n1 == 0:
-        raise ValueError("HV count matrices are empty")
-    n2 = n1 * eta_hwp ** 2
-
-    diag = np.bincount(hv_slots, weights=hv.matrices.take(hv_cells)) / n1
-    penalty = np.sqrt(diag[: d - f] * diag[d - f :])
-    a0b0, a0b1, a1b0, a1b1 = da.matrices.take(da_cells)   # index i = t - f
-    coherence = (a0b0 + a1b1 - a0b1 - a1b0) / n2
-    terms = coherence - penalty
-    prefactor = 1.0 / math.sqrt(d - 1)
-
+    """Witness lower bound from one HV and one DA count-matrix set of one binning: ``_bounds``
+    on the sets' own matrices, as one replicate."""
+    d, f = _checked_pair(hv, da, eta_hwp)
+    parts = [(s.matrices.reshape(1, -1), np.arange(4 * d * d), np.array([s.total_counts()]))
+             for s in (hv, da)]
+    bounds = _bounds(d, f, *parts, eta_hwp)
+    n1, n2, coherence, penalty, value_wide, value_narrow, value = (batch[0] for batch in bounds)
     n_narrow = max(d - 2 * f, 0)
-    value_wide = prefactor * float(terms.sum())
-    value_narrow = prefactor * float(terms[:n_narrow].sum())
-    if value_narrow <= value_wide:
-        which, n_cons = "narrow", n_narrow
-    else:
-        which, n_cons = "wide", d - f
-    value = min(value_wide, value_narrow)
+    which, n_cons = ("narrow", n_narrow) if value_narrow <= value_wide else ("wide", d - f)
     return WitnessReport(
-        d=d,
-        f=f,
-        coherence_sum=float(coherence[:n_cons].sum()),
-        penalty_sum=float(penalty[:n_cons].sum()),
-        witness_lower_bound=value,
-        certified=bool(value > 0.0),
-        n1=n1,
-        n2=n2,
-        eta_hwp=eta_hwp,
-        value_wide=value_wide,
-        value_narrow=value_narrow,
-        terms_wide=d - f,
-        terms_narrow=n_narrow,
-        conservative_range=which,
+        d=d, f=f, coherence_sum=float(coherence[:n_cons].sum()),
+        penalty_sum=float(penalty[:n_cons].sum()), witness_lower_bound=float(value),
+        certified=bool(value > 0.0), n1=float(n1), n2=float(n2), eta_hwp=eta_hwp,
+        value_wide=float(value_wide), value_narrow=float(value_narrow),
+        terms_wide=d - f, terms_narrow=n_narrow, conservative_range=which,
         dropped_hv_terms=3 * d * d - (2 * d * (d - f) + (d - f) ** 2),
-        prefactor=prefactor,
+        prefactor=1.0 / math.sqrt(d - 1),
     )
 
 
@@ -189,27 +198,18 @@ def resample_witness(
     """Poisson spread of ``witness_from_counts(hv, da, eta_hwp)``'s lower bound,
     from one generator keyed by ``seed``.
 
-    Each basis draws the cells in ``_read_table`` and one lumped count for the
-    rest; a replicate puts the lumped count in the first cell the witness does
-    not read, which keeps the basis total and so the bound of a full draw.
+    The pair and ``eta_hwp`` are checked before any draw.  Each basis draws
+    the cells in ``_read_table`` and one lumped count for the rest, which
+    keeps the basis total; ``_bounds`` then evaluates every replicate at once.
     """
-    d, f = _shared_binning(hv, da)
+    d, f = _checked_pair(hv, da, eta_hwp)
     hv_cells, _, da_cells = _read_table(d, f)
     masks = np.zeros((2, 4 * d * d), dtype=bool)
     masks[0, hv_cells] = masks[1, da_cells] = True
-    layouts = [(np.flatnonzero(mask), int(np.argmin(mask))) for mask in masks]
 
     def statistic(reps):
-        values = []
-        for r in range(n_resamples):
-            pair = []
-            for counts, rep, (read, spare) in zip((hv, da), reps, layouts):
-                flat = np.zeros(4 * d * d, dtype=np.int64)
-                flat[read] = rep.cells[r]
-                flat[spare] = rep.lumped[r]
-                pair.append(replace(counts, matrices=flat.reshape(4, d, d)))
-            values.append(witness_from_counts(*pair, eta_hwp).witness_lower_bound)
-        return values
+        parts = [(rep.cells, np.flatnonzero(mask), rep.totals) for rep, mask in zip(reps, masks)]
+        return _bounds(d, f, *parts, eta_hwp)[-1]
 
     return analysis.poisson_resample(
         (hv.matrices, da.matrices), statistic, n_resamples, seed, tuple(masks.reshape(2, 4, d, d))

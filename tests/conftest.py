@@ -214,20 +214,24 @@ def assert_same_law(a, b) -> None:
 
 def each_replicate(hv: CountMatrixSet, da: CountMatrixSet, n_resamples: int, seed: int,
                    eta_hwp: float = 1.0):
-    """``witness.resample_witness``'s summary, and each replicate's witness bound in
-    draw order, recorded from its calls of ``witness.witness_from_counts``."""
-    values = []
-    evaluate = witness.witness_from_counts
+    """``witness.resample_witness``'s summary, each replicate's witness bound in draw
+    order, as its statistic returns them from ``witness._bounds``, and the
+    ``Replicates`` the statistic was handed."""
+    seen = []
+    resample = analysis.poisson_resample
 
-    def recording(*args):
-        report = evaluate(*args)
-        values.append(report.witness_lower_bound)
-        return report
+    def recording(data, statistic, *args):
+        def recorded(reps):
+            seen.append((reps, statistic(reps)))
+            return seen[-1][1]
+
+        return resample(data, recorded, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(witness, "witness_from_counts", recording)
+        patch.setattr(analysis, "poisson_resample", recording)
         summary = witness.resample_witness(hv, da, n_resamples, seed, eta_hwp)
-    return summary, np.array(values)
+    ((reps, values),) = seen
+    return summary, np.asarray(values), reps
 
 
 def witness_masks(binning: BinningConfig) -> tuple:
@@ -309,8 +313,9 @@ def matched_matrices(state: NoisyState, mubs: MubSet, k: int) -> list:
 
 
 def noise_fraction_oracle(matrices) -> float:
-    """``analysis.noise_fraction`` with one ``np.trace`` per matrix, summed left to right."""
-    m = np.asarray(matrices, dtype=float)
+    """``analysis.noise_fraction`` with one ``np.trace`` per matrix, summed left to right,
+    and the total of a C-contiguous copy."""
+    m = np.ascontiguousarray(matrices, dtype=float)
     if m.ndim == 2:
         m = m[None, :, :]
     n_mat, d, _ = m.shape

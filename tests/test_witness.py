@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdent import analysis, witness
 from hdent.states import NoisyState, SchmidtState, element, make_max_entangled, materialize
 from hdent.tagstream import (
     BASIS_DA,
@@ -23,9 +24,11 @@ from hdent.witness import resample_witness, witness_exact, witness_from_counts
 from conftest import (
     bisect_root,
     dense_witness_report,
+    each_replicate,
     exact_count_sets,
     exact_da_probabilities,
     lump_unread,
+    put_back,
     scaled_expected_counts,
     witness_masks,
 )
@@ -336,11 +339,14 @@ class TestDenseOracle:
     )
     @settings(deadline=None, max_examples=25)
     def test_report_equals_dense_estimator(self, seed, high, zero_share):
-        """Integer counts sum exactly in any order, so every field matches bit for bit."""
+        """Integer counts sum exactly in any order, so every field, and its type,
+        matches bit for bit: at each clock dimension, and at shifts that leave the
+        narrow range empty."""
         rng = np.random.default_rng(seed)
-        for d in CLOCK_DIMS:
-            binning = binning_for(d)
-            f = binning.f_shift
+        binnings = [binning_for(d) for d in CLOCK_DIMS]
+        binnings += [BinningConfig(10, 32, 5), BinningConfig(10, 32, 9), BinningConfig(2, 1, 1)]
+        for binning in binnings:
+            d, f = binning.d, binning.f_shift
             sets = []
             for basis in (BASIS_HV, BASIS_DA):
                 counts = rng.integers(0, high + 1, (4, d, d))
@@ -348,10 +354,12 @@ class TestDenseOracle:
                 counts[0, 0, 0] += 1
                 total = int(counts.sum())
                 sets.append(CountMatrixSet(basis, binning, counts, total, total))
-            for eta_hwp in (1.0, 0.7):
-                assert witness_from_counts(*sets, eta_hwp) == dense_witness_report(
-                    *sets, d, f, eta_hwp
-                )
+            for eta_hwp in (1.0, 0.9, 0.7, 0.05):
+                got = witness_from_counts(*sets, eta_hwp)
+                want = dense_witness_report(*sets, d, f, eta_hwp)
+                assert got == want
+                assert [type(v) for v in dataclasses.astuple(got)] == [
+                    type(v) for v in dataclasses.astuple(want)]
 
 
 class TestReadMasks:
@@ -419,3 +427,109 @@ class TestReadMasks:
                 assert witness_from_counts(*lumped, eta_hwp) == witness_from_counts(
                     *observed, eta_hwp
                 )
+
+
+def count_sets(binning, counts):
+    """An HV and a DA set of ``binning`` from two (4, d, d) count arrays."""
+    return [CountMatrixSet(basis, binning, m, int(m.sum()), int(m.sum()))
+            for basis, m in zip((BASIS_HV, BASIS_DA), counts)]
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize(
+        "binning, p, eta_hwp",
+        [(binning_for(d), 0.5, 1.0) for d in (10, 20, 40, 80)]
+        + [(BinningConfig(10, 32, 5), 0.0, 1.0), (BinningConfig(10, 32, 7), 0.0, 1.0),
+           (binning_for(20), 0.5, 0.9)],
+        ids=["d10", "d20", "d40", "d80", "narrow-zero", "narrow-negative", "eta"],
+    )
+    def test_each_replicate_equals_its_count_set(self, binning, p, eta_hwp):
+        """Every replicate's values, from ``_bounds`` over the whole stack, equal
+        ``witness_from_counts`` and the dense estimator on that replicate alone,
+        rebuilt as count sets with its lumped count in the first unread cell.
+
+        Without a narrow range the bound is min(wide, 0), so those sets are pure
+        noise, whose wide value is negative and varies."""
+        d = binning.d
+        hv, da = exact_count_sets(isotropic(d, p), binning, 2e4)
+        summary, values, reps = each_replicate(hv, da, 30, d, eta_hwp)
+        masks = witness_masks(binning)
+        flats = [np.flatnonzero(mask) for mask in masks]
+        parts = [(rep.cells, flat, rep.totals) for rep, flat in zip(reps, flats)]
+        n1, n2, _, _, wide, narrow, value = witness._bounds(d, binning.f_shift, *parts, eta_hwp)
+        assert np.array_equal(value, values) and len(set(values)) > 1
+        assert summary.std == values.std(ddof=1) and summary.mean == values.mean()
+        for r in range(30):
+            pair = count_sets(binning, [put_back(rep, mask, r) for rep, mask in zip(reps, masks)])
+            report = witness_from_counts(*pair, eta_hwp)
+            assert report == dense_witness_report(*pair, d, binning.f_shift, eta_hwp)
+            assert (n1[r], n2[r], wide[r], narrow[r], value[r]) == (
+                report.n1, report.n2, report.value_wide, report.value_narrow,
+                report.witness_lower_bound)
+
+
+def refused_draws(monkeypatch) -> list:
+    """Make ``analysis.poisson_resample`` record its calls and draw nothing."""
+    calls = []
+    monkeypatch.setattr(analysis, "poisson_resample", lambda *args: calls.append(args))
+    return calls
+
+
+class TestCheckOrder:
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("swapped", "witness needs one HV set and one DA set, in that order"),
+         (0, "eta_hwp must be in (0, 1], got 0"),
+         (1.5, "eta_hwp must be in (0, 1], got 1.5"),
+         (math.nan, "eta_hwp must be in (0, 1], got nan"),
+         ("binning", "HV and DA sets were binned differently: "
+                     "BinningConfig(d=10, bin_ticks=32, f_shift=1) and "
+                     "BinningConfig(d=10, bin_ticks=32, f_shift=2)")],
+        ids=["swapped", "eta-0", "eta-1.5", "eta-nan", "binning"],
+    )
+    def test_pair_faults_raise_before_any_draw(self, fault, message, monkeypatch):
+        """Both entry points give the same message; the resampler draws nothing."""
+        hv, da = exact_count_sets(isotropic(10, 0.5), binning_for(10), 1e3)
+        eta_hwp = fault if isinstance(fault, float | int) else 1.0
+        if fault == "swapped":
+            hv, da = da, hv
+        elif fault == "binning":
+            da = dataclasses.replace(da, binning=BinningConfig(10, 32, 2))
+        calls = refused_draws(monkeypatch)
+        for evaluate in (lambda: witness_from_counts(hv, da, eta_hwp),
+                         lambda: resample_witness(hv, da, 20, 0, eta_hwp)):
+            with pytest.raises(ValueError) as got:
+                evaluate()
+            assert str(got.value) == message
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "seed, first, message",
+        [(4, "HV", "HV count matrices are empty"),
+         (2, "DA", "DA count matrices are empty"),
+         (5, "both", "DA count matrices are empty")],
+        ids=["hv-first", "da-first", "both-in-one"],
+    )
+    def test_first_empty_replicate_names_its_basis(self, seed, first, message, monkeypatch):
+        """Sparse sets of two counts per basis, 20 replicates; messages and seeds as
+        the per-replicate evaluation gave them.  When one basis is empty first, the
+        other is empty in a later replicate, so only draw order picks the message."""
+        binning = binning_for(10)
+        counts = np.zeros((2, 4, 10, 10), dtype=np.int64)
+        counts[0, 0, 0, 1] = counts[0, 0, 5, 5] = 1   # one read and one unread HV cell
+        counts[1, 0, 3, 3] = counts[1, 0, 0, 1] = 1   # one read and one unread DA cell
+        hv, da = count_sets(binning, counts)
+        seen = []
+        resample = analysis.poisson_resample
+        monkeypatch.setattr(analysis, "poisson_resample", lambda data, statistic, *args: resample(
+            data, lambda reps: seen.append(reps) or statistic(reps), *args))
+        with pytest.raises(ValueError) as got:
+            resample_witness(hv, da, 20, seed)
+        assert str(got.value) == message
+        ((hv_reps, da_reps),) = seen
+        empty = np.array([hv_reps.totals == 0, da_reps.totals == 0])
+        r = int(np.argmax(empty.any(0)))
+        assert empty[:, r].tolist() == {"HV": [True, False], "DA": [False, True],
+                                        "both": [True, True]}[first]
+        if first != "both":
+            assert empty[int(first == "HV"), r + 1:].any()

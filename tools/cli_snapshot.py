@@ -21,10 +21,11 @@ way ``read_tags`` detects, a good HV file with a truncated or bad-magic DA
 file, faults in both files or in a file and ``--dims`` (``certify-et`` must
 name the first in its error order), an HV/DA pair whose clocks differ, one
 tag file named as both HV and DA, config values and flags that must fail
-before any output is written, ``mub-sweep`` at d = 2 (whose MUB set is built
-apart from the odd primes') and with ``--k`` out of order, and ``mub-sweep``
-grids whose points are too close to get seeds of their own or, with
-``--export-matrices``, file names of their own.
+before any output is written, a default sweep so sparse that one of its
+Poisson replicates draws an empty basis, ``mub-sweep`` at d = 2 (whose MUB
+set is built apart from the odd primes') and with ``--k`` out of order, and
+``mub-sweep`` grids whose points are too close to get seeds of their own or,
+with ``--export-matrices``, file names of their own.
 """
 
 import os
@@ -82,6 +83,8 @@ CONFIGS = {
     "other_tick.ini": "[clock]\ntick_seconds = 90e-12\n" + small(("0, 6e6", "0")),
     # no jitter and dense background: signal and noise often share a tick and detector
     "ties.ini": small(("3e6", "2e7"), ("0, 6e6", "4e7"), ("800e-12", "0"), ("4000", "9000")),
+    # the default sweep on so few frames that a resampled basis draws no counts
+    "sparse.ini": "[sweep]\nn_frames = 200\nresamples = 20\n",
 }
 
 # (name, offset, bytes written there) applied to a copy of tags_small/tags_p000_hv.hdtt;
@@ -184,6 +187,7 @@ CHECKS += [
                            "--out", "config_float_seed"]),
     ("config_dims30", ["sweep-noise", "--config", "dims30.ini", "--out", "config_dims30"]),
     ("config_dim30", ["simulate-tags", "--config", "dim30.ini", "--out", "config_dim30"]),
+    ("sweep_sparse", ["sweep-noise", "--config", "sparse.ini", "--out", "sweep_sparse"]),
     ("eta_zero", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
                          "--eta-hwp", "0", out="eta_zero")),
     ("eta_nan", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
