@@ -283,12 +283,20 @@ def _certify_counts(hv_sets, da_sets, eta_hwp, resamples, seed):
 
     The resampling generator of each d is keyed by ``_derived_seed(seed, d)``.
     Yields ``(report, summary, row)``; ``row`` is a sweep row plus its scan
-    ``margin``, with ``noise_setting`` left to the caller.
+    ``margin``, with ``noise_setting`` left to the caller.  Empty observed
+    counts raise the witness's own error; a resampled replicate that draws an
+    empty basis raises one that names d and the observed totals.
     """
     for hv, da in zip(hv_sets, da_sets):
         d = hv.binning.d
         report = witness.witness_from_counts(hv, da, eta_hwp)
-        summary = witness.resample_witness(hv, da, resamples, _derived_seed(seed, d), eta_hwp)
+        try:
+            summary = witness.resample_witness(hv, da, resamples, _derived_seed(seed, d), eta_hwp)
+        except ValueError as exc:
+            # the pair and its observed counts passed ``witness_from_counts``
+            raise ValueError(f"d={d}: {exc} in a Poisson-resampled replicate, not in the "
+                             f"observed counts (HV {hv.total_counts()}, DA "
+                             f"{da.total_counts()})") from None
         stacked = np.concatenate([hv.matrices, da.matrices])
         row = {
             "d_or_k": d,
@@ -313,7 +321,11 @@ def _timebin_point(task):
         for model, da_flag in zip(cfg.point_models[point], (False, True))
     )
     results = _certify_counts(hv_sets, da_sets, 1.0, cfg.resamples, _derived_seed(cfg.seed, point))
-    return [dict(row, noise_setting=rate) for _, _, row in results]
+    try:
+        return [dict(row, noise_setting=rate) for _, _, row in results]
+    except ValueError as exc:  # every certification error here comes of too few counts
+        raise ValueError(f"sweep point {point} (background rate {rate:g} /s per detector), "
+                         f"{exc}; raise [sweep] n_frames") from None
 
 
 def run_timebin_sweep(cfg: RunConfig, workers: int = 1):

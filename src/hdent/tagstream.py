@@ -42,7 +42,9 @@ be made or certified at any length.  ``generate_stream`` and ``read_tags`` are
 the concatenations of the two sources.  There is one sifter: ``sift_blocks``
 finds the kept frames chunk by chunk and bins them, and ``sift_and_bin`` bins
 the same chunks of a held stream, found once and kept in
-``TagStream.kept_events``.
+``TagStream.kept_events``.  A chunk holds whole frames: the events of its
+block's last frame are carried into the next chunk, and after the last block
+they are the stream's last frame.
 """
 
 from __future__ import annotations
@@ -250,26 +252,19 @@ def _pieces(stream):
             yield ts[start:stop], ch[start:stop], og[start:stop]
 
 
-def _kept_pairs(ts, ch, frame_ticks: int, lead: int, final: bool) -> tuple:
-    """Chunk indices ``(a, b)`` of the Alice and Bob event of each kept frame the chunk decides.
+def _kept_pairs(ts, ch, frame_ticks: int) -> tuple:
+    """Chunk indices ``(a, b)`` of the Alice and Bob event of each kept frame in a chunk.
 
-    A kept frame holds exactly one click per side.  Events are sorted, so a
-    frame is one run of equal frame numbers, and the kept frames are the runs
-    of two events on different sides.  The first ``lead`` events (0 or 1)
-    only tell whether the next one opens a frame; without one, the first
-    event opens a frame.  A run is decided by the event after it, so runs
-    that start at the chunk's last two events stay undecided unless the chunk
-    ends the stream (``final``).
+    A kept frame holds exactly one click per side.  The chunk holds whole
+    frames and its events are sorted, so a frame is one run of equal frame
+    numbers, and the kept frames are the runs of two events on different sides.
     """
     frames = ts // frame_ticks
     n = len(frames)
     opens = np.ones(n + 2, dtype=bool)  # two opens past the end close the last frame
     opens[1:n] = frames[1:] != frames[:-1]
-    stop = n if final else max(n - 2, lead)
     # event i starts a run of two when it opens a frame, i + 1 does not, i + 2 does
-    i = np.flatnonzero(
-        opens[lead:stop] & ~opens[lead + 1 : stop + 1] & opens[lead + 2 : stop + 2]
-    ) + lead
+    i = np.flatnonzero(opens[:n] & ~opens[1 : n + 1] & opens[2:])
     # keep the runs of two events that lie on different sides
     a_first = ch[i] <= 1
     split = a_first != (ch[i + 1] <= 1)
@@ -277,8 +272,8 @@ def _kept_pairs(ts, ch, frame_ticks: int, lead: int, final: bool) -> tuple:
     return np.where(a_first, i, i + 1), np.where(a_first, i + 1, i)
 
 
-def _kept_values(ts, ch, og, frame_ticks: int, lead: int, final: bool) -> tuple:
-    """What every binning reads of the kept frames that a chunk decides (``_kept_pairs``).
+def _kept_values(ts, ch, og, frame_ticks: int) -> tuple:
+    """What every binning reads of the kept frames of a chunk (``_kept_pairs``).
 
     ``(pair, ticks_a, ticks_b, noise, frames)``: the PAIR_LABELS index and
     the Alice and Bob ticks within the frame of each kept pair (int64), the
@@ -286,7 +281,7 @@ def _kept_values(ts, ch, og, frame_ticks: int, lead: int, final: bool) -> tuple:
     frame span from frame 0 to the frame of the chunk's last event.  A chunk
     is never empty.
     """
-    a, b = _kept_pairs(ts, ch, frame_ticks, lead, final)
+    a, b = _kept_pairs(ts, ch, frame_ticks)
     pair = ch[a].astype(np.int64) * 2 + (ch[b] - 2)
     ticks_a = (ts[a] % frame_ticks).astype(np.int64)
     ticks_b = (ts[b] % frame_ticks).astype(np.int64)
@@ -301,17 +296,18 @@ def _kept_values(ts, ch, og, frame_ticks: int, lead: int, final: bool) -> tuple:
 def _kept_chunks(stream):
     """The ``_kept_values`` of each chunk of a ``TagStream`` or ``TagBlocks``, in stream order.
 
-    A chunk is one block of ``_pieces(stream)`` after the events carried over
-    from the chunk before: those whose runs are still undecided, and the
-    event before them.  A ``TagStream``'s chunk is a view of its arrays,
-    since a copy per block fragments the heap of a long in-memory sweep; a
-    ``TagBlocks`` chunk joins the carried events to the block.  After the
-    last block, the carried events (at most three) make the chunk that ends
-    the stream.  An empty stream has no chunk.
+    A chunk is one block of ``_pieces(stream)`` after the events carried from
+    the chunk before, cut at the first event of its last frame: the whole
+    frames before the cut are sifted and the last frame is carried, so a
+    chunk of one frame yields nothing.  A ``TagStream``'s chunk is a view of
+    its arrays, since a copy per block fragments the heap of a long in-memory
+    sweep; a ``TagBlocks`` chunk joins the carried events to the block.  After
+    the last block, the carried events are the stream's last frame and make
+    its last chunk.  An empty stream has no chunk.
     """
     frame_ticks = stream.clock.frame_ticks
     whole = isinstance(stream, TagStream)
-    offset, lead, carry = 0, 0, None
+    offset, carry = 0, None
     for block in _pieces(stream):
         if carry is None:
             chunk = block
@@ -321,13 +317,15 @@ def _kept_chunks(stream):
                      stream.origins[offset:stop])
         else:
             chunk = tuple(map(np.concatenate, zip(carry, block)))
-        yield _kept_values(*chunk, frame_ticks, lead, final=False)
-        undecided = max(lead, len(chunk[0]) - 2)
-        start = max(undecided - 1, 0)
-        carry = tuple(part[start:].copy() for part in chunk)
-        offset, lead = offset + start, undecided - start
+        ts = chunk[0]
+        last = int(ts[-1])
+        cut = int(np.searchsorted(ts, ts.dtype.type(last - last % frame_ticks)))
+        if cut:
+            yield _kept_values(*(part[:cut] for part in chunk), frame_ticks)
+        carry = tuple(part[cut:].copy() for part in chunk)
+        offset += cut
     if carry is not None:
-        yield _kept_values(*carry, frame_ticks, lead, final=True)
+        yield _kept_values(*carry, frame_ticks)
 
 
 @dataclass(frozen=True)

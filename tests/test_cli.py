@@ -390,6 +390,23 @@ class TestSimulateAndCertify:
         assert summary[0] == "# hdent-sweep-csv v1"
         assert summary[1].startswith("d_or_k,")
 
+    def test_certify_names_the_d_of_an_empty_replicate(self, tmp_path, capsys):
+        """Point 0 of the default config on 200 frames, certified at resampling seed 6:
+        a replicate at d = 10 draws no DA counts."""
+        config = tmp_path / "sparse.ini"
+        config.write_text("[sweep]\nn_frames = 200\n")
+        tags = tmp_path / "tags"
+        assert run_cli("simulate-tags", "--config", config, "--out", tags) == 0
+        capsys.readouterr()
+        code = run_cli("certify-et", "--hv", tags / "tags_p000_hv.hdtt",
+                       "--da", tags / "tags_p000_da.hdtt", "--dims", "10,20",
+                       "--resamples", "20", "--seed", "6")
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            "d=10: DA count matrices are empty in a Poisson-resampled replicate, "
+            "not in the observed counts (HV 10, DA 4)"
+        )
+
     def test_certify_rejects_bad_dimension(self, small_config, tmp_path, capsys, monkeypatch):
         """A d that the files' clock cannot bin fails, naming --dims, before a
         record of either file is read."""
@@ -930,6 +947,34 @@ class TestSweepNoise:
         lines = outs[1].decode().splitlines()
         assert lines[0] == "# hdent-sweep-csv v1"
         assert len(lines) == 2 + 2 * 2  # two rates x two dims
+
+    def test_an_empty_replicate_names_its_point_d_and_remedy(self, tmp_path, capsys):
+        """The default sweep on 200 frames: at point 0, d = 10, whose observed counts
+        are HV 10 and DA 4, a resampled replicate draws no DA counts."""
+        config = tmp_path / "sparse.ini"
+        config.write_text("[sweep]\nn_frames = 200\nresamples = 20\n")
+        out = tmp_path / "out"
+        code = run_cli("sweep-noise", "--config", config, "--out", out)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = json.loads(captured.err)["message"]
+        assert message == (
+            "sweep point 0 (background rate 0 /s per detector), d=10: DA count matrices are "
+            "empty in a Poisson-resampled replicate, not in the observed counts (HV 10, DA 4); "
+            "raise [sweep] n_frames"
+        )
+        assert not out.exists()
+
+    def test_empty_observed_counts_keep_the_witness_message(self, tmp_path, capsys):
+        config = tmp_path / "one_frame.ini"
+        config.write_text("[sweep]\nn_frames = 1\n")
+        out = tmp_path / "out"
+        assert run_cli("sweep-noise", "--config", config, "--out", out) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == ("sweep point 0 (background rate 0 /s per detector), "
+                           "DA count matrices are empty; raise [sweep] n_frames")
+        assert not out.exists()
 
     def test_pool_gets_no_more_workers_than_points(self, small_config, tmp_path, monkeypatch):
         """A process pool starts all its workers at once, so it is sized by the

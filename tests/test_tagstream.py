@@ -463,6 +463,23 @@ def small_streams(draw):
     return clock, n_frames, ts, ch, og
 
 
+def stream_of(*events) -> tuple:
+    """``small_streams`` data on ``CLOCK`` of sorted ``(frame, tick, channel, origin)`` events."""
+    frames, ticks, ch, og = (np.array(column) for column in zip(*events))
+    ts = (frames * CLOCK.frame_ticks + ticks).astype(np.uint64)
+    return CLOCK, int(frames[-1]) + 1, ts, ch.astype(np.uint8), og.astype(np.uint8)
+
+
+S, N = Origin.SIGNAL, Origin.NOISE
+# frame 0 fills a block of 3 events; frame 1 is kept
+ONE_FRAME_BLOCK = stream_of((0, 1, 0, S), (0, 2, 2, S), (0, 3, 3, N), (1, 1, 1, S), (1, 2, 2, N))
+# in blocks of 3, frame 1's three events are split 2 + 1; frame 2 is kept
+SPLIT_THREE = stream_of((0, 5, 0, N), (1, 1, 0, S), (1, 2, 2, S), (1, 3, 3, N),
+                        (2, 1, 1, S), (2, 2, 2, S))
+# in blocks of 2, frame 1's two events are split 1 + 1, and it is kept, as is frame 2
+SPLIT_TWO = stream_of((0, 5, 1, S), (1, 1, 0, S), (1, 2, 3, N), (2, 7, 2, S), (2, 8, 0, N))
+
+
 class TestSiftOracle:
     @given(stream_data=small_streams(), data=st.data())
     @settings(deadline=None, max_examples=150)
@@ -482,25 +499,36 @@ class TestSiftOracle:
                 with pytest.raises(ValueError):
                     arr[:1] = 0
 
+    # a small stream has at most 90 events, so a larger size is cut to the stream's end
     @given(stream_data=small_streams(), block=st.integers(min_value=1, max_value=8),
-           data=st.data())
+           sizes=st.lists(st.integers(0, 3) | st.integers(0, 90), max_size=12))
+    @example(ONE_FRAME_BLOCK, 3, [3])
+    @example(SPLIT_THREE, 3, [3])
+    @example(SPLIT_TWO, 2, [2])
     @settings(deadline=None, max_examples=150)
-    def test_kept_events_match_whole_stream_frames(self, stream_data, block, data):
+    def test_kept_events_match_whole_stream_frames(self, stream_data, block, sizes):
         """A held stream cut into blocks of ``block`` events, and the same stream as
-        ``TagBlocks`` cut anywhere (empty blocks and blocks of 1-3 events included),
-        keep the frames that whole-stream frame numbers keep."""
+        ``TagBlocks`` cut after ``sizes`` events each (empty blocks and blocks of 1-3
+        events included), keep the frames that whole-stream frame numbers keep."""
         clock, _, ts, ch, og = stream_data
         stream = TagStream(clock, ts, ch, og)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tagstream, "_BLOCK_RECORDS", block)
             held = joined_kept(stream.kept_events)
-        sizes = data.draw(st.lists(st.integers(0, 3) | st.integers(0, len(ts)), max_size=12))
         cuts = [*np.minimum(np.cumsum([0, *sizes]), len(ts)), len(ts)]
         blocks = [(ts[i:j], ch[i:j], og[i:j]) for i, j in zip(cuts, cuts[1:])]
         streamed = joined_kept(tagstream._kept_chunks(TagBlocks(clock, iter(blocks))))
         want = whole_stream_kept_values(stream)
         for got in (held, streamed):
             assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    def test_a_chunk_of_one_frame_yields_nothing(self, monkeypatch):
+        """The first block holds frame 0 alone: it is carried whole into the next
+        chunk, which sifts it, and frame 1 is carried to the end of the stream."""
+        monkeypatch.setattr(tagstream, "_BLOCK_RECORDS", 3)
+        clock, _, ts, ch, og = ONE_FRAME_BLOCK
+        chunks = list(tagstream._kept_chunks(TagStream(clock, ts, ch, og)))
+        assert [(len(pair), frames) for pair, _, _, _, frames in chunks] == [(0, 1), (1, 2)]
 
     def test_call_order_does_not_matter(self):
         m = model(d=80, pair_rate=2e6, bg=1e7, jitter=800e-12, p=0.8)
