@@ -26,7 +26,8 @@ configured by its flags.
 Every table is rendered by ``_csv`` with a schema comment above its header,
 and every output file, tag files included, is written by ``_publish``;
 identical configs and seeds reproduce them bit for bit, independent of the
-worker count.
+worker count.  Every Philox key is made by ``_key``, which keeps resampling
+keys apart from stream keys, and ``certify-et`` writes once every d has certified.
 """
 
 from __future__ import annotations
@@ -148,10 +149,6 @@ def _parse_ints(text: str) -> tuple:
     return values
 
 
-_SHARED_KEYS = ("--grid has points that round to the same millionth, so their "
-                "error bars would share one seed; space the points wider")
-
-
 def _parse_grid(text: str) -> tuple:
     """Noise fractions ``start:stop:count``, evenly spaced; errors name ``--grid``."""
     try:
@@ -163,9 +160,6 @@ def _parse_grid(text: str) -> tuple:
         raise ValueError(f"--grid needs a count of at least 2, got {count}")
     if not 0.0 <= start < stop <= 1.0:
         raise ValueError(f"--grid needs 0 <= start < stop <= 1, got {text!r}")
-    # the resampling keys round(nf * 1e6) of the points take at most this many values
-    if count > round(stop * 1e6) - round(start * 1e6) + 1:
-        raise ValueError(_SHARED_KEYS)
     return tuple(float(v) for v in np.linspace(start, stop, count))
 
 
@@ -261,15 +255,18 @@ def sweep_rows_to_csv(rows) -> str:
     return _csv(SWEEP_SCHEMA, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
 
 
-def _stream_seed(seed: int, point: int, da: bool) -> int:
-    return (int(seed) << 32) | (int(point) << 1) | int(da)
-
-
-def _derived_seed(*parts) -> int:
-    acc = 0
-    for part in parts:
-        acc = acc * 1_000_003 + int(part)
-    return acc
+def _key(seed: int, purpose: str, *indices: int) -> int:
+    """The Philox key of one draw of a run: ``"stream"`` from (point, da), ``"resample"``
+    from one or two indices below 2**32, packed 32 bits each.  Read modulo 2**128, a
+    stream key of a seed in [-2**63, 2**63) has equal top two bits and a resampling key
+    has ``10``, so no resampling redraws a stream's numbers."""
+    if purpose == "stream":
+        point, da = indices
+        return int(seed) << 32 | int(point) << 1 | int(da)
+    low = 0
+    for index in indices:
+        low = low << 32 | int(index)
+    return 2 << 126 | int(seed) % (1 << 62) << 64 | low
 
 
 def _sift_stream(stream, dims, basis) -> list:
@@ -278,20 +275,20 @@ def _sift_stream(stream, dims, basis) -> list:
     return [tagstream.sift_and_bin(stream, binning, basis) for binning in binnings]
 
 
-def _certify_counts(hv_sets, da_sets, eta_hwp, resamples, seed):
+def _certify_counts(hv_sets, da_sets, eta_hwp, resamples, keys):
     """Per d: evaluate and resample the witness of one HV and one DA count set, estimate NF.
 
-    The resampling generator of each d is keyed by ``_derived_seed(seed, d)``.
+    The resampling generator of each d is keyed by the matching entry of ``keys``.
     Yields ``(report, summary, row)``; ``row`` is a sweep row plus its scan
     ``margin``, with ``noise_setting`` left to the caller.  Empty observed
     counts raise the witness's own error; a resampled replicate that draws an
     empty basis raises one that names d and the observed totals.
     """
-    for hv, da in zip(hv_sets, da_sets):
+    for hv, da, key in zip(hv_sets, da_sets, keys):
         d = hv.binning.d
         report = witness.witness_from_counts(hv, da, eta_hwp)
         try:
-            summary = witness.resample_witness(hv, da, resamples, _derived_seed(seed, d), eta_hwp)
+            summary = witness.resample_witness(hv, da, resamples, key, eta_hwp)
         except ValueError as exc:
             # the pair and its observed counts passed ``witness_from_counts``
             raise ValueError(f"d={d}: {exc} in a Poisson-resampled replicate, not in the "
@@ -316,11 +313,12 @@ def _timebin_point(task):
     # each stream is generated, sifted and dropped before the next one
     hv_sets, da_sets = (
         _sift_stream(tagstream.generate_stream(model, cfg.clock, cfg.n_frames,
-                                               _stream_seed(cfg.seed, point, da_flag)),
+                                               _key(cfg.seed, "stream", point, da_flag)),
                      cfg.dims, model.basis)
         for model, da_flag in zip(cfg.point_models[point], (False, True))
     )
-    results = _certify_counts(hv_sets, da_sets, 1.0, cfg.resamples, _derived_seed(cfg.seed, point))
+    keys = [_key(cfg.seed, "resample", point, d) for d in cfg.dims]
+    results = _certify_counts(hv_sets, da_sets, 1.0, cfg.resamples, keys)
     try:
         return [dict(row, noise_setting=rate) for _, _, row in results]
     except ValueError as exc:  # every certification error here comes of too few counts
@@ -365,17 +363,14 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     Each grid point builds its k_max matched-basis matrices as one ``(k_max, d, d)``
     stack (returned in grid order), and each k reads the first k of it: the
     per-basis resampling means, the visibility sum and the noise fraction.  The
-    exact thresholds read one stack at p = 0 and one at p = 1.  Resampling is
-    keyed by nf in millionths: points that round alike are refused.
+    exact thresholds read one stack at p = 0 and one at p = 1.  Each row's
+    resampling is keyed by its grid index and k, however close two nf lie.
     """
     mubs = mub.build_mubs(dim)
     pure = states.make_max_entangled(dim)
     k_max = max(k_list)
     if min(k_list) < 2 or k_max > dim + 1:
         raise ValueError(f"k values must lie in 2..{dim + 1}")
-    keys = [round(nf * 1e6) for nf in nf_grid]
-    if len(set(keys)) < len(keys):
-        raise ValueError(_SHARED_KEYS)
 
     def matched(p):
         bases = range(k_max)
@@ -385,7 +380,7 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     # ``m[~np.eye(dim, dtype=bool)].sum()`` does, bit for bit
     off_diagonal = np.flatnonzero(~np.eye(dim, dtype=bool))
     rows, per_nf = [], []
-    for nf, key in zip(nf_grid, keys):
+    for index, nf in enumerate(nf_grid):
         matrices = matched(1.0 - nf)
         per_nf.append(matrices)
         # per basis, all the statistic reads: diagonal and off-diagonal sums (1 - trace may be < 0)
@@ -398,7 +393,7 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
             statistic = functools.partial(_visibility_excess, bound=report.separable_bound)
             summary = analysis.poisson_resample(
                 tuple(expected[:k]), statistic, resamples,
-                _derived_seed(seed, key, k), (np.array([True, False]),) * k,
+                _key(seed, "resample", index, k), (np.array([True, False]),) * k,
             )
             rows.append(
                 {
@@ -431,7 +426,7 @@ def cmd_simulate_tags(args) -> int:
     manifest = []
     for point, (rate, models) in enumerate(zip(cfg.background_rates, cfg.point_models)):
         for model, da_flag in zip(models, (False, True)):
-            stream_seed = _stream_seed(cfg.seed, point, da_flag)
+            stream_seed = _key(cfg.seed, "stream", point, da_flag)
             name = f"tags_p{point:03d}_{model.basis.lower()}.hdtt"
             # generated and written block by block, so no whole stream is held
             blocks = tagstream.generate_blocks(model, cfg.clock, cfg.n_frames, stream_seed)
@@ -459,14 +454,12 @@ def cmd_certify_et(args) -> int:
                 for d in dims]
     hv_sets = tagstream.sift_blocks(hv, binnings, tagstream.BASIS_HV)
     da_sets = tagstream.sift_blocks(da, binnings, tagstream.BASIS_DA)
-    out = Path(args.out) if args.out else None
-    rows = []
-    reports = {}
+    keys = [_key(args.seed, "resample", d) for d in dims]
+    rows, reports = [], {}
     for report, summary, row in _certify_counts(
-        hv_sets, da_sets, args.eta_hwp, args.resamples, args.seed
+        hv_sets, da_sets, args.eta_hwp, args.resamples, keys
     ):
-        d = row["d_or_k"]
-        payload = {
+        reports[str(row["d_or_k"])] = {
             **dataclasses.asdict(report),
             "sigma": summary.std,
             "three_sigma": summary.three_sigma,
@@ -475,11 +468,11 @@ def cmd_certify_et(args) -> int:
             "nf_true": row["nf_true"],
             "nf_estimated": row["nf_estimated"],
         }
-        reports[str(d)] = payload
-        if out is not None:
-            _write_atomic(out / f"witness_d{d}.json", json.dumps(payload, sort_keys=True, indent=2))
         rows.append(row)
-    if out is not None:
+    if args.out:  # every d has certified: a later d's error leaves no report behind
+        out = Path(args.out)
+        for d, payload in reports.items():
+            _write_atomic(out / f"witness_d{d}.json", json.dumps(payload, sort_keys=True, indent=2))
         _write_atomic(out / "certify_summary.csv", sweep_rows_to_csv(rows))
     print(json.dumps(reports, sort_keys=True))
     return 0

@@ -390,22 +390,34 @@ class TestSimulateAndCertify:
         assert summary[0] == "# hdent-sweep-csv v1"
         assert summary[1].startswith("d_or_k,")
 
-    def test_certify_names_the_d_of_an_empty_replicate(self, tmp_path, capsys):
-        """Point 0 of the default config on 200 frames, certified at resampling seed 6:
-        a replicate at d = 10 draws no DA counts."""
+    @staticmethod
+    def sparse_certify(tmp_path, seed, *out):
+        """``certify-et`` of point 0 of the default config on 200 frames (HV 10 and DA 4
+        counts at each d) at d = 10, 20 and resampling seed ``seed``."""
         config = tmp_path / "sparse.ini"
         config.write_text("[sweep]\nn_frames = 200\n")
         tags = tmp_path / "tags"
         assert run_cli("simulate-tags", "--config", config, "--out", tags) == 0
-        capsys.readouterr()
-        code = run_cli("certify-et", "--hv", tags / "tags_p000_hv.hdtt",
+        return run_cli("certify-et", "--hv", tags / "tags_p000_hv.hdtt",
                        "--da", tags / "tags_p000_da.hdtt", "--dims", "10,20",
-                       "--resamples", "20", "--seed", "6")
-        assert code == 1
+                       "--resamples", "20", "--seed", seed, *out)
+
+    def test_certify_names_the_d_of_an_empty_replicate(self, tmp_path, capsys):
+        """At seed 3 a replicate at d = 10 draws no DA counts."""
+        assert self.sparse_certify(tmp_path, 3) == 1
         assert json.loads(capsys.readouterr().err)["message"] == (
             "d=10: DA count matrices are empty in a Poisson-resampled replicate, "
             "not in the observed counts (HV 10, DA 4)"
         )
+
+    def test_certify_writes_no_report_when_a_later_d_fails(self, tmp_path, capsys):
+        """At seed 9, d = 10 certifies and a replicate at d = 20 draws no DA counts."""
+        out = tmp_path / "reports"
+        assert self.sparse_certify(tmp_path, 9, "--out", out) == 1
+        assert json.loads(capsys.readouterr().err)["message"].startswith(
+            "d=20: DA count matrices are empty in a Poisson-resampled replicate")
+        assert not (out / "witness_d10.json").exists()
+        assert not out.exists()
 
     def test_certify_rejects_bad_dimension(self, small_config, tmp_path, capsys, monkeypatch):
         """A d that the files' clock cannot bin fails, naming --dims, before a
@@ -607,48 +619,10 @@ class TestMubSweep:
         assert "--grid" in json.loads(captured.err)["message"]
         assert not (tmp_path / "mub").exists()
 
-    @pytest.mark.parametrize("grid, refused", [
-        ("0.5:0.500001:3", True), ("0.5:0.500002:3", False), ("0.5:0.500002:4", True),
-        ("0:0.000001:3", True), ("0.999999:1:2", False), ("0.999999:1:3", True),
-        ("0.25:0.25001:11", False), ("0.25:0.25001:12", True),
-    ])
-    def test_grid_with_more_points_than_millionths_fails_before_spacing(self, grid, refused,
-                                                                        monkeypatch):
-        """Such a grid always has two points that round to one millionth; it is refused
-        before any point is spaced, so a huge count costs nothing."""
-        spaced = []
-        linspace = np.linspace
-        monkeypatch.setattr(cli.np, "linspace", lambda *args: spaced.append(args) or
-                            linspace(*args))
-        if refused:
-            with pytest.raises(ValueError, match="^--grid has points that round to the same "
-                                                 "millionth"):
-                cli._parse_grid(grid)
-            assert spaced == []
-        else:
-            points = cli._parse_grid(grid)
-            assert len(set(round(nf * 1e6) for nf in points)) == len(points)
-
-    def test_grid_points_sharing_a_seed_fail_before_any_row(self, tmp_path, capsys, monkeypatch):
-        """Points that round to one millionth would draw their error bars from one key."""
-        monkeypatch.setattr(cli.mub, "correlation_matrix", None)  # every row calls it
+    def test_grid_points_half_a_millionth_apart_get_keys_of_their_own(self, tmp_path, capsys):
+        """Resampling is keyed by grid index, so close points draw their own error bars."""
         code = run_cli(
             "mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500001:3",
-            "--counts", "1e4", "--resamples", "50", "--out", tmp_path / "mub",
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        message = json.loads(captured.err)["message"]
-        assert "--grid" in message and "seed" in message
-        assert not (tmp_path / "mub").exists()
-        # a library caller's grid is not spaced by ``_parse_grid``; the sweep refuses it too
-        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            cli.run_mub_sweep(3, (2,), (0.5, 0.7, 0.5000004), 1e4, 5, 0)
-
-    def test_grid_points_a_millionth_apart_get_seeds_of_their_own(self, tmp_path, capsys):
-        code = run_cli(
-            "mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500002:3",
             "--counts", "1e4", "--resamples", "50", "--out", tmp_path,
         )
         assert code == 0
@@ -949,10 +923,10 @@ class TestSweepNoise:
         assert len(lines) == 2 + 2 * 2  # two rates x two dims
 
     def test_an_empty_replicate_names_its_point_d_and_remedy(self, tmp_path, capsys):
-        """The default sweep on 200 frames: at point 0, d = 10, whose observed counts
-        are HV 10 and DA 4, a resampled replicate draws no DA counts."""
+        """The default sweep on 200 frames at seed 18: at point 0, d = 10, whose observed
+        counts are HV 3 and DA 6, a resampled replicate draws no HV counts."""
         config = tmp_path / "sparse.ini"
-        config.write_text("[sweep]\nn_frames = 200\nresamples = 20\n")
+        config.write_text("[sweep]\nn_frames = 200\nresamples = 20\nseed = 18\n")
         out = tmp_path / "out"
         code = run_cli("sweep-noise", "--config", config, "--out", out)
         assert code == 1
@@ -960,8 +934,8 @@ class TestSweepNoise:
         assert captured.out == ""
         message = json.loads(captured.err)["message"]
         assert message == (
-            "sweep point 0 (background rate 0 /s per detector), d=10: DA count matrices are "
-            "empty in a Poisson-resampled replicate, not in the observed counts (HV 10, DA 4); "
+            "sweep point 0 (background rate 0 /s per detector), d=10: HV count matrices are "
+            "empty in a Poisson-resampled replicate, not in the observed counts (HV 3, DA 6); "
             "raise [sweep] n_frames"
         )
         assert not out.exists()
@@ -1005,6 +979,76 @@ class TestSweepNoise:
         one = replace(cfg, background_rates=cfg.background_rates[1:])
         assert cli.run_timebin_sweep(one, workers=2) == cli.run_timebin_sweep(one, workers=1)
         assert sizes == [2]
+
+
+class TestKeys:
+    """Every Philox key of a run comes from ``cli._key``; Philox reads it modulo 2**128."""
+
+    @staticmethod
+    def keys(seed, cfg):
+        """{run: (stream keys, resampling keys)} of the default sweep, ``simulate-tags``,
+        ``certify-et`` at the default dims and ``mub-sweep`` at k = 2..12 on the bench's
+        20-point grid, each in the order the run draws them."""
+        points = range(len(cfg.background_rates))
+        streams = [cli._key(seed, "stream", p, da) for p in points for da in (False, True)]
+        return {
+            "sweep-noise": (streams, [cli._key(seed, "resample", p, d)
+                                      for p in points for d in cfg.dims]),
+            "simulate-tags": (streams, []),
+            "certify-et": ([], [cli._key(seed, "resample", d) for d in cfg.dims]),
+            "mub-sweep": ([], [cli._key(seed, "resample", i, k)
+                               for i in range(20) for k in range(2, 13)]),
+        }
+
+    def test_no_key_serves_two_purposes_or_two_draws_of_one_run(self):
+        mod = 1 << 128
+        cfg = load_run_config()
+        by_purpose = (set(), set())
+        for seed in range(101):
+            for run, purposes in self.keys(seed, cfg).items():
+                drawn = [key % mod for keys in purposes for key in keys]
+                assert len(set(drawn)) == len(drawn), (seed, run)
+                for seen, keys in zip(by_purpose, purposes):
+                    seen.update(key % mod for key in keys)
+        assert not by_purpose[0] & by_purpose[1]
+        # the old schemes' collision: certify-et --seed 0 resampled d = 10 with the key of
+        # the point-5 HV stream that simulate-tags --seed 0 writes
+        assert cli._key(0, "resample", 10) % mod != cli._key(0, "stream", 5, False) % mod
+        # a negative seed's stream keys wrap to the top of the key range, still apart
+        assert cli._key(-1, "stream", 0, False) % mod >> 126 == 3
+        assert cli._key(-1, "resample", 10) % mod >> 126 == 2
+
+    def test_each_command_draws_with_the_keys_of_its_indices(self, small_config, tmp_path,
+                                                             monkeypatch, capsys):
+        """Every stream generator and every resampling gets the key ``_key`` makes of its
+        indices: the key is the fourth positional argument of each."""
+        drawn = {"stream": [], "resample": []}
+        for module, name, purpose in ((cli.tagstream, "generate_stream", "stream"),
+                                      (cli.tagstream, "generate_blocks", "stream"),
+                                      (cli.analysis, "poisson_resample", "resample")):
+            def record(*args, real=getattr(module, name), purpose=purpose):
+                drawn[purpose].append(args[3])
+                return real(*args)
+            monkeypatch.setattr(module, name, record)
+
+        def run(*argv):
+            for keys in drawn.values():
+                keys.clear()
+            assert run_cli(*argv, "--seed", 5) == 0
+            return drawn["stream"][:], drawn["resample"][:]
+
+        streams = [cli._key(5, "stream", p, da) for p in (0, 1) for da in (False, True)]
+        assert run("sweep-noise", "--config", small_config, "--out", tmp_path / "sweep") == (
+            streams, [cli._key(5, "resample", p, d) for p in (0, 1) for d in (10, 20)])
+        tags = tmp_path / "tags"
+        assert run("simulate-tags", "--config", small_config, "--out", tags) == (streams, [])
+        assert run("certify-et", "--hv", tags / "tags_p001_hv.hdtt",
+                   "--da", tags / "tags_p001_da.hdtt", "--dims", "20,10") == (
+            [], [cli._key(5, "resample", d) for d in (20, 10)])
+        assert run("mub-sweep", "--dim", "3", "--k", "4,2", "--grid", "0:0.9:3",
+                   "--resamples", "5", "--out", tmp_path / "mub") == (
+            [], [cli._key(5, "resample", i, k) for i in range(3) for k in (4, 2)])
+        capsys.readouterr()
 
 
 def test_cli_snapshot_fails_when_a_command_that_must_succeed_fails(tmp_path, monkeypatch,

@@ -23,9 +23,10 @@ name the first in its error order), an HV/DA pair whose clocks differ, one
 tag file named as both HV and DA, config values and flags that must fail
 before any output is written, a default sweep so sparse that one of its
 Poisson replicates draws an empty basis, ``mub-sweep`` at d = 2 (whose MUB
-set is built apart from the odd primes') and with ``--k`` out of order, and
-``mub-sweep`` grids whose points are too close to get seeds of their own or,
-with ``--export-matrices``, file names of their own.
+set is built apart from the odd primes') and with ``--k`` out of order, a
+``mub-sweep`` grid whose points lie half a millionth apart, each resampled with
+a key of its own, and one whose points, with ``--export-matrices``, would share
+a file name.
 """
 
 import os
@@ -83,8 +84,9 @@ CONFIGS = {
     "other_tick.ini": "[clock]\ntick_seconds = 90e-12\n" + small(("0, 6e6", "0")),
     # no jitter and dense background: signal and noise often share a tick and detector
     "ties.ini": small(("3e6", "2e7"), ("0, 6e6", "4e7"), ("800e-12", "0"), ("4000", "9000")),
-    # the default sweep on so few frames that a resampled basis draws no counts
-    "sparse.ini": "[sweep]\nn_frames = 200\nresamples = 20\n",
+    # the default sweep on so few frames that a resampled basis draws no counts (at
+    # point 0, d = 10 for this seed)
+    "sparse.ini": "[sweep]\nn_frames = 200\nresamples = 20\nseed = 18\n",
 }
 
 # (name, offset, bytes written there) applied to a copy of tags_small/tags_p000_hv.hdtt;
@@ -138,6 +140,10 @@ COMMANDS = [
     # the rows of each k are prefixes of one stack of 12 bases, in the order given
     ("mub_d11_k_unsorted", ["mub-sweep", "--dim", "11", "--k", "12,3,7", "--grid", "0:0.95:7",
                             "--out", "mub_d11_k_unsorted"]),
+    # the points lie half a millionth apart; resampling is keyed by grid index, so each
+    # row draws its own error bar
+    ("mub_close_grid", ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500001:3",
+                        "--counts", "1e4", "--resamples", "50", "--out", "mub_close_grid"]),
     ("link_budget", ["link-budget", "--db", "82", "102", "--km", "410"]),
 ]
 # these read the copies that ``derive`` makes once the commands above have run
@@ -192,10 +198,7 @@ CHECKS += [
                          "--eta-hwp", "0", out="eta_zero")),
     ("eta_nan", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
                         "--eta-hwp", "nan", out="eta_nan")),
-    # the last two points round to one millionth, the key of their resampling
-    ("mub_close_grid", ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500001:3",
-                        "--counts", "1e4", "--resamples", "50", "--out", "mub_close_grid"]),
-    # 0.5 and 0.50005 have seeds of their own but one export file name, nf to 4 decimals
+    # 0.5 and 0.50005 have keys of their own but one export file name, nf to 4 decimals
     ("mub_close_export", ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.5001:3",
                           "--export-matrices", "--out", "mub_close_export"]),
 ]
