@@ -630,6 +630,25 @@ class TestMubSweep:
                   (tmp_path / "mub_sweep.csv").read_text().splitlines()[2:]]
         assert len(set(sigmas)) == 3
 
+    @pytest.mark.parametrize("grid", [
+        "0.5:0.500001:3", "0.5:0.500002:3", "0.5:0.500002:4", "0:0.000001:3",
+        "0.999999:1:2", "0.999999:1:3", "0.25:0.25001:11", "0.25:0.25001:12",
+    ])
+    def test_grid_with_more_points_than_millionths_keeps_every_point(self, grid):
+        """Keys do not read nf, so points closer than a millionth are all spaced."""
+        start, stop, count = grid.split(":")
+        points = cli._parse_grid(grid)
+        assert points == tuple(np.linspace(float(start), float(stop), int(count)))
+        assert len(points) == int(count) and all(np.diff(points) > 0)
+
+    def test_library_grid_points_closer_than_a_millionth_draw_their_own_sigmas(self):
+        """A library caller's grid is not spaced by ``_parse_grid``; its close points,
+        in any order, still draw error bars of their own."""
+        rows, _, per_nf = cli.run_mub_sweep(3, (2,), (0.5, 0.7, 0.5000004), 1e4, 50, 0)
+        assert [row["noise_setting"] for row in rows] == [0.5, 0.7, 0.5000004]
+        assert len(per_nf) == 3
+        assert len({row["sigma"] for row in rows}) == 3
+
     def test_grid_points_sharing_an_export_name_fail_before_any_row(self, tmp_path, capsys,
                                                                    monkeypatch):
         """Export file names hold nf to 4 decimals; 0.5 and 0.50005 would share them."""
