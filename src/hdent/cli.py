@@ -26,8 +26,8 @@ configured by its flags.
 Every table is rendered by ``_csv`` with a schema comment above its header,
 and every output file, tag files included, is written by ``_publish``;
 identical configs and seeds reproduce them bit for bit, independent of the
-worker count.  Every Philox key is made by ``_key``, which keeps resampling
-keys apart from stream keys, and ``certify-et`` writes once every d has certified.
+worker count.  ``_key`` makes every Philox key, and ``certify-et`` writes once
+every d has certified.
 """
 
 from __future__ import annotations
@@ -117,15 +117,20 @@ def _number(text: str) -> float:
         raise ValueError(f"must be a number, got {text!r}") from None
 
 
-def _integer(text, minimum=-math.inf) -> int:
-    """``text`` as an integer of at least ``minimum``."""
+def _integer(text, minimum=-math.inf, below=math.inf) -> int:
+    """``text`` as an integer of at least ``minimum`` and below ``below``."""
     try:
         value = int(text)
     except ValueError:
         raise ValueError(f"must be an integer, got {text!r}") from None
     if value < minimum:
         raise ValueError(f"must be at least {minimum}, got {value}")
+    if value >= below:
+        raise ValueError(f"must be below {below}, got {value}")
     return value
+
+
+_seed = functools.partial(_integer, minimum=0, below=1 << 62)  # the seeds ``_key`` keeps apart
 
 
 def _parse_list(text: str, kind, noun: str) -> tuple:
@@ -149,6 +154,10 @@ def _parse_ints(text: str) -> tuple:
     return values
 
 
+_SHARED_KEYS = ("--grid has points that round to the same millionth, so their "
+                "error bars would share one seed; space the points wider")
+
+
 def _parse_grid(text: str) -> tuple:
     """Noise fractions ``start:stop:count``, evenly spaced; errors name ``--grid``."""
     try:
@@ -160,6 +169,9 @@ def _parse_grid(text: str) -> tuple:
         raise ValueError(f"--grid needs a count of at least 2, got {count}")
     if not 0.0 <= start < stop <= 1.0:
         raise ValueError(f"--grid needs 0 <= start < stop <= 1, got {text!r}")
+    # the resampling keys round(nf * 1e6) of the points take at most this many values
+    if count > round(stop * 1e6) - round(start * 1e6) + 1:
+        raise ValueError(_SHARED_KEYS)
     return tuple(float(v) for v in np.linspace(start, stop, count))
 
 
@@ -183,7 +195,7 @@ _CONFIG_KEYS = (
     ("source", "state_dim", "80", lambda text: _integer(text, 2)),
     ("binning", "dims", "10, 20, 40, 80", _parse_ints),
     ("sweep", "n_frames", "100000", lambda text: _integer(text, 1)),
-    ("sweep", "seed", "1", _integer),
+    ("sweep", "seed", "1", _seed),
     ("sweep", "resamples", "150", lambda text: _integer(text, 2)),
 )
 
@@ -256,17 +268,18 @@ def sweep_rows_to_csv(rows) -> str:
 
 
 def _key(seed: int, purpose: str, *indices: int) -> int:
-    """The Philox key of one draw of a run: ``"stream"`` from (point, da), ``"resample"``
-    from one or two indices below 2**32, packed 32 bits each.  Read modulo 2**128, a
-    stream key of a seed in [-2**63, 2**63) has equal top two bits and a resampling key
-    has ``10``, so no resampling redraws a stream's numbers."""
+    """The Philox key of one draw of a run of a seed in [0, 2**62): ``"stream"`` from
+    (point, da), below 2**94; ``"resample"`` from one or two indices below 2**32 under
+    the top bits ``10``, so no resampling redraws a stream's numbers; ``"mub"`` from
+    (nf in millionths, k) of a ``mub-sweep`` row, which draws no stream."""
     if purpose == "stream":
-        point, da = indices
-        return int(seed) << 32 | int(point) << 1 | int(da)
+        return seed << 32 | int(indices[0]) << 1 | int(indices[1])
+    if purpose == "mub":
+        return (seed * 1_000_003 + indices[0]) * 1_000_003 + indices[1]
     low = 0
     for index in indices:
         low = low << 32 | int(index)
-    return 2 << 126 | int(seed) % (1 << 62) << 64 | low
+    return 2 << 126 | seed << 64 | low
 
 
 def _sift_stream(stream, dims, basis) -> list:
@@ -363,14 +376,17 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     Each grid point builds its k_max matched-basis matrices as one ``(k_max, d, d)``
     stack (returned in grid order), and each k reads the first k of it: the
     per-basis resampling means, the visibility sum and the noise fraction.  The
-    exact thresholds read one stack at p = 0 and one at p = 1.  Each row's
-    resampling is keyed by its grid index and k, however close two nf lie.
+    exact thresholds read one stack at p = 0 and one at p = 1.  Resampling is
+    keyed by nf in millionths: points that round alike are refused.
     """
     mubs = mub.build_mubs(dim)
     pure = states.make_max_entangled(dim)
     k_max = max(k_list)
     if min(k_list) < 2 or k_max > dim + 1:
         raise ValueError(f"k values must lie in 2..{dim + 1}")
+    keys = [round(nf * 1e6) for nf in nf_grid]
+    if len(set(keys)) < len(keys):
+        raise ValueError(_SHARED_KEYS)
 
     def matched(p):
         bases = range(k_max)
@@ -380,7 +396,7 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
     # ``m[~np.eye(dim, dtype=bool)].sum()`` does, bit for bit
     off_diagonal = np.flatnonzero(~np.eye(dim, dtype=bool))
     rows, per_nf = [], []
-    for index, nf in enumerate(nf_grid):
+    for nf, key in zip(nf_grid, keys):
         matrices = matched(1.0 - nf)
         per_nf.append(matrices)
         # per basis, all the statistic reads: diagonal and off-diagonal sums (1 - trace may be < 0)
@@ -393,7 +409,7 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
             statistic = functools.partial(_visibility_excess, bound=report.separable_bound)
             summary = analysis.poisson_resample(
                 tuple(expected[:k]), statistic, resamples,
-                _key(seed, "resample", index, k), (np.array([True, False]),) * k,
+                _key(seed, "mub", key, k), (np.array([True, False]),) * k,
             )
             rows.append(
                 {
@@ -421,7 +437,7 @@ def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):
 def cmd_simulate_tags(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=_named("--seed", _seed, args.seed))
     out = Path(args.out or cfg.output)
     manifest = []
     for point, (rate, models) in enumerate(zip(cfg.background_rates, cfg.point_models)):
@@ -440,6 +456,7 @@ def cmd_simulate_tags(args) -> int:
 def cmd_certify_et(args) -> int:
     dims = _named("--dims", _parse_ints, args.dims)
     _named("--resamples", _integer, args.resamples, 2)
+    _named("--seed", _seed, args.seed)
     if not 0.0 < args.eta_hwp <= 1.0:
         raise ValueError(f"--eta-hwp must be in (0, 1], got {args.eta_hwp}")
     if Path(args.hv).resolve() == Path(args.da).resolve():
@@ -484,6 +501,7 @@ def cmd_mub_sweep(args) -> int:
     if not 0.0 < args.counts < math.inf:
         raise ValueError(f"--counts must be finite and positive, got {args.counts}")
     _named("--resamples", _integer, args.resamples, 2)
+    _named("--seed", _seed, args.seed)
     names = [f"corr_nf{nf:.4f}" for nf in nf_grid]  # export names: nf to 4 decimals
     if args.export_matrices and len(set(names)) < len(names):
         raise ValueError("--grid has points that round to the same 4 decimals, so "
@@ -510,7 +528,7 @@ def cmd_sweep_noise(args) -> int:
     _named("--workers", _integer, args.workers, 1)
     cfg = load_run_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=_named("--seed", _seed, args.seed))
     out = Path(args.out or cfg.output)
     rows = run_timebin_sweep(cfg, workers=args.workers)
     thresholds = {}

@@ -619,35 +619,54 @@ class TestMubSweep:
         assert "--grid" in json.loads(captured.err)["message"]
         assert not (tmp_path / "mub").exists()
 
-    def test_grid_points_half_a_millionth_apart_get_keys_of_their_own(self, tmp_path, capsys):
-        """Resampling is keyed by grid index, so close points draw their own error bars."""
+    @pytest.mark.parametrize("grid, refused", [
+        ("0.5:0.500001:3", True), ("0.5:0.500002:3", False), ("0.5:0.500002:4", True),
+        ("0:0.000001:3", True), ("0.999999:1:2", False), ("0.999999:1:3", True),
+        ("0.25:0.25001:11", False), ("0.25:0.25001:12", True),
+    ])
+    def test_grid_with_more_points_than_millionths_fails_before_spacing(self, grid, refused,
+                                                                        monkeypatch):
+        """Such a grid always has two points that round to one millionth; it is refused
+        before any point is spaced, so a huge count costs nothing."""
+        spaced = []
+        linspace = np.linspace
+        monkeypatch.setattr(cli.np, "linspace", lambda *args: spaced.append(args) or
+                            linspace(*args))
+        if refused:
+            with pytest.raises(ValueError, match="^--grid has points that round to the same "
+                                                 "millionth"):
+                cli._parse_grid(grid)
+            assert spaced == []
+        else:
+            points = cli._parse_grid(grid)
+            assert len(set(round(nf * 1e6) for nf in points)) == len(points)
+
+    def test_grid_points_sharing_a_seed_fail_before_any_row(self, tmp_path, capsys, monkeypatch):
+        """Points that round to one millionth would draw their error bars from one key."""
+        monkeypatch.setattr(cli.mub, "correlation_matrix", None)  # every row calls it
         code = run_cli(
             "mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500001:3",
+            "--counts", "1e4", "--resamples", "50", "--out", tmp_path / "mub",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = json.loads(captured.err)["message"]
+        assert "--grid" in message and "seed" in message
+        assert not (tmp_path / "mub").exists()
+        # a library caller's grid is not spaced by ``_parse_grid``; the sweep refuses it too
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            cli.run_mub_sweep(3, (2,), (0.5, 0.7, 0.5000004), 1e4, 5, 0)
+
+    def test_grid_points_a_millionth_apart_get_seeds_of_their_own(self, tmp_path, capsys):
+        code = run_cli(
+            "mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500002:3",
             "--counts", "1e4", "--resamples", "50", "--out", tmp_path,
         )
         assert code == 0
         sigmas = [line.split(",")[5] for line in
                   (tmp_path / "mub_sweep.csv").read_text().splitlines()[2:]]
         assert len(set(sigmas)) == 3
-
-    @pytest.mark.parametrize("grid", [
-        "0.5:0.500001:3", "0.5:0.500002:3", "0.5:0.500002:4", "0:0.000001:3",
-        "0.999999:1:2", "0.999999:1:3", "0.25:0.25001:11", "0.25:0.25001:12",
-    ])
-    def test_grid_with_more_points_than_millionths_keeps_every_point(self, grid):
-        """Keys do not read nf, so points closer than a millionth are all spaced."""
-        start, stop, count = grid.split(":")
-        points = cli._parse_grid(grid)
-        assert points == tuple(np.linspace(float(start), float(stop), int(count)))
-        assert len(points) == int(count) and all(np.diff(points) > 0)
-
-    def test_library_grid_points_closer_than_a_millionth_draw_their_own_sigmas(self):
-        """A library caller's grid is not spaced by ``_parse_grid``; its close points,
-        in any order, still draw error bars of their own."""
-        rows, _, per_nf = cli.run_mub_sweep(3, (2,), (0.5, 0.7, 0.5000004), 1e4, 50, 0)
-        assert [row["noise_setting"] for row in rows] == [0.5, 0.7, 0.5000004]
-        assert len(per_nf) == 3
-        assert len({row["sigma"] for row in rows}) == 3
 
     def test_grid_points_sharing_an_export_name_fail_before_any_row(self, tmp_path, capsys,
                                                                    monkeypatch):
@@ -1005,37 +1024,69 @@ class TestKeys:
 
     @staticmethod
     def keys(seed, cfg):
-        """{run: (stream keys, resampling keys)} of the default sweep, ``simulate-tags``,
-        ``certify-et`` at the default dims and ``mub-sweep`` at k = 2..12 on the bench's
-        20-point grid, each in the order the run draws them."""
+        """{run: (stream, resampling, MUB resampling keys)} of the default sweep,
+        ``simulate-tags``, ``certify-et`` at the default dims and ``mub-sweep`` at
+        k = 2..12 on the bench's 20-point grid, each in the order the run draws them."""
         points = range(len(cfg.background_rates))
         streams = [cli._key(seed, "stream", p, da) for p in points for da in (False, True)]
         return {
             "sweep-noise": (streams, [cli._key(seed, "resample", p, d)
-                                      for p in points for d in cfg.dims]),
-            "simulate-tags": (streams, []),
-            "certify-et": ([], [cli._key(seed, "resample", d) for d in cfg.dims]),
-            "mub-sweep": ([], [cli._key(seed, "resample", i, k)
-                               for i in range(20) for k in range(2, 13)]),
+                                      for p in points for d in cfg.dims], []),
+            "simulate-tags": (streams, [], []),
+            "certify-et": ([], [cli._key(seed, "resample", d) for d in cfg.dims], []),
+            "mub-sweep": ([], [], [cli._key(seed, "mub", round(nf * 1e6), k)
+                                   for nf in cli._parse_grid("0:0.95:20")
+                                   for k in range(2, 13)]),
         }
 
     def test_no_key_serves_two_purposes_or_two_draws_of_one_run(self):
         mod = 1 << 128
         cfg = load_run_config()
-        by_purpose = (set(), set())
+        by_purpose = (set(), set(), set())
         for seed in range(101):
             for run, purposes in self.keys(seed, cfg).items():
                 drawn = [key % mod for keys in purposes for key in keys]
                 assert len(set(drawn)) == len(drawn), (seed, run)
                 for seen, keys in zip(by_purpose, purposes):
                     seen.update(key % mod for key in keys)
-        assert not by_purpose[0] & by_purpose[1]
+        streams, resampling, mub = by_purpose
+        assert not streams & resampling and not resampling & mub
+        # ``streams & mub`` is not empty: ``mub-sweep``, which reads no stream, draws at
+        # seed 0, nf = 0 and k = 2..12 with the stream keys of points 1..6 of seed 0
         # the old schemes' collision: certify-et --seed 0 resampled d = 10 with the key of
         # the point-5 HV stream that simulate-tags --seed 0 writes
         assert cli._key(0, "resample", 10) % mod != cli._key(0, "stream", 5, False) % mod
-        # a negative seed's stream keys wrap to the top of the key range, still apart
-        assert cli._key(-1, "stream", 0, False) % mod >> 126 == 3
-        assert cli._key(-1, "resample", 10) % mod >> 126 == 2
+        # at the largest seed a stream key keeps its top bits 00, a resampling key 10
+        top = (1 << 62) - 1
+        assert cli._key(top, "stream", 2**31 - 1, True) >> 126 == 0
+        assert cli._key(top, "resample", 2**32 - 1, 2**32 - 1) >> 126 == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**62, 2**95])
+    def test_a_seed_outside_the_kept_apart_range_is_refused_before_any_output(
+            self, seed, small_config, tmp_path, capsys):
+        """At 2**95 a resampling key would equal a stream key of the same run, and
+        seeds 2**62 apart would share every resampling key."""
+        tags = tmp_path / "tags"
+        assert run_cli("simulate-tags", "--config", small_config, "--out", tags) == 0
+        config = tmp_path / "seeded.ini"
+        config.write_text(small_config.read_text().replace("seed = 3", f"seed = {seed}"))
+        pair = ("--hv", tags / "tags_p000_hv.hdtt", "--da", tags / "tags_p000_da.hdtt")
+        bound = "at least 0" if seed < 0 else f"below {2**62}"
+        flag, key = f"--seed must be {bound}, got {seed}", f"[sweep] seed must be {bound}, got {seed}"
+        for argv, message in (
+            (("simulate-tags", "--config", small_config, "--seed", seed), flag),
+            (("sweep-noise", "--config", small_config, "--seed", seed), flag),
+            (("certify-et", *pair, "--dims", "10", "--seed", seed), flag),
+            (("mub-sweep", "--dim", "3", "--k", "2", "--seed", seed), flag),
+            (("simulate-tags", "--config", config), f"{key} in {config}"),
+            (("sweep-noise", "--config", config), f"{key} in {config}"),
+        ):
+            capsys.readouterr()
+            out = tmp_path / "out"
+            assert run_cli(*argv, "--out", out) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert json.loads(captured.err)["message"] == message
 
     def test_each_command_draws_with_the_keys_of_its_indices(self, small_config, tmp_path,
                                                              monkeypatch, capsys):
@@ -1066,7 +1117,7 @@ class TestKeys:
             [], [cli._key(5, "resample", d) for d in (20, 10)])
         assert run("mub-sweep", "--dim", "3", "--k", "4,2", "--grid", "0:0.9:3",
                    "--resamples", "5", "--out", tmp_path / "mub") == (
-            [], [cli._key(5, "resample", i, k) for i in range(3) for k in (4, 2)])
+            [], [cli._key(5, "mub", m, k) for m in (0, 450_000, 900_000) for k in (4, 2)])
         capsys.readouterr()
 
 

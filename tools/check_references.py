@@ -6,8 +6,8 @@ Usage::
 
 Runs each workload of ``bench/workloads.py`` once at the full size for each of
 its ``SEED_POOL`` bench seeds, in this process with one worker, and checks the
-outputs against ``bench/references/`` the way ``bench/run.py`` checks every
-pass.  Prints one line per workload and seed, and exits 1 naming every row that
+outputs against ``bench/references/`` with ``bench/run.py``'s own ``one_pass``.
+Prints one line per workload and seed, and exits 1 naming every row that
 failed.  The tiny size is left out: some of its references fail at today's
 band with no change to the program (ROADMAP item 1).
 """
@@ -18,6 +18,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import run  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -27,12 +28,8 @@ def failed_rows(cli, name: str, seed: int) -> set:
     with tempfile.TemporaryDirectory() as tmp:
         workload = workloads.WORKLOADS[name]("full", seed, tmp)
         workload.setup(cli)
-        try:
-            workload.run_pass(cli)
-        except RuntimeError as exc:  # a command exited non-zero: no row holds
-            print(f"{name} seed {seed}: {exc}", file=sys.stderr)
-            return set(reference["rows"])
-        return workload.check(workload.outputs(), reference)
+        _, _, failed, _ = run.one_pass(cli, workload, reference, None)
+        return failed
 
 
 def main(argv=None) -> int:

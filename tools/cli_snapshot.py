@@ -23,10 +23,9 @@ name the first in its error order), an HV/DA pair whose clocks differ, one
 tag file named as both HV and DA, config values and flags that must fail
 before any output is written, a default sweep so sparse that one of its
 Poisson replicates draws an empty basis, ``mub-sweep`` at d = 2 (whose MUB
-set is built apart from the odd primes') and with ``--k`` out of order, a
-``mub-sweep`` grid whose points lie half a millionth apart, each resampled with
-a key of its own, and one whose points, with ``--export-matrices``, would share
-a file name.
+set is built apart from the odd primes') and with ``--k`` out of order, and
+``mub-sweep`` grids whose points are too close to get seeds of their own or,
+with ``--export-matrices``, file names of their own.
 """
 
 import os
@@ -140,10 +139,6 @@ COMMANDS = [
     # the rows of each k are prefixes of one stack of 12 bases, in the order given
     ("mub_d11_k_unsorted", ["mub-sweep", "--dim", "11", "--k", "12,3,7", "--grid", "0:0.95:7",
                             "--out", "mub_d11_k_unsorted"]),
-    # the points lie half a millionth apart; resampling is keyed by grid index, so each
-    # row draws its own error bar
-    ("mub_close_grid", ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500001:3",
-                        "--counts", "1e4", "--resamples", "50", "--out", "mub_close_grid"]),
     ("link_budget", ["link-budget", "--db", "82", "102", "--km", "410"]),
 ]
 # these read the copies that ``derive`` makes once the commands above have run
@@ -192,13 +187,18 @@ CHECKS += [
     ("config_float_seed", ["simulate-tags", "--config", "float_seed.ini",
                            "--out", "config_float_seed"]),
     ("config_dims30", ["sweep-noise", "--config", "dims30.ini", "--out", "config_dims30"]),
+    # a seed outside [0, 2**62), where resampling and stream keys would meet
+    ("seed_2_pow_95", ["sweep-noise", "--seed", str(2**95), "--out", "seed_2_pow_95"]),
     ("config_dim30", ["simulate-tags", "--config", "dim30.ini", "--out", "config_dim30"]),
     ("sweep_sparse", ["sweep-noise", "--config", "sparse.ini", "--out", "sweep_sparse"]),
     ("eta_zero", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
                          "--eta-hwp", "0", out="eta_zero")),
     ("eta_nan", certify("tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_da.hdtt", "10",
                         "--eta-hwp", "nan", out="eta_nan")),
-    # 0.5 and 0.50005 have keys of their own but one export file name, nf to 4 decimals
+    # the last two points round to one millionth, the key of their resampling
+    ("mub_close_grid", ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500001:3",
+                        "--counts", "1e4", "--resamples", "50", "--out", "mub_close_grid"]),
+    # 0.5 and 0.50005 have seeds of their own but one export file name, nf to 4 decimals
     ("mub_close_export", ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.5001:3",
                           "--export-matrices", "--out", "mub_close_export"]),
 ]
