@@ -60,20 +60,6 @@ class ResampleSummary:
         return 3.0 * self.std
 
 
-@dataclass(frozen=True)
-class Replicates:
-    """Every Poisson replicate of one part of the resampled data.
-
-    ``cells[r]`` holds replicate ``r``'s read cells in the flat order of the
-    part's mask, ``lumped[r]`` one Poisson count for all unread cells, and
-    ``totals[r]`` the sum of both.
-    """
-
-    cells: np.ndarray
-    lumped: np.ndarray
-    totals: np.ndarray
-
-
 def poisson_resample(
     data: tuple, statistic: Callable, n_resamples: int, seed: int, reads: tuple
 ) -> ResampleSummary:
@@ -81,15 +67,16 @@ def poisson_resample(
 
     Each observed count of the arrays in ``data`` is a Poisson mean; one
     generator keyed by ``seed`` draws ``n_resamples`` replicates.
-    ``statistic`` gets them all at once, a tuple of one ``Replicates`` per
+    ``statistic`` gets them all at once, one ``(cells, totals)`` pair per
     array, and returns an array of shape ``(n_resamples,)``.
 
     ``reads`` holds one bool mask per array of ``data``, shaped like it,
     naming the cells ``statistic`` reads besides the array's total.  Only
-    those cells are drawn one by one, as an ``(n_resamples, n_read)`` block;
-    the rest of an array is one lumped Poisson, drawn next.  The joint law of
-    the read cells and the totals is exact, so the result is correct only if
-    ``statistic`` depends on nothing else.
+    those cells are drawn one by one, as the ``(n_resamples, n_read)`` block
+    ``cells``, in the mask's flat order; the rest of an array is one lumped
+    Poisson, drawn next and added to the row sums of ``cells`` to give
+    ``totals``.  The joint law of the read cells and the totals is exact, so
+    the result is correct only if ``statistic`` depends on nothing else.
 
     Each part is checked just before its draws (finite, then non-negative
     counts, then its mask), so an error names the first bad ``data[i]`` or
@@ -117,8 +104,7 @@ def poisson_resample(
             )
         read = lam[mask]
         cells = rng.poisson(read, (n_resamples, read.size))
-        lumped = rng.poisson(lam[~mask].sum(), n_resamples)
-        batch.append(Replicates(cells, lumped, cells.sum(1) + lumped))
+        batch.append((cells, cells.sum(1) + rng.poisson(lam[~mask].sum(), n_resamples)))
     values = np.asarray(statistic(tuple(batch)), dtype=float)
     if values.shape != (n_resamples,):
         raise ValueError(f"statistic must return one value per replicate, shape "

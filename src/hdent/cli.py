@@ -365,9 +365,9 @@ def _rows_to_threshold(rows, key) -> dict:
 
 def _visibility_excess(reps, bound: float) -> np.ndarray:
     """Visibility sum minus ``bound`` of each replicate, from diagonal read cells and totals."""
-    if any((part.totals == 0).any() for part in reps):
+    if any((totals == 0).any() for _, totals in reps):
         raise ValueError("a resampled basis drew no counts; raise --counts")
-    return sum(part.cells.sum(1) / part.totals for part in reps) - bound
+    return sum(cells.sum(1) / totals for cells, totals in reps) - bound
 
 
 def run_mub_sweep(dim, k_list, nf_grid, counts_per_basis, resamples, seed):

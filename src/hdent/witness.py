@@ -8,10 +8,11 @@ The witness for a d-dimensional state rho with bin shift f is
 and certifies entanglement when positive.  ``witness_exact`` evaluates it
 analytically; ``witness_from_counts`` estimates a lower bound from measured
 count matrices in the two bases, at their binning's d and f.  It reads only
-the cells listed in one table per (d, f), ``_read_table``, plus the two basis
-totals, through one kernel, ``_bounds``, that evaluates a stack of replicates;
-``resample_witness``, its Poisson error bar, draws just those cells and one
-lumped count per basis and hands the kernel all its replicates at once.
+the cells of one sorted list per basis, ``_read_table(d, f)``, plus the two
+basis totals, through one kernel, ``_bounds``, that takes a stack of
+replicates with those cells as columns; ``resample_witness``, its Poisson
+error bar, draws just those cells, in that order, and one lumped count per
+basis, and hands the kernel all its replicates as drawn.
 
 Index conventions (0-based recorded bins):
 
@@ -66,13 +67,15 @@ def witness_exact(state: NoisyState, f: int) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _read_table(d: int, f: int):
-    """Flat indices into a (4, d, d) count array of every cell the witness reads.
+    """Every cell the witness reads, per basis, as ascending flat indices into a (4, d, d)
+    count array.
 
     Returns read-only ``(hv_cells, hv_slots, da_cells)``.  The penalty
     elements are diag[i, i+f] for i = 0..d-f-1, then diag[i+f, i]; HV cell
     ``hv_cells[n]`` is one of the up to four terms summed into element
-    ``hv_slots[n]``.  ``da_cells[m, i]`` is the diagonal cell [i+f, i+f] of
-    DA matrix ``m``, for the recorded bins t = f..d-1 that the witness sums.
+    ``hv_slots[n]``, and no cell feeds two.  ``da_cells`` holds the diagonal
+    cells [t, t] of each DA matrix in turn, for the recorded bins t = f..d-1
+    that the witness sums.
     """
     if not 1 <= f < d:
         raise ValueError(f"bin shift f must satisfy 1 <= f < d, got f={f}")
@@ -87,12 +90,10 @@ def _read_table(d: int, f: int):
         inside = (r < d) & (c < d)
         cells.append((m * d + r[inside]) * d + c[inside])
         owners.append(slots[inside])
+    cells, owners = np.concatenate(cells), np.concatenate(owners)
+    order = np.argsort(cells)
     t = np.arange(f, d)
-    table = (
-        np.concatenate(cells),
-        np.concatenate(owners),
-        (np.arange(4)[:, None] * d + t) * d + t,
-    )
+    table = cells[order], owners[order], ((np.arange(4)[:, None] * d + t) * d + t).ravel()
     for part in table:
         part.setflags(write=False)
     return table
@@ -112,28 +113,27 @@ def _checked_pair(hv: CountMatrixSet, da: CountMatrixSet, eta_hwp: float) -> tup
 def _bounds(d: int, f: int, hv: tuple, da: tuple, eta_hwp: float) -> tuple:
     """The lower bound of R replicates at once, from each one's read cells and basis totals.
 
-    ``hv`` and ``da`` are ``(counts, flat, totals)``: ``counts[r, k]`` is replicate
-    ``r``'s count in cell ``flat[k]`` of a flat (4, d, d) array, ``flat`` is sorted and
-    holds every cell of ``_read_table(d, f)``, and ``totals[r]`` is the basis total.
-    The first replicate with an empty basis raises, DA before HV.  Returns ``(n1, n2,
-    coherence, penalty, value_wide, value_narrow, value)``, each with a leading
-    replicate axis; ``coherence`` and ``penalty`` hold the d - f terms.
+    ``hv`` and ``da`` are ``(counts, totals)``: ``counts[r]`` holds replicate ``r``'s
+    counts in the basis's cells of ``_read_table(d, f)``, in that order, and
+    ``totals[r]`` its basis total.  The first replicate with an empty basis raises,
+    DA before HV.  Returns ``(n1, n2, coherence, penalty, value_wide, value_narrow,
+    value)``, each with a leading replicate axis; ``coherence`` and ``penalty`` hold
+    the d - f terms.
     """
-    (hv_counts, hv_flat, n1), (da_counts, da_flat, da_totals) = hv, da
+    (hv_counts, n1), (da_counts, da_totals) = hv, da
     first = int(np.argmax((da_totals == 0) | (n1 == 0)))
     if da_totals[first] == 0:
         raise ValueError("DA count matrices are empty")
-    hv_cells, hv_slots, da_cells = _read_table(d, f)
     if n1[first] == 0:
         raise ValueError("HV count matrices are empty")
     n1 = n1.astype(float)
     n2 = n1 * eta_hwp ** 2
     reps, slots = n1.size, 2 * (d - f)
+    _, hv_slots, _ = _read_table(d, f)
     keys = (hv_slots + slots * np.arange(reps)[:, None]).ravel()
-    weights = hv_counts[:, np.searchsorted(hv_flat, hv_cells)].ravel()
-    diag = np.bincount(keys, weights, reps * slots).reshape(reps, slots) / n1[:, None]
+    diag = np.bincount(keys, hv_counts.ravel(), reps * slots).reshape(reps, slots) / n1[:, None]
     penalty = np.sqrt(diag[:, : d - f] * diag[:, d - f :])
-    a0b0, a0b1, a1b0, a1b1 = np.moveaxis(da_counts[:, np.searchsorted(da_flat, da_cells)], 1, 0)
+    a0b0, a0b1, a1b0, a1b1 = np.moveaxis(da_counts.reshape(reps, 4, d - f), 1, 0)
     coherence = (a0b0 + a1b1 - a0b1 - a1b0) / n2[:, None]   # index i = t - f
     terms = coherence - penalty
     prefactor = 1.0 / math.sqrt(d - 1)
@@ -175,8 +175,9 @@ def witness_from_counts(
     """Witness lower bound from one HV and one DA count-matrix set of one binning: ``_bounds``
     on the sets' own matrices, as one replicate."""
     d, f = _checked_pair(hv, da, eta_hwp)
-    parts = [(s.matrices.reshape(1, -1), np.arange(4 * d * d), np.array([s.total_counts()]))
-             for s in (hv, da)]
+    hv_cells, _, da_cells = _read_table(d, f)
+    parts = [(s.matrices.reshape(1, -1)[:, cells], np.array([s.total_counts()]))
+             for s, cells in ((hv, hv_cells), (da, da_cells))]
     bounds = _bounds(d, f, *parts, eta_hwp)
     n1, n2, coherence, penalty, value_wide, value_narrow, value = (batch[0] for batch in bounds)
     n_narrow = max(d - 2 * f, 0)
@@ -199,18 +200,15 @@ def resample_witness(
     from one generator keyed by ``seed``.
 
     The pair and ``eta_hwp`` are checked before any draw.  Each basis draws
-    the cells in ``_read_table`` and one lumped count for the rest, which
-    keeps the basis total; ``_bounds`` then evaluates every replicate at once.
+    its cells of ``_read_table``, in flat order, and one lumped count for the
+    rest, which keeps the basis total; ``_bounds`` then evaluates every
+    replicate at once.
     """
     d, f = _checked_pair(hv, da, eta_hwp)
     hv_cells, _, da_cells = _read_table(d, f)
     masks = np.zeros((2, 4 * d * d), dtype=bool)
     masks[0, hv_cells] = masks[1, da_cells] = True
-
-    def statistic(reps):
-        parts = [(rep.cells, np.flatnonzero(mask), rep.totals) for rep, mask in zip(reps, masks)]
-        return _bounds(d, f, *parts, eta_hwp)[-1]
-
     return analysis.poisson_resample(
-        (hv.matrices, da.matrices), statistic, n_resamples, seed, tuple(masks.reshape(2, 4, d, d))
+        (hv.matrices, da.matrices), lambda reps: _bounds(d, f, *reps, eta_hwp)[-1], n_resamples,
+        seed, tuple(masks.reshape(2, 4, d, d)),
     )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hdent import analysis, witness
-from hdent.analysis import Replicates, ResampleSummary
+from hdent.analysis import ResampleSummary
 from hdent.mub import MubSet, build_mubs, mub_noise_threshold, visibility_sum
 from hdent.states import NoisyState, Pairing, SchmidtState, element, make_max_entangled
 from hdent.tagstream import (
@@ -216,7 +216,7 @@ def each_replicate(hv: CountMatrixSet, da: CountMatrixSet, n_resamples: int, see
                    eta_hwp: float = 1.0):
     """``witness.resample_witness``'s summary, each replicate's witness bound in draw
     order, as its statistic returns them from ``witness._bounds``, and the
-    ``Replicates`` the statistic was handed."""
+    ``(cells, totals)`` pairs the statistic was handed."""
     seen = []
     resample = analysis.poisson_resample
 
@@ -235,31 +235,25 @@ def each_replicate(hv: CountMatrixSet, da: CountMatrixSet, n_resamples: int, see
 
 
 def witness_masks(binning: BinningConfig) -> tuple:
-    """The HV and DA read masks that ``witness.resample_witness`` hands
-    ``analysis.poisson_resample`` at ``binning``."""
-    seen = []
-
-    def capture(data, statistic, n_resamples, seed, reads):
-        seen.append(reads)
-        return ResampleSummary(0.0, 0.0, n_resamples)
-
-    ones = np.ones((4, binning.d, binning.d), dtype=np.int64)
-    hv, da = (CountMatrixSet(basis, binning, ones, 1, 1) for basis in (BASIS_HV, BASIS_DA))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "poisson_resample", capture)
-        witness.resample_witness(hv, da, 2, 0)
-    (masks,) = seen
-    return masks
+    """The HV and DA read masks at ``binning``: the cells of ``witness._read_table``,
+    which ``witness.resample_witness`` draws one by one."""
+    d = binning.d
+    masks = np.zeros((2, 4 * d * d), dtype=bool)
+    for mask, cells in zip(masks, witness._read_table(d, binning.f_shift)[::2]):
+        mask[cells] = True
+    return tuple(masks.reshape(2, 4, d, d))
 
 
-def put_back(rep: Replicates, mask: np.ndarray, r: int) -> np.ndarray:
-    """Replicate ``r`` of ``rep`` as an array shaped like ``mask``: its read cells in
-    place and its lumped count in the first unread cell."""
+def put_back(rep: tuple, mask: np.ndarray, r: int) -> np.ndarray:
+    """Replicate ``r`` of a ``(cells, totals)`` pair as an array shaped like ``mask``: its
+    read cells in place and its lumped count, the total less the read cells, in the first
+    unread cell."""
+    cells, totals = rep
     flat = np.zeros(mask.size)
-    flat[np.flatnonzero(mask)] = rep.cells[r]
+    flat[np.flatnonzero(mask)] = cells[r]
     unread = np.flatnonzero(~mask)
     if unread.size:
-        flat[unread[0]] = rep.lumped[r]
+        flat[unread[0]] = totals[r] - cells[r].sum()
     return flat.reshape(mask.shape)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hdent import cli, tagstream, witness
-from hdent.analysis import Replicates, poisson_resample
+from hdent.analysis import poisson_resample
 from hdent.cli import _visibility_excess, load_run_config, main
 from hdent.mub import build_mubs, correlation_matrix
 from hdent.states import NoisyState, make_max_entangled
@@ -803,7 +803,7 @@ def test_visibility_statistic_reads_only_diagonals_and_totals(seed, dim, k, high
         diagonal_cell = data.draw(st.integers(0, dim - 1))
         one[diagonal_cell, diagonal_cell] = part[0]
         one.flat[off_diagonal[data.draw(st.integers(0, off_diagonal.size - 1))]] = part[1]
-        rep = Replicates(part[None, :1], part[1:], part.sum(keepdims=True))
+        rep = (part[None, :1], part.sum(keepdims=True))
         observed.append(counts)
         collapsed.append(one)
         reps.append(rep)
@@ -879,8 +879,8 @@ def test_batched_visibility_statistic_equals_the_per_replicate_oracle(
 
 
 def test_visibility_statistic_rejects_a_basis_without_counts():
-    empty = Replicates(np.zeros((2, 3)), np.array([4.0, 0.0]), np.array([4.0, 0.0]))
-    some = Replicates(np.ones((2, 3)), np.array([6.0, 6.0]), np.array([9.0, 9.0]))
+    empty = (np.zeros((2, 3)), np.array([4.0, 0.0]))
+    some = (np.ones((2, 3)), np.array([9.0, 9.0]))
     with pytest.raises(ValueError, match="drew no counts; raise --counts"):
         _visibility_excess((some, empty), 1.0)
 

@@ -369,6 +369,27 @@ class TestReadMasks:
         assert hv.shape == da.shape == (4, 80, 80)
         assert hv.sum() == 544 and da.sum() == 288
 
+    @given(d=st.integers(2, 120), data=st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_cell_lists_are_sorted_unique_and_each_hv_cell_feeds_its_one_slot(self, d, data):
+        """Each basis's cells in ascending flat order, the order in which
+        ``poisson_resample`` draws a mask's cells and ``_bounds`` reads its columns.
+
+        Cell [m, r, c] of HV matrix m = 2x + y is the term of penalty element
+        (r - x f, c - y f); slot a holds (a, a + f) and slot d - f + b holds (b + f, b).
+        """
+        f = data.draw(st.integers(1, d - 1))
+        hv_cells, hv_slots, da_cells = witness._read_table(d, f)
+        for cells in (hv_cells, da_cells):
+            assert (np.diff(cells) > 0).all() and cells[0] >= 0 and cells[-1] < 4 * d * d
+        t = np.arange(f, d)
+        assert da_cells.tolist() == [(m * d + i) * d + i for m in range(4) for i in t]
+        m, r, c = np.unravel_index(hv_cells, (4, d, d))
+        a, b = r - m // 2 * f, c - m % 2 * f
+        assert ((b == a + f) | (a == b + f)).all()
+        assert np.array_equal(hv_slots, np.where(b == a + f, a, d - f + b))
+        assert set(hv_slots.tolist()) == set(range(2 * (d - f)))
+
     @pytest.mark.parametrize("d, f", TABLE)
     def test_witness_reads_every_masked_cell(self, d, f):
         """Moving one count from an unread cell into any masked cell changes the report.
@@ -454,9 +475,7 @@ class TestBatchedKernel:
         hv, da = exact_count_sets(isotropic(d, p), binning, 2e4)
         summary, values, reps = each_replicate(hv, da, 30, d, eta_hwp)
         masks = witness_masks(binning)
-        flats = [np.flatnonzero(mask) for mask in masks]
-        parts = [(rep.cells, flat, rep.totals) for rep, flat in zip(reps, flats)]
-        n1, n2, _, _, wide, narrow, value = witness._bounds(d, binning.f_shift, *parts, eta_hwp)
+        n1, n2, _, _, wide, narrow, value = witness._bounds(d, binning.f_shift, *reps, eta_hwp)
         assert np.array_equal(value, values) and len(set(values)) > 1
         assert summary.std == values.std(ddof=1) and summary.mean == values.mean()
         for r in range(30):
@@ -526,8 +545,8 @@ class TestCheckOrder:
         with pytest.raises(ValueError) as got:
             resample_witness(hv, da, 20, seed)
         assert str(got.value) == message
-        ((hv_reps, da_reps),) = seen
-        empty = np.array([hv_reps.totals == 0, da_reps.totals == 0])
+        (((_, hv_totals), (_, da_totals)),) = seen
+        empty = np.array([hv_totals == 0, da_totals == 0])
         r = int(np.argmax(empty.any(0)))
         assert empty[:, r].tolist() == {"HV": [True, False], "DA": [False, True],
                                         "both": [True, True]}[first]
