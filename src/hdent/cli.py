@@ -16,8 +16,9 @@ path: each stream is binned at every d, ``sweep-noise``'s in memory by
 holds one stream at a time.  ``simulate-tags`` writes each stream as it is
 generated, block by block, so neither file command ever holds a whole stream.
 ``certify-et`` reports the first error in this order: its flags, the HV then
-the DA header, a clock mismatch, ``--dims``, HV's then DA's records; so no
-record is read before a header or ``--dims`` error.  The INI config drives
+the DA header, a clock mismatch, ``--dims``, HV's then DA's records, then
+frame spans that differ; so no record is read before a header or ``--dims``
+error.  The INI config drives
 ``simulate-tags`` and ``sweep-noise``.  Its keys are declared in one table,
 ``_CONFIG_KEYS``, whose rows give each key's section, default and parser; the
 loader rejects every section or key that the table lacks.  ``mub-sweep`` is
@@ -471,6 +472,8 @@ def cmd_certify_et(args) -> int:
                 for d in dims]
     hv_sets = tagstream.sift_blocks(hv, binnings, tagstream.BASIS_HV)
     da_sets = tagstream.sift_blocks(da, binnings, tagstream.BASIS_DA)
+    # a file's sets share one frame span, so one d judges the pair's spans
+    _named("--hv and --da:", witness._checked_pair, hv_sets[0], da_sets[0], args.eta_hwp)
     keys = [_key(args.seed, "resample", d) for d in dims]
     rows, reports = [], {}
     for report, summary, row in _certify_counts(
@@ -500,6 +503,9 @@ def cmd_mub_sweep(args) -> int:
     nf_grid = _parse_grid(args.grid)
     if not 0.0 < args.counts < math.inf:
         raise ValueError(f"--counts must be finite and positive, got {args.counts}")
+    if args.counts > 9e18:
+        raise ValueError(f"--counts must be at most 9e18, below NumPy's largest Poisson "
+                         f"mean (about 9.2e18), got {args.counts:g}")
     _named("--resamples", _integer, args.resamples, 2)
     _named("--seed", _seed, args.seed)
     names = [f"corr_nf{nf:.4f}" for nf in nf_grid]  # export names: nf to 4 decimals

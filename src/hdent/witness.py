@@ -100,13 +100,29 @@ def _read_table(d: int, f: int):
 
 
 def _checked_pair(hv: CountMatrixSet, da: CountMatrixSet, eta_hwp: float) -> tuple:
-    """(d, f) of an HV set, then a DA set, of one binning, with ``eta_hwp`` in (0, 1]."""
+    """(d, f) of an HV set, then a DA set, of one binning and one frame span, with
+    ``eta_hwp`` in (0, 1].
+
+    The estimator normalises the DA coherences by the HV total, so both sets
+    must cover the same frames.  A stream's span ends at its last event, so it
+    falls short of the frames recorded by the empty frames after it.  A frame
+    holds an event at least as often as it is kept, so with r the lower
+    kept-frame rate of the two sets, a shortfall of u frames has probability at
+    most (1 - r)**u < exp(-r u).  Spans more than 25 / r frames apart (odds
+    below 3e-11 for one recording) are refused; the pairs of 1e5 frames that
+    ``sweep-noise`` makes reach 4 / r.
+    """
     if hv.basis != BASIS_HV or da.basis != BASIS_DA:
         raise ValueError("witness needs one HV set and one DA set, in that order")
     if hv.binning != da.binning:
         raise ValueError(f"HV and DA sets were binned differently: {hv.binning} and {da.binning}")
     if not 0.0 < eta_hwp <= 1.0:
         raise ValueError(f"eta_hwp must be in (0, 1], got {eta_hwp}")
+    rate = min(s.frames_kept / max(s.frames_total, 1) for s in (hv, da))
+    if abs(hv.frames_total - da.frames_total) * rate > 25:
+        raise ValueError(f"HV and DA sets span {hv.frames_total} and {da.frames_total} frames, "
+                         f"more than {25 / rate:.0f} (25 over their kept-frame rate, {rate:.3g}) "
+                         "apart; the witness needs both bases recorded over the same frames")
     return hv.binning.d, hv.binning.f_shift
 
 

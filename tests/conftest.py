@@ -112,13 +112,19 @@ def scaled_expected_counts(
     return CountMatrixSet(basis, binning, counts, kept, kept, 0)
 
 
+def one_span(*sets) -> list:
+    """``sets`` over one frame span, the longest of theirs, as the sets of one recording are."""
+    frames = max(s.frames_total for s in sets)
+    return [replace(s, frames_total=frames) for s in sets]
+
+
 def exact_count_sets(state: NoisyState, binning: BinningConfig, total: float,
                      phase: float = math.pi):
-    """Infinite-statistics HV and DA count sets for a correlated state."""
+    """Infinite-statistics HV and DA count sets for a correlated state, of one frame span."""
     d, f = binning.d, binning.f_shift
     hv = scaled_expected_counts(exact_hv_probabilities(state, d, f), binning, "HV", total)
     da = scaled_expected_counts(exact_da_probabilities(state, f, phase), binning, "DA", total)
-    return hv, da
+    return tuple(one_span(hv, da))
 
 
 def haar_basis(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -131,6 +131,17 @@ class TestNumericFlags:
         code = run_cli("mub-sweep", "--dim", "3", "--k", "4", f"--counts={counts}", "--out", out)
         assert_fails_naming(code, capsys, "--counts", out)
 
+    @pytest.mark.parametrize("counts", ["1e19", "9.3e18"])
+    def test_counts_above_the_poisson_limit_fail(self, tmp_path, capsys, counts):
+        out = tmp_path / "mub"
+        code = run_cli("mub-sweep", "--dim", "3", "--k", "4", f"--counts={counts}", "--out", out)
+        assert_fails_naming(code, capsys, "--counts", out)
+
+    def test_counts_at_the_limit_run(self, tmp_path):
+        code = run_cli("mub-sweep", "--dim", "3", "--k", "2,4", "--grid", "0:0.9:2",
+                       "--counts", "9e18", "--resamples", "3", "--out", tmp_path)
+        assert code == 0 and (tmp_path / "mub_sweep.csv").exists()
+
     def test_empty_resampled_basis_names_counts(self, tmp_path, capsys):
         out = tmp_path / "mub"
         code = run_cli(
@@ -451,6 +462,29 @@ class TestSimulateAndCertify:
                 "certify-et", "--hv", hv, "--da", da, "--dims", "10", "--out", tmp_path / "rep"
             )
             assert_fails_naming(code, capsys, "--hv and --da name one file", tmp_path / "rep")
+
+    def test_certify_refuses_a_pair_of_different_frame_spans(self, small_config, tmp_path,
+                                                             capsys):
+        """An HV file of 4000 frames with a DA file of 8000: the witness would normalise
+        the DA coherences by the wrong total.  The error names both flags and both spans,
+        and no report is written; the pairs of either run pass."""
+        long_config = tmp_path / "long.ini"
+        long_config.write_text(small_config.read_text().replace("n_frames = 4000",
+                                                                "n_frames = 8000"))
+        spans = {}
+        for name, config in (("short", small_config), ("long", long_config)):
+            assert run_cli("simulate-tags", "--config", config, "--out", tmp_path / name) == 0
+            hv, da = (tmp_path / name / f"tags_p000_{b}.hdtt" for b in ("hv", "da"))
+            spans[name] = [tagstream.sift_blocks(tagstream.read_blocks(path), [
+                tagstream.BinningConfig.for_dimension(tagstream.ClockConfig(), 10)], basis
+            )[0].frames_total for path, basis in ((hv, "HV"), (da, "DA"))]
+            assert run_cli("certify-et", "--hv", hv, "--da", da, "--dims", "10") == 0
+        capsys.readouterr()
+        code = run_cli("certify-et", "--hv", tmp_path / "short" / "tags_p000_hv.hdtt",
+                       "--da", tmp_path / "long" / "tags_p000_da.hdtt", "--dims", "10,20",
+                       "--out", tmp_path / "rep")
+        assert_fails_naming(code, capsys, "--hv and --da: HV and DA sets span "
+                            f"{spans['short'][0]} and {spans['long'][1]} frames", tmp_path / "rep")
 
     @pytest.mark.parametrize(
         "dims", ["", "10,20,10", "ten"], ids=["empty", "repeated", "non-integer"]

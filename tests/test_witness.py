@@ -28,6 +28,7 @@ from conftest import (
     exact_count_sets,
     exact_da_probabilities,
     lump_unread,
+    one_span,
     put_back,
     scaled_expected_counts,
     witness_masks,
@@ -161,7 +162,7 @@ class TestReconstruction:
         hv = scaled_expected_counts(matrices / matrices.sum(), binning_for(d), BASIS_HV, matrices.sum())
         flat_da = np.repeat(matrices[:1], 4, axis=0)
         da = CountMatrixSet(BASIS_DA, binning_for(d), flat_da, flat_da.sum(), flat_da.sum())
-        report = witness_from_counts(hv, da)
+        report = witness_from_counts(*one_span(hv, da))
         narrow = -report.value_narrow / report.prefactor
         tail = (report.value_narrow - report.value_wide) / report.prefactor
         assert report.conservative_range == "wide"
@@ -354,6 +355,7 @@ class TestDenseOracle:
                 counts[0, 0, 0] += 1
                 total = int(counts.sum())
                 sets.append(CountMatrixSet(basis, binning, counts, total, total))
+            sets = one_span(*sets)
             for eta_hwp in (1.0, 0.9, 0.7, 0.05):
                 got = witness_from_counts(*sets, eta_hwp)
                 want = dense_witness_report(*sets, d, f, eta_hwp)
@@ -404,10 +406,7 @@ class TestReadMasks:
         observed = [rng.integers(1, 60, (4, d, d)) for _ in masks]
 
         def report(counts):
-            return witness_from_counts(*(
-                CountMatrixSet(basis, binning, m, int(m.sum()), int(m.sum()))
-                for basis, m in zip((BASIS_HV, BASIS_DA), counts)
-            ))
+            return witness_from_counts(*count_sets(binning, counts))
 
         base = report(observed)
         for part, mask in enumerate(masks):
@@ -445,15 +444,15 @@ class TestReadMasks:
                     total = int(m.sum())
                     out.append(CountMatrixSet(basis, binning, m, total, total))
             for eta_hwp in (1.0, 0.7):
-                assert witness_from_counts(*lumped, eta_hwp) == witness_from_counts(
-                    *observed, eta_hwp
+                assert witness_from_counts(*one_span(*lumped), eta_hwp) == witness_from_counts(
+                    *one_span(*observed), eta_hwp
                 )
 
 
 def count_sets(binning, counts):
-    """An HV and a DA set of ``binning`` from two (4, d, d) count arrays."""
-    return [CountMatrixSet(basis, binning, m, int(m.sum()), int(m.sum()))
-            for basis, m in zip((BASIS_HV, BASIS_DA), counts)]
+    """An HV and a DA set of ``binning`` over one frame span from two (4, d, d) count arrays."""
+    return one_span(*(CountMatrixSet(basis, binning, m, int(m.sum()), int(m.sum()))
+                      for basis, m in zip((BASIS_HV, BASIS_DA), counts)))
 
 
 class TestBatchedKernel:
@@ -520,6 +519,29 @@ class TestCheckOrder:
             with pytest.raises(ValueError) as got:
                 evaluate()
             assert str(got.value) == message
+        assert calls == []
+
+    @pytest.mark.parametrize("gap", [250, 251, -251])
+    def test_spans_further_apart_than_the_kept_rate_allows_raise_before_any_draw(
+        self, gap, monkeypatch
+    ):
+        """At a lower kept-frame rate of 0.1 the spans may differ by 25 / 0.1 = 250
+        frames; by one more, both entry points refuse the pair, naming both spans."""
+        hv, da = exact_count_sets(isotropic(10, 0.5), binning_for(10), 1e3)
+        hv = dataclasses.replace(hv, frames_total=10_000, frames_kept=1_000)
+        da = dataclasses.replace(da, frames_total=10_000 + gap, frames_kept=5_000)
+        calls = refused_draws(monkeypatch)
+        if gap == 250:
+            assert witness_from_counts(hv, da).n1 == hv.total_counts()
+            return
+        for evaluate in (lambda: witness_from_counts(hv, da),
+                         lambda: resample_witness(hv, da, 20, 0)):
+            with pytest.raises(ValueError) as got:
+                evaluate()
+            assert str(got.value) == (
+                f"HV and DA sets span 10000 and {10_000 + gap} frames, more than 250 (25 over "
+                "their kept-frame rate, 0.1) apart; the witness needs both bases recorded "
+                "over the same frames")
         assert calls == []
 
     @pytest.mark.parametrize(

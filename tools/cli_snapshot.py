@@ -20,12 +20,14 @@ detector, a tag-file pair without origin labels, tag files corrupted in each
 way ``read_tags`` detects, a good HV file with a truncated or bad-magic DA
 file, faults in both files or in a file and ``--dims`` (``certify-et`` must
 name the first in its error order), an HV/DA pair whose clocks differ, one
-tag file named as both HV and DA, config values and flags that must fail
-before any output is written, a default sweep so sparse that one of its
+tag file named as both HV and DA, an HV/DA pair recorded over different frame
+spans, config values and flags that must fail before any output is written,
+a default sweep so sparse that one of its
 Poisson replicates draws an empty basis, ``mub-sweep`` at d = 2 (whose MUB
 set is built apart from the odd primes') and with ``--k`` out of order, and
 ``mub-sweep`` grids whose points are too close to get seeds of their own or,
-with ``--export-matrices``, file names of their own.
+with ``--export-matrices``, file names of their own, and a ``mub-sweep
+--counts`` above NumPy's largest Poisson mean.
 """
 
 import os
@@ -64,6 +66,7 @@ def small(*edits) -> str:
 CONFIGS = {
     "small.ini": small(),
     "three.ini": small(("0, 6e6", "0, 4e6, 1.6e7"), ("10, 20", "10, 20, 40"), ("4000", "20000")),
+    "long.ini": small(("0, 6e6", "0"), ("4000", "8000")),
     "one.ini": small(("0, 6e6", "4e6"), ("10, 20", "20")),
     "nan_background.ini": small(("0, 6e6", "nan, 1e7"), ("800e-12", "nan"), ("4000", "2000")),
     "nan_rate.ini": small(("0, 6e6", "0, nan"), ("4000", "2000")),
@@ -119,6 +122,7 @@ COMMANDS = [
     ("simulate_other_tick", ["simulate-tags", "--config", "other_tick.ini",
                              "--out", "tags_other_tick"]),
     ("simulate_ties", ["simulate-tags", "--config", "ties.ini", "--out", "tags_ties"]),
+    ("simulate_long", ["simulate-tags", "--config", "long.ini", "--out", "tags_long"]),
     ("certify_all", certify(TAGS.format(0, "hv"), TAGS.format(0, "da"), "10,20,40,80",
                             out="certify_all")),
     ("certify_eta", certify(TAGS.format(3, "hv"), TAGS.format(3, "da"), "10,40",
@@ -166,6 +170,9 @@ CHECKS.append(("tagfile_clock_mismatch", certify(
     "tags_small/tags_p000_hv.hdtt", "tags_other_tick/tags_p000_da.hdtt", "10")))
 CHECKS.append(("certify_same_file", certify(
     "tags_small/tags_p000_hv.hdtt", "tags_small/tags_p000_hv.hdtt", "10", out="certify_same_file")))
+# an HV file of 4000 frames with a DA file of 8000
+CHECKS.append(("certify_spans", certify(
+    "tags_small/tags_p000_hv.hdtt", "tags_long/tags_p000_da.hdtt", "10,20", out="certify_spans")))
 CHECKS += [
     ("config_nan_background", ["sweep-noise", "--config", "nan_background.ini",
                                "--out", "config_nan_background"]),
@@ -198,6 +205,9 @@ CHECKS += [
     # the last two points round to one millionth, the key of their resampling
     ("mub_close_grid", ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.500001:3",
                         "--counts", "1e4", "--resamples", "50", "--out", "mub_close_grid"]),
+    # a count above NumPy's largest Poisson mean, refused before any work
+    ("mub_counts_1e19", ["mub-sweep", "--dim", "3", "--k", "2", "--counts", "1e19",
+                         "--out", "mub_counts_1e19"]),
     # 0.5 and 0.50005 have seeds of their own but one export file name, nf to 4 decimals
     ("mub_close_export", ["mub-sweep", "--dim", "3", "--k", "2", "--grid", "0.5:0.5001:3",
                           "--export-matrices", "--out", "mub_close_export"]),
