@@ -11,8 +11,6 @@ from hdent.analysis import ResampleSummary
 from hdent.mub import MubSet, build_mubs, mub_noise_threshold, visibility_sum
 from hdent.states import NoisyState, Pairing, SchmidtState, element, make_max_entangled
 from hdent.tagstream import (
-    BASIS_DA,
-    BASIS_HV,
     CHUNK_FRAMES,
     FWHM_TO_SIGMA,
     BinningConfig,
