@@ -66,7 +66,8 @@ def poisson_resample(
     """Spread of a statistic under Poisson fluctuations of the counts.
 
     Each observed count of the arrays in ``data`` is a Poisson mean; one
-    generator keyed by ``seed`` draws ``n_resamples`` replicates.
+    generator keyed by ``seed``, a Philox key in [0, 2**128), draws
+    ``n_resamples`` replicates.
     ``statistic`` gets them all at once, one ``(cells, totals)`` pair per
     array, and returns an array of shape ``(n_resamples,)``.
 
@@ -84,12 +85,14 @@ def poisson_resample(
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
+    if not 0 <= int(seed) < 1 << 128:
+        raise ValueError(f"seed must be a Philox key in [0, 2**128), got {seed}")
     if len(reads) != len(data):
         raise ValueError(
             f"reads[{min(len(reads), len(data))}]: need one mask per part of data, "
             f"got {len(reads)} masks for {len(data)} parts"
         )
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
     batch = []
     for index, (part, mask) in enumerate(zip(data, reads)):
         lam, mask = np.asarray(part, dtype=float), np.asarray(mask)

@@ -9,12 +9,12 @@ Subcommands::
     link-budget     loss budget <-> fiber distance table
 
 ``sweep-noise`` and ``certify-et`` certify HV/DA stream pairs through one
-path: each stream is binned at every d, ``sweep-noise``'s in memory by
-``_sift_stream`` and ``certify-et``'s tag files one block at a time by
-``sift_blocks``, both through the one binning loop of ``tagstream``, and
-``_certify_counts`` certifies the two lists of count sets, so ``sweep-noise``
-holds one stream at a time.  ``simulate-tags`` writes each stream as it is
-generated, block by block, so neither file command ever holds a whole stream.
+path: ``sift_blocks`` bins each stream at every d in one pass,
+``sweep-noise``'s as it is generated and held, ``certify-et``'s tag files one
+block at a time, and ``_certify_counts`` certifies the two lists of count
+sets, so ``sweep-noise`` holds one stream at a time.  ``simulate-tags``
+writes each stream as it is generated, block by block, so neither file
+command ever holds a whole stream.
 ``certify-et`` reports the first error in this order: its flags, the HV then
 the DA header, a clock mismatch, ``--dims``, HV's then DA's records, then
 frame spans that differ; so no record is read before a header or ``--dims``
@@ -283,12 +283,6 @@ def _key(seed: int, purpose: str, *indices: int) -> int:
     return 2 << 126 | seed << 64 | low
 
 
-def _sift_stream(stream, dims, basis) -> list:
-    """``stream``'s count matrices at each d of ``dims``."""
-    binnings = (tagstream.BinningConfig.for_dimension(stream.clock, d) for d in dims)
-    return [tagstream.sift_and_bin(stream, binning, basis) for binning in binnings]
-
-
 def _certify_counts(hv_sets, da_sets, eta_hwp, resamples, keys):
     """Per d: evaluate and resample the witness of one HV and one DA count set, estimate NF.
 
@@ -324,11 +318,12 @@ def _certify_counts(hv_sets, da_sets, eta_hwp, resamples, keys):
 
 def _timebin_point(task):
     cfg, point, rate = task
-    # each stream is generated, sifted and dropped before the next one
+    binnings = [tagstream.BinningConfig.for_dimension(cfg.clock, d) for d in cfg.dims]
+    # each stream is generated, sifted at every d and dropped before the next one
     hv_sets, da_sets = (
-        _sift_stream(tagstream.generate_stream(model, cfg.clock, cfg.n_frames,
-                                               _key(cfg.seed, "stream", point, da_flag)),
-                     cfg.dims, model.basis)
+        tagstream.sift_blocks(tagstream.generate_stream(model, cfg.clock, cfg.n_frames,
+                                                        _key(cfg.seed, "stream", point, da_flag)),
+                              binnings, model.basis)
         for model, da_flag in zip(cfg.point_models[point], (False, True))
     )
     keys = [_key(cfg.seed, "resample", point, d) for d in cfg.dims]

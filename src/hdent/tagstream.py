@@ -40,17 +40,16 @@ and ``read_blocks`` are block sources; ``write_tags`` and ``sift_blocks`` are
 sinks that take either form and hold one block at a time, so a tag file can
 be made or certified at any length.  ``generate_stream`` and ``read_tags`` are
 the concatenations of the two sources.  There is one sifter: ``sift_blocks``
-finds the kept frames chunk by chunk and bins them, and ``sift_and_bin`` bins
-the same chunks of a held stream, found once and kept in
-``TagStream.kept_events``.  A chunk holds whole frames: the events of its
-block's last frame are carried into the next chunk, and after the last block
-they are the stream's last frame.
+finds the kept frames of a ``TagBlocks`` or a held ``TagStream`` chunk by
+chunk and bins them at every binning in one pass; ``sift_and_bin`` is its
+one-binning call.  A chunk holds whole frames: the events of its block's last
+frame are carried into the next chunk, and after the last block they are the
+stream's last frame.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 import math
 import os
@@ -213,19 +212,6 @@ class TagStream:
         """The stream as one block ``(timestamps, channels, origins)``, as in ``TagBlocks``."""
         return ((self.timestamps, self.channels, self.origins),)
 
-    @functools.cached_property
-    def kept_events(self) -> tuple:
-        """The ``_kept_values`` of each chunk (``_kept_chunks``), found once and kept.
-
-        Which frames are kept does not depend on the binning, so each
-        ``sift_and_bin`` call only bins these.  Their arrays are read-only.
-        """
-        chunks = tuple(_kept_chunks(self))
-        for chunk in chunks:
-            for arr in chunk[:3]:
-                arr.setflags(write=False)
-        return chunks
-
 
 @dataclass(frozen=True)
 class TagBlocks:
@@ -300,10 +286,11 @@ def _kept_chunks(stream):
     the chunk before, cut at the first event of its last frame: the whole
     frames before the cut are sifted and the last frame is carried, so a
     chunk of one frame yields nothing.  A ``TagStream``'s chunk is a view of
-    its arrays, since a copy per block fragments the heap of a long in-memory
-    sweep; a ``TagBlocks`` chunk joins the carried events to the block.  After
-    the last block, the carried events are the stream's last frame and make
-    its last chunk.  An empty stream has no chunk.
+    its arrays, since a copy per block fragments the heap of ``sweep-noise``,
+    which hands ``sift_blocks`` each stream it generates, held; a
+    ``TagBlocks`` chunk joins the carried events to the block.  After the
+    last block, the carried events are the stream's last frame and make its
+    last chunk.  An empty stream has no chunk.
     """
     frame_ticks = stream.clock.frame_ticks
     whole = isinstance(stream, TagStream)
@@ -389,8 +376,7 @@ class CountMatrixSet:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = int(seed) & ((1 << 128) - 1)
-    return np.random.Generator(np.random.Philox(key=key, counter=int(block) << 128))
+    return np.random.Generator(np.random.Philox(key=int(seed), counter=int(block) << 128))
 
 
 def _signal_tables(model: SourceModel, clock: ClockConfig) -> dict:
@@ -565,6 +551,8 @@ def _sorted_blocks(model: SourceModel, clock: ClockConfig, seed: int, lo: int, h
 
 def _stream_keys(model, clock, n_frames, seed, frame_offset):
     """Check the arguments of ``generate_stream``, then return its key chunks."""
+    if not 0 <= int(seed) < 1 << 128:
+        raise ValueError(f"seed must be a Philox key in [0, 2**128), got {seed}")
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     if frame_offset < 0:
@@ -651,15 +639,29 @@ def generate_blocks(
     return TagBlocks(clock, _decoded_blocks(chunks))
 
 
-def _counts(kept, binnings, basis: str) -> list:
-    """The ``CountMatrixSet`` at each of ``binnings`` of a stream's ``_kept_chunks``.
+def sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str) -> CountMatrixSet:
+    """Histogram the frames with exactly one click per side at ``binning``; ``sift_blocks``."""
+    return sift_blocks(stream, [binning], basis)[0]
 
-    Each chunk's kept pairs are added to the counts of every binning; the
-    stream's frame span is its last chunk's, and an empty stream spans none.
+
+def sift_blocks(stream, binnings, basis: str) -> list:
+    """The ``CountMatrixSet`` at each of ``binnings`` of the frames of a ``TagBlocks`` or
+    ``TagStream`` with exactly one click per side, in one pass.
+
+    Each chunk's kept pairs (``_kept_chunks``) are added to the counts of
+    every binning; the frame still open at a block's end is carried into the
+    next, so a ``TagBlocks`` is held one block at a time.  The frame span
+    runs from frame 0 to the frame of the last event, and an empty stream
+    spans none.  Events tied on (timestamp, channel), signal first in a
+    generated stream (the low bit of its key ``((ts * 4 + ch) << 1) |
+    origin``, which bounds generation to 2**59 ticks), share a side, so their
+    frame is never kept and the tie rule cannot change the counts.
     """
+    for binning in binnings:
+        binning.check_against(stream.clock)
     counts = [np.zeros((4, b.d, b.d), dtype=np.int64) for b in binnings]
     frames_kept, noise, frames_total = 0, 0, 0
-    for pair, ticks_a, ticks_b, chunk_noise, frames_total in kept:
+    for pair, ticks_a, ticks_b, chunk_noise, frames_total in _kept_chunks(stream):
         for matrices, binning in zip(counts, binnings):
             d = binning.d
             flat = (pair * d + ticks_a // binning.bin_ticks) * d + ticks_b // binning.bin_ticks
@@ -668,34 +670,6 @@ def _counts(kept, binnings, basis: str) -> list:
         noise = None if noise is None or chunk_noise is None else noise + chunk_noise
     return [CountMatrixSet(basis, binning, matrices, frames_total, frames_kept, noise)
             for binning, matrices in zip(binnings, counts)]
-
-
-def sift_and_bin(stream: TagStream, binning: BinningConfig, basis: str) -> CountMatrixSet:
-    """Histogram the frames with exactly one click per side at ``binning``.
-
-    ``sift_blocks`` at one binning, with the kept frames of a held stream
-    found once (``TagStream.kept_events``): each call only divides their
-    ticks by the bin width and counts.  The frame span runs from frame 0 to
-    the frame of the last event.  Events tied on (timestamp, channel),
-    signal first in a generated stream (the low bit of its key
-    ``((ts * 4 + ch) << 1) | origin``, which bounds generation to 2**59
-    ticks), share a side, so their frame is never kept and the tie rule
-    cannot change the counts.
-    """
-    binning.check_against(stream.clock)
-    return _counts(stream.kept_events, [binning], basis)[0]
-
-
-def sift_blocks(stream, binnings, basis: str) -> list:
-    """The ``sift_and_bin`` of a ``TagBlocks`` (or ``TagStream``) at each binning, in one pass.
-
-    Each chunk's kept frames are found and added to the counts of every
-    binning; the frame still open at a block's end is carried into the
-    next.  Holds one block of the stream.
-    """
-    for binning in binnings:
-        binning.check_against(stream.clock)
-    return _counts(_kept_chunks(stream), binnings, basis)
 
 
 def write_tags(stream, path) -> str:

@@ -187,9 +187,7 @@ def loop_poisson_resample(data, statistic, n_resamples: int, seed: int) -> Resam
     """
     values = np.empty(n_resamples)
     for r in range(n_resamples):
-        rng = np.random.Generator(
-            np.random.Philox(key=int(seed) & ((1 << 128) - 1), counter=r << 128)
-        )
+        rng = np.random.Generator(np.random.Philox(key=int(seed), counter=r << 128))
         values[r] = statistic(_loop_replicate(data, rng))
     return ResampleSummary(float(values.mean()), float(values.std(ddof=1)), n_resamples)
 

@@ -994,6 +994,20 @@ class TestSweepNoise:
         assert lines[0] == "# hdent-sweep-csv v1"
         assert len(lines) == 2 + 2 * 2  # two rates x two dims
 
+    def test_each_stream_is_sifted_at_every_d_in_one_pass(self, small_config, tmp_path,
+                                                         monkeypatch, capsys):
+        """Two points of two streams each: one ``sift_blocks`` call per stream, at both d."""
+        calls = []
+
+        def recording(stream, binnings, basis, real=tagstream.sift_blocks):
+            calls.append((basis, [binning.d for binning in binnings]))
+            return real(stream, binnings, basis)
+
+        monkeypatch.setattr(tagstream, "sift_blocks", recording)
+        monkeypatch.setattr(tagstream, "sift_and_bin", None)
+        assert run_cli("sweep-noise", "--config", small_config, "--out", tmp_path / "out") == 0
+        assert calls == [("HV", [10, 20]), ("DA", [10, 20])] * 2
+
     def test_an_empty_replicate_names_its_point_d_and_remedy(self, tmp_path, capsys):
         """The default sweep on 200 frames at seed 18: at point 0, d = 10, whose observed
         counts are HV 3 and DA 6, a resampled replicate draws no HV counts."""
@@ -1054,7 +1068,8 @@ class TestSweepNoise:
 
 
 class TestKeys:
-    """Every Philox key of a run comes from ``cli._key``; Philox reads it modulo 2**128."""
+    """Every Philox key of a run comes from ``cli._key`` and lies in [0, 2**128), the
+    keys Philox takes; the generators and the resampler refuse any other key."""
 
     @staticmethod
     def keys(seed, cfg):
@@ -1074,26 +1089,39 @@ class TestKeys:
         }
 
     def test_no_key_serves_two_purposes_or_two_draws_of_one_run(self):
-        mod = 1 << 128
         cfg = load_run_config()
         by_purpose = (set(), set(), set())
         for seed in range(101):
             for run, purposes in self.keys(seed, cfg).items():
-                drawn = [key % mod for keys in purposes for key in keys]
+                drawn = [key for keys in purposes for key in keys]
+                assert all(0 <= key < 1 << 128 for key in drawn), (seed, run)
                 assert len(set(drawn)) == len(drawn), (seed, run)
                 for seen, keys in zip(by_purpose, purposes):
-                    seen.update(key % mod for key in keys)
+                    seen.update(keys)
         streams, resampling, mub = by_purpose
         assert not streams & resampling and not resampling & mub
         # ``streams & mub`` is not empty: ``mub-sweep``, which reads no stream, draws at
         # seed 0, nf = 0 and k = 2..12 with the stream keys of points 1..6 of seed 0
         # the old schemes' collision: certify-et --seed 0 resampled d = 10 with the key of
         # the point-5 HV stream that simulate-tags --seed 0 writes
-        assert cli._key(0, "resample", 10) % mod != cli._key(0, "stream", 5, False) % mod
+        assert cli._key(0, "resample", 10) != cli._key(0, "stream", 5, False)
         # at the largest seed a stream key keeps its top bits 00, a resampling key 10
         top = (1 << 62) - 1
         assert cli._key(top, "stream", 2**31 - 1, True) >> 126 == 0
         assert cli._key(top, "resample", 2**32 - 1, 2**32 - 1) >> 126 == 2
+
+    @pytest.mark.parametrize("key", [-1, 1 << 128], ids=["-1", "2**128"])
+    def test_a_key_outside_philox_range_is_refused_at_the_call(self, key):
+        """Not wrapped onto the key 2**128 away: ``generate_blocks`` refuses it before
+        any block is made, and ``poisson_resample`` before any draw."""
+        m = tagstream.SourceModel(make_max_entangled(10), 1e6)
+        clock = tagstream.ClockConfig()
+        message = re.escape(f"seed must be a Philox key in [0, 2**128), got {key}")
+        for generate in (tagstream.generate_stream, tagstream.generate_blocks):
+            with pytest.raises(ValueError, match=message):
+                generate(m, clock, 10, key)
+        with pytest.raises(ValueError, match=message):
+            poisson_resample((np.ones(3),), None, 5, key, (np.ones(3, dtype=bool),))
 
     @pytest.mark.parametrize("seed", [-1, 2**62, 2**95])
     def test_a_seed_outside_the_kept_apart_range_is_refused_before_any_output(
