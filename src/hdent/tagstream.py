@@ -108,23 +108,24 @@ class _BadEvent(ValueError):
         super().__init__(f"{self.rule} at event {self.index}")
 
 
-def _check_events(ts: np.ndarray, ch: np.ndarray, og: np.ndarray, last=None) -> None:
+def _check_events(ts: np.ndarray, ch: np.ndarray, og: np.ndarray, last=None, first=0) -> None:
     """Raise ``_BadEvent`` at the first break of the channel, origin or order rule, in turn.
 
     ``last`` is the (timestamp, channel) of the event just before ``ts[0]``,
-    where the events continue a stream.
+    where the events continue a stream, and ``first`` is the index of
+    ``ts[0]`` in it, by which a bad event is named.
     """
     for rank, (field, codes, top) in enumerate(((8, ch, 3), (9, og, 2))):
         if codes.max(initial=0) > top:
-            raise _BadEvent(rank, np.flatnonzero(codes > top)[0], field)
+            raise _BadEvent(rank, first + np.flatnonzero(codes > top)[0], field)
     if last is not None and len(ts) and (int(ts[0]), int(ch[0])) < last:
-        raise _BadEvent(2, 0, 0)
+        raise _BadEvent(2, first, 0)
     # blocks overlap by one event, so a break across a block edge is seen
     for start in range(1, len(ts), _BLOCK_RECORDS):
         t, c = ts[start - 1 : start + _BLOCK_RECORDS], ch[start - 1 : start + _BLOCK_RECORDS]
         bad = np.flatnonzero((t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (c[1:] < c[:-1])))
         if bad.size:
-            raise _BadEvent(2, start + bad[0], 0)
+            raise _BadEvent(2, first + start + bad[0], 0)
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,11 @@ class ClockConfig:
             raise ValueError(
                 f"frame_ticks={self.frame_ticks} not divisible by "
                 f"imbalance_ticks={self.imbalance_ticks}"
+            )
+        if self.imbalance_ticks >= self.frame_ticks:
+            raise ValueError(
+                f"imbalance_ticks={self.imbalance_ticks} must be shorter than "
+                f"frame_ticks={self.frame_ticks}"
             )
 
     @property
@@ -285,32 +291,20 @@ def _kept_chunks(stream):
     A chunk is one block of ``_pieces(stream)`` after the events carried from
     the chunk before, cut at the first event of its last frame: the whole
     frames before the cut are sifted and the last frame is carried, so a
-    chunk of one frame yields nothing.  A ``TagStream``'s chunk is a view of
-    its arrays, since a copy per block fragments the heap of ``sweep-noise``,
-    which hands ``sift_blocks`` each stream it generates, held; a
-    ``TagBlocks`` chunk joins the carried events to the block.  After the
-    last block, the carried events are the stream's last frame and make its
-    last chunk.  An empty stream has no chunk.
+    chunk of one frame yields nothing.  After the last block, the carried
+    events are the stream's last frame and make its last chunk.  An empty
+    stream has no chunk.
     """
     frame_ticks = stream.clock.frame_ticks
-    whole = isinstance(stream, TagStream)
-    offset, carry = 0, None
+    carry = None
     for block in _pieces(stream):
-        if carry is None:
-            chunk = block
-        elif whole:
-            stop = offset + len(carry[0]) + len(block[0])
-            chunk = (stream.timestamps[offset:stop], stream.channels[offset:stop],
-                     stream.origins[offset:stop])
-        else:
-            chunk = tuple(map(np.concatenate, zip(carry, block)))
+        chunk = block if carry is None else tuple(map(np.concatenate, zip(carry, block)))
         ts = chunk[0]
         last = int(ts[-1])
         cut = int(np.searchsorted(ts, ts.dtype.type(last - last % frame_ticks)))
         if cut:
             yield _kept_values(*(part[:cut] for part in chunk), frame_ticks)
         carry = tuple(part[cut:].copy() for part in chunk)
-        offset += cut
     if carry is not None:
         yield _kept_values(*carry, frame_ticks)
 
@@ -614,11 +608,11 @@ def generate_stream(
 
 def _decoded_blocks(chunks):
     """Each key chunk as ``(timestamps, channels, origins)``, checked as a stream continues."""
-    last = None
+    last, start = None, 0
     for keys in chunks:
         ts, ch, og = _decode(keys)
-        _check_events(ts, ch, og, last)
-        last = int(ts[-1]), int(ch[-1])
+        _check_events(ts, ch, og, last, start)
+        last, start = (int(ts[-1]), int(ch[-1])), start + len(ts)
         yield ts, ch, og
 
 
@@ -750,11 +744,11 @@ def _record_blocks(fh, count: int):
         ch = flags.astype(np.uint8)  # the low byte
         og = (flags >> 8).astype(np.uint8)
         try:
-            _check_events(ts, ch, og, last)
+            _check_events(ts, ch, og, last, start)
         except _BadEvent as exc:
             if exc.rank < rank:
                 rank = exc.rank
-                defect = TagFormatError(exc.rule, _record_offset(start + exc.index, exc.field))
+                defect = TagFormatError(exc.rule, _record_offset(exc.index, exc.field))
         if defect is None:
             yield ts, ch, og
         last = int(ts[-1]), int(ch[-1])

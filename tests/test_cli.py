@@ -249,6 +249,9 @@ class TestConfig:
             # values that ClockConfig and SourceModel reject are named with their section
             ("[source]", "[clock]\ntick_seconds = nan\n\n[source]", "[clock] tick_seconds"),
             ("[source]", "[clock]\nframe_ticks = 0\n\n[source]", "[clock] frame_ticks"),
+            # an imbalance of one frame leaves no d with a bin shift below d
+            ("[source]", "[clock]\nimbalance_ticks = 320\n\n[source]",
+             "[clock] imbalance_ticks=320 must be shorter than frame_ticks=320"),
             ("pair_rate = 3e6", "pair_rate = nan", "[source] pair_rate"),
             ("p_mix = 1.0", "p_mix = 1.5", "[source] p_mix"),
             ("franson_phase = pi", "franson_phase = nan", "[source] franson_phase"),

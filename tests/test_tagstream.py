@@ -64,6 +64,12 @@ class TestConfigs:
         with pytest.raises(ValueError):
             ClockConfig(frame_ticks=320, imbalance_ticks=33)
 
+    def test_clock_imbalance_must_be_shorter_than_the_frame(self):
+        """An imbalance of one whole frame divides it, but leaves no d with f < d."""
+        with pytest.raises(ValueError, match="imbalance_ticks=320 must be shorter than "
+                                             "frame_ticks=320"):
+            ClockConfig(frame_ticks=320, imbalance_ticks=320)
+
     @pytest.mark.parametrize(
         "d,bin_ticks,f", [(10, 32, 1), (20, 16, 2), (40, 8, 4), (80, 4, 8)]
     )
@@ -302,7 +308,7 @@ class TestHoldBack:
         monkeypatch.setattr(tagstream, "_sorted_blocks", lambda *args: iter(chunks))
         blocks = iter(generate_blocks(model(), CLOCK, 100, 1).blocks)
         next(blocks)
-        with pytest.raises(ValueError, match="not sorted .* at event 0$"):
+        with pytest.raises(ValueError, match="not sorted .* at event 2$"):
             next(blocks)
 
     def test_jitter_beyond_the_checked_limit_stops_generation(self, monkeypatch):
@@ -524,26 +530,18 @@ class TestSiftOracle:
         chunks = list(tagstream._kept_chunks(TagStream(clock, ts, ch, og)))
         assert [(len(pair), frames) for pair, _, _, _, frames in chunks] == [(0, 1), (1, 2)]
 
-    def test_call_order_does_not_matter(self):
+    def test_generated_stream_matches_per_call_counting(self):
+        """``sift_and_bin`` counts a noisy 20 000-frame stream at d = 10 and d = 80
+        as the loop sifter does."""
         m = model(d=80, pair_rate=2e6, bg=1e7, jitter=800e-12, p=0.8)
-        source = generate_stream(m, CLOCK, 20_000, seed=41)
-
-        def fresh():
-            return TagStream(CLOCK, source.timestamps, source.channels, source.origins)
-
+        stream = generate_stream(m, CLOCK, 20_000, seed=41)
         b10 = BinningConfig.for_dimension(CLOCK, 10)
         b80 = BinningConfig.for_dimension(CLOCK, 80)
-        coarse_first = fresh()
-        fine_first = fresh()
-        sift_and_bin(fine_first, b80, BASIS_HV)
         assert_same_counts(
-            sift_and_bin(fine_first, b10, BASIS_HV), sift_and_bin(coarse_first, b10, BASIS_HV)
+            sift_and_bin(stream, b10, BASIS_HV), loop_sift_and_bin(stream, b10, BASIS_HV)
         )
         assert_same_counts(
-            sift_and_bin(fine_first, b10, BASIS_HV), loop_sift_and_bin(source, b10, BASIS_HV)
-        )
-        assert_same_counts(
-            sift_and_bin(coarse_first, b80, BASIS_HV), loop_sift_and_bin(source, b80, BASIS_HV)
+            sift_and_bin(stream, b80, BASIS_HV), loop_sift_and_bin(stream, b80, BASIS_HV)
         )
 
 
@@ -925,8 +923,10 @@ class TestTagBlocks:
     @pytest.mark.parametrize(
         "at, data, error",
         [(0, b"NOPE", "bad magic"), (4, b"\x02", "version 2"), (22, b"\x09", "expected"),
-         (18, b"\x00\x00\x00\x00", "imbalance_ticks"), (14, b"\x07", "not divisible")],
-        ids=["magic", "version", "size", "zero-imbalance", "frame-not-multiple"],
+         (18, b"\x00\x00\x00\x00", "imbalance_ticks"), (14, b"\x07", "not divisible"),
+         (18, (320).to_bytes(4, "little"), "imbalance_ticks=320 must be shorter")],
+        ids=["magic", "version", "size", "zero-imbalance", "frame-not-multiple",
+             "frame-long-imbalance"],
     )
     def test_header_defects_are_raised_before_any_record_is_read(self, at, data, error,
                                                                   tmp_path, monkeypatch):
@@ -1031,7 +1031,8 @@ class TestStreamMemory:
         assert peak < 8 * _BLOCK_RECORDS
 
     def test_kept_events_peak(self, noisy_stream):
-        """A held stream's chunks are views of its arrays, not copies."""
+        """Sifting a held stream takes less than half its bytes: each chunk is
+        one block joined to the carried frame, never the whole stream."""
         kept, peak = traced_peak(lambda: list(tagstream._kept_chunks(noisy_stream)))
         got, want = joined_kept(kept), whole_stream_kept_values(noisy_stream)
         assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))

@@ -21,13 +21,14 @@ way ``read_tags`` detects, a good HV file with a truncated or bad-magic DA
 file, faults in both files or in a file and ``--dims`` (``certify-et`` must
 name the first in its error order), an HV/DA pair whose clocks differ, one
 tag file named as both HV and DA, an HV/DA pair recorded over different frame
-spans, config values and flags that must fail before any output is written,
-a default sweep so sparse that one of its
-Poisson replicates draws an empty basis, ``mub-sweep`` at d = 2 (whose MUB
-set is built apart from the odd primes') and with ``--k`` out of order, and
-``mub-sweep`` grids whose points are too close to get seeds of their own or,
-with ``--export-matrices``, file names of their own, and a ``mub-sweep
---counts`` above NumPy's largest Poisson mean.
+spans, a clock whose imbalance is one whole frame (in a config and in a tag
+file's header), config values and flags that must fail before any output is
+written, a default sweep so sparse that one of its Poisson replicates draws
+an empty basis, ``mub-sweep`` at d = 2 (whose MUB set is built apart from the
+odd primes') and with ``--k`` out of order, and ``mub-sweep`` grids whose
+points are too close to get seeds of their own or, with
+``--export-matrices``, file names of their own, and a ``mub-sweep --counts``
+above NumPy's largest Poisson mean.
 """
 
 import os
@@ -89,6 +90,9 @@ CONFIGS = {
     # the default sweep on so few frames that a resampled basis draws no counts (at
     # point 0, d = 10 for this seed)
     "sparse.ini": "[sweep]\nn_frames = 200\nresamples = 20\nseed = 18\n",
+    # an imbalance of one whole frame, which divides it but leaves no d with f < d
+    "imbalance_frame.ini": "[clock]\nimbalance_ticks = 320\n"
+                           + small(("state_dim = 80", "state_dim = 10"), ("10, 20", "10")),
 }
 
 # (name, offset, bytes written there) applied to a copy of tags_small/tags_p000_hv.hdtt;
@@ -102,6 +106,8 @@ CORRUPTIONS = {
     "two_defects": [(30, (2 ** 40).to_bytes(8, "little")), (30 + 16 * 4 + 10, b"\x01")],
     # a zero imbalance in the header's clock, then reserved bits in a record
     "clock_reserved": [(18, b"\x00\x00\x00\x00"), (30 + 16 * 2 + 13, b"\x01")],
+    # an imbalance of one whole frame in the header's clock
+    "imbalance_frame": [(18, (320).to_bytes(4, "little"))],
 }
 
 TAGS = "tags_default/tags_p{:03d}_{}.hdtt"
@@ -194,6 +200,8 @@ CHECKS += [
     ("config_float_seed", ["simulate-tags", "--config", "float_seed.ini",
                            "--out", "config_float_seed"]),
     ("config_dims30", ["sweep-noise", "--config", "dims30.ini", "--out", "config_dims30"]),
+    ("config_imbalance_frame", ["sweep-noise", "--config", "imbalance_frame.ini",
+                                "--out", "config_imbalance_frame"]),
     # a seed outside [0, 2**62), where resampling and stream keys would meet
     ("seed_2_pow_95", ["sweep-noise", "--seed", str(2**95), "--out", "seed_2_pow_95"]),
     ("config_dim30", ["simulate-tags", "--config", "dim30.ini", "--out", "config_dim30"]),
