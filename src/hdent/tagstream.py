@@ -81,9 +81,9 @@ _BLOCK_RECORDS = 1 << 16
 # the largest |z| of a standard normal jitter draw that generation accepts; it
 # bounds how far before its frame an event can land
 _MAX_JITTER_Z = 16.0
-# the rules that ``_check_events`` applies, in the order in which it reports them
-_RULES = ("unknown channel code", "unknown origin code",
-          "records not sorted by (timestamp, channel)")
+# the rule that ``_check_events`` names, by the byte of a record that breaks it
+_RULES = {0: "records not sorted by (timestamp, channel)", 8: "unknown channel code",
+          9: "unknown origin code"}
 
 
 class Origin(enum.IntEnum):
@@ -101,31 +101,35 @@ class TagFormatError(ValueError):
 
 
 class _BadEvent(ValueError):
-    """Event ``index`` breaks rule ``_RULES[rank]``; ``field`` is its record's byte at fault."""
+    """Event ``index`` breaks rule ``_RULES[field]``; ``field`` is its record's byte at fault."""
 
-    def __init__(self, rank: int, index, field: int):
-        self.rank, self.rule, self.index, self.field = rank, _RULES[rank], int(index), field
+    def __init__(self, index, field: int):
+        self.rule, self.index, self.field = _RULES[field], int(index), field
         super().__init__(f"{self.rule} at event {self.index}")
 
 
 def _check_events(ts: np.ndarray, ch: np.ndarray, og: np.ndarray, last=None, first=0) -> None:
-    """Raise ``_BadEvent`` at the first break of the channel, origin or order rule, in turn.
+    """Raise ``_BadEvent`` at the first event that breaks the order, channel or origin rule.
 
     ``last`` is the (timestamp, channel) of the event just before ``ts[0]``,
     where the events continue a stream, and ``first`` is the index of
-    ``ts[0]`` in it, by which a bad event is named.
+    ``ts[0]`` in it.  An event that breaks several rules is named by its
+    first byte at fault.  The rules are applied to one block window at a time.
     """
-    for rank, (field, codes, top) in enumerate(((8, ch, 3), (9, og, 2))):
-        if codes.max(initial=0) > top:
-            raise _BadEvent(rank, first + np.flatnonzero(codes > top)[0], field)
     if last is not None and len(ts) and (int(ts[0]), int(ch[0])) < last:
-        raise _BadEvent(2, first, 0)
-    # blocks overlap by one event, so a break across a block edge is seen
-    for start in range(1, len(ts), _BLOCK_RECORDS):
-        t, c = ts[start - 1 : start + _BLOCK_RECORDS], ch[start - 1 : start + _BLOCK_RECORDS]
-        bad = np.flatnonzero((t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (c[1:] < c[:-1])))
-        if bad.size:
-            raise _BadEvent(2, first + start + bad[0], 0)
+        raise _BadEvent(first, 0)
+    for start in range(0, len(ts), _BLOCK_RECORDS):
+        stop = start + _BLOCK_RECORDS
+        # windows overlap by one event, so a break across a window edge is seen
+        t, c = ts[max(start - 1, 0) : stop], ch[max(start - 1, 0) : stop]
+        order = np.flatnonzero((t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (c[1:] < c[:-1])))
+        bad = [(max(start, 1) + order[0], 0)] if order.size else []
+        for field, codes, top in ((8, ch[start:stop], 3), (9, og[start:stop], 2)):
+            if codes.max() > top:
+                bad.append((start + np.argmax(codes > top), field))
+        if bad:
+            index, field = min(bad)
+            raise _BadEvent(first + index, field)
 
 
 @dataclass(frozen=True)
@@ -715,14 +719,13 @@ def _record_offset(index, field: int = 0) -> int:
 def _record_blocks(fh, count: int):
     """The ``count`` records that follow the header in ``fh``, block by block, checked.
 
-    Reserved bits and short reads raise where they are met.  Any other
-    defect is raised at the end of the file, so that one that outranks it
-    can still be found: the file's first channel defect, then its first
-    origin defect, then its first order defect, each at the byte offset of
-    its field, whatever ``_BLOCK_RECORDS`` is.  No block is yielded once a
-    defect is known.
+    A block is yielded once it is checked.  The defect at the lowest byte
+    offset is raised in the block that holds it, and no record past that
+    block is read: in a record, an order break (byte 0), a channel (8) or
+    origin (9) code (``_check_events``), then reserved bits (10-15).  A short
+    read, of a file cut after its size was judged, is raised where it is met.
     """
-    rank, defect, last = len(_RULES), None, None
+    last = None
     block = np.empty(min(count, _BLOCK_RECORDS), dtype=_RECORD_DTYPE)
     for start in range(0, count, _BLOCK_RECORDS):
         stop = min(start + _BLOCK_RECORDS, count)
@@ -736,30 +739,30 @@ def _record_blocks(fh, count: int):
             )
         flags = records["flags"]
         bad = np.flatnonzero(flags > 0xFFFF)
-        if bad.size:
-            raise TagFormatError(
-                "reserved record bytes not zero", _record_offset(start + bad[0], 10)
-            )
+        reserved = start + bad[0] if bad.size else stop  # the first record with reserved bits
         ts = records["timestamp"].copy()
         ch = flags.astype(np.uint8)  # the low byte
         og = (flags >> 8).astype(np.uint8)
         try:
             _check_events(ts, ch, og, last, start)
         except _BadEvent as exc:
-            if exc.rank < rank:
-                rank = exc.rank
-                defect = TagFormatError(exc.rule, _record_offset(exc.index, exc.field))
-        if defect is None:
-            yield ts, ch, og
+            # an event's bytes (0-9) come before its record's reserved bytes
+            if exc.index <= reserved:
+                raise TagFormatError(exc.rule, _record_offset(exc.index, exc.field)) from None
+        if reserved < stop:
+            raise TagFormatError("reserved record bytes not zero", _record_offset(reserved, 10))
+        yield ts, ch, og
         last = int(ts[-1]), int(ch[-1])
-    if defect is not None:
-        raise defect
 
 
 def _tag_file(path):
     """Yield a tag file's clock and record count, then its records as ``_record_blocks`` does.
 
-    The header (magic, version, size, then clock) is judged before any record is read.
+    The header is judged before any record is read, field by field in byte
+    order: magic, version, clock, then the file's size against the record
+    count.  A clock that is not a valid ``ClockConfig`` is reported at its
+    tick (byte 6) if that is zero, else at its frame (14) if that is zero,
+    else at its imbalance (18).
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -770,6 +773,11 @@ def _tag_file(path):
             raise TagFormatError("bad magic", 0)
         if version != FORMAT_VERSION:
             raise TagFormatError(f"unsupported format version {version}", 4)
+        try:
+            clock = ClockConfig(tick_fs / 1e15, frame_ticks, imbalance)
+        except ValueError as exc:
+            field = 6 if not tick_fs else 14 if not frame_ticks else 18
+            raise TagFormatError(str(exc), field) from None
         size = os.fstat(fh.fileno()).st_size
         expected = _record_offset(count)
         if size != expected:
@@ -777,7 +785,7 @@ def _tag_file(path):
                 f"expected {expected} bytes for {count} records, got {size}",
                 min(size, expected),
             )
-        yield ClockConfig(tick_fs / 1e15, frame_ticks, imbalance), count
+        yield clock, count
         yield from _record_blocks(fh, count)
 
 
@@ -785,7 +793,7 @@ def read_blocks(path) -> TagBlocks:
     """A tag file as ``TagBlocks``: the header is judged now, the records block by block.
 
     Defects are reported as ``read_tags`` reports them; one in the records is
-    raised by the iteration over the blocks, at the end of the file at the latest.
+    raised by the iteration over the blocks, and no block past it is read.
     """
     blocks = _tag_file(path)
     clock, _ = next(blocks)
@@ -797,9 +805,9 @@ def read_tags(path) -> TagStream:
 
     The concatenation of the blocks of ``read_blocks``, in the stream's own
     arrays, so reading takes about one stream plus one block of memory.
-    The header is judged first (magic, version, size, then clock), then the
-    records: reserved bits where met, then the first channel, origin and
-    order defect.  A format error names the byte offset of the defect.
+    The header is judged first (magic, version, clock, then size), then the
+    records.  A format error names the byte offset of the file's first
+    defect, the one at the lowest offset (``_record_blocks``).
     """
     blocks = _tag_file(path)
     clock, count = next(blocks)

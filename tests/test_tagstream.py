@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import re
 import struct
@@ -767,16 +768,18 @@ class TestTagFormat:
             read_tags(path)
         assert err.value.offset == offset
 
-    def test_reserved_byte_reported_before_earlier_defects(self, tmp_path):
+    def test_first_defect_is_reported_before_later_ones(self, tmp_path):
+        """Record 1 breaks the order (byte 0) and has a bad channel (byte 8),
+        record 3 has reserved bits: the order break has the lowest offset."""
         path = self._valid_file(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[30 : 30 + 8] = (2 ** 40).to_bytes(8, "little")  # disorder at record 1
         blob[30 + 16 + 8] = 9  # unknown channel code in record 1
         blob[30 + 16 * 3 + 15] = 1  # last reserved byte of record 3
         path.write_bytes(blob)
-        with pytest.raises(TagFormatError, match="reserved") as err:
+        with pytest.raises(TagFormatError, match="sorted") as err:
             read_tags(path)
-        assert err.value.offset == 30 + 16 * 3 + 10
+        assert err.value.offset == 30 + 16
 
     @pytest.mark.parametrize(
         "ts, ch, og",
@@ -855,9 +858,9 @@ class TestTagBlocks:
              30 + 16 * 2 * B),
             ([(30 + 16 * (B + 1) + 8, b"\x04")], "channel", 30 + 16 * (B + 1) + 8),
             ([(30 + 16, (2 ** 40).to_bytes(8, "little")), (30 + 16 * (2 * B) + 15, b"\x01")],
-             "reserved", 30 + 16 * (2 * B) + 10),
+             "sorted", 30 + 16 * 2),
         ],
-        ids=["reserved", "order", "channel", "reserved-after-earlier-disorder"],
+        ids=["reserved", "order", "channel", "disorder-before-reserved"],
     )
     @READERS
     def test_faults_in_later_blocks_keep_their_offsets(self, edits, message, offset, read,
@@ -892,50 +895,58 @@ class TestTagBlocks:
 
     @pytest.mark.parametrize(
         "edits, error, offset",
-        [([(30 + 16 * (B + 2) + 9, b"\x04"), (30 + 16 * 2 * B + 8, b"\x05")], "channel",
-          30 + 16 * 2 * B + 8),
+        [([(30 + 16 * (B + 2) + 9, b"\x04"), (30 + 16 * 2 * B + 8, b"\x05")], "origin",
+          30 + 16 * (B + 2) + 9),
          ([(30 + 16 * (B + 2) + 8, b"\x05"), (30 + 16 * 2 * B + 9, b"\x04")], "channel",
           30 + 16 * (B + 2) + 8),
          ([(30 + 16 * 3, (2 ** 40).to_bytes(8, "little")), (30 + 16 * 2 * B + 9, b"\x04")],
-          "origin", 30 + 16 * 2 * B + 9),
-         ([(18, b"\x00\x00\x00\x00"), (30 + 16 * 3 + 8, b"\x05")], "imbalance_ticks", None),
+          "sorted", 30 + 16 * 4),
+         ([(18, b"\x00\x00\x00\x00"), (30 + 16 * 3 + 8, b"\x05")], "imbalance_ticks", 18),
          ([(18, b"\x00\x00\x00\x00"), (30 + 16 * 2 * B + 12, b"\x01")], "imbalance_ticks",
-          None),
+          18),
          ([(30 + 16 * (B - 1) + 9, b"\x04"), (30 + 16 * 2 * B + 9, b"\x07")], "origin",
           30 + 16 * (B - 1) + 9)],
-        ids=["channel-after-origin", "channel-before-origin", "origin-after-order",
+        ids=["origin-before-channel", "channel-before-origin", "order-before-origin",
              "clock-before-channel", "clock-before-reserved", "first-of-two-origin"],
     )
     @READERS
-    def test_defect_of_higher_rank_is_reported_wherever_it_lies(self, edits, error, offset,
-                                                                  read, tmp_path):
-        """The header's clock first, then reserved bits, then the file's first
-        channel, origin and order defect, in that order."""
+    def test_defect_at_the_lowest_offset_is_reported(self, edits, error, offset, read,
+                                                      tmp_path):
+        """The header's clock before any record, then the record defect at the
+        lowest byte offset, in whichever block it lies."""
         blob = bytearray(tag_file_bytes(CLOCK, *sorted_records(2 * B + 1)))
         for at, data in edits:
             blob[at : at + len(data)] = data
         path = tmp_path / "r.hdtt"
         path.write_bytes(blob)
-        with pytest.raises(ValueError, match=error) as err:
+        with pytest.raises(TagFormatError, match=error) as err:
             read(path)
-        assert getattr(err.value, "offset", None) == offset
+        assert err.value.offset == offset
 
     @pytest.mark.parametrize(
-        "at, data, error",
-        [(0, b"NOPE", "bad magic"), (4, b"\x02", "version 2"), (22, b"\x09", "expected"),
-         (18, b"\x00\x00\x00\x00", "imbalance_ticks"), (14, b"\x07", "not divisible"),
-         (18, (320).to_bytes(4, "little"), "imbalance_ticks=320 must be shorter")],
-        ids=["magic", "version", "size", "zero-imbalance", "frame-not-multiple",
-             "frame-long-imbalance"],
+        "edits, error, offset",
+        [([(0, b"NOPE")], "bad magic", 0), ([(4, b"\x02")], "version 2", 4),
+         ([(22, b"\x09")], "expected", 30 + 16 * (B + 1)),
+         ([(6, bytes(8))], "tick_seconds must be finite and positive", 6),
+         ([(14, bytes(4))], "frame_ticks and imbalance_ticks must be positive", 14),
+         ([(18, bytes(4))], "frame_ticks and imbalance_ticks must be positive", 18),
+         ([(14, b"\x07")], "not divisible", 18),
+         ([(18, (320).to_bytes(4, "little"))], "imbalance_ticks=320 must be shorter", 18),
+         ([(18, bytes(4)), (22, b"\x09")], "must be positive", 18)],
+        ids=["magic", "version", "size", "zero-tick", "zero-frame", "zero-imbalance",
+             "frame-not-multiple", "frame-long-imbalance", "clock-before-size"],
     )
-    def test_header_defects_are_raised_before_any_record_is_read(self, at, data, error,
+    def test_header_defects_are_raised_before_any_record_is_read(self, edits, error, offset,
                                                                   tmp_path, monkeypatch):
         """``read_blocks`` judges the whole header, clock included, when it is
-        called; ``read_tags`` does too.  The records carry a reserved-bit
-        defect, which a record read would report instead."""
+        called; ``read_tags`` does too.  Its fields are judged in byte order,
+        each at its own offset; a bad clock is reported at its tick or frame
+        if that is zero, else at its imbalance.  The records carry a
+        reserved-bit defect, which a record read would report instead."""
         blob = bytearray(tag_file_bytes(CLOCK, *sorted_records(B + 1)))
         blob[30 + 16 * 3 + 12] = 1
-        blob[at : at + len(data)] = data
+        for at, data in edits:
+            blob[at : at + len(data)] = data
         path = tmp_path / "h.hdtt"
         path.write_bytes(blob)
 
@@ -944,8 +955,9 @@ class TestTagBlocks:
 
         monkeypatch.setattr(tagstream, "_record_blocks", no_records)
         for read in (read_blocks, read_tags):
-            with pytest.raises(ValueError, match=error):
+            with pytest.raises(TagFormatError, match=error) as err:
                 read(path)
+            assert err.value.offset == offset
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4])
     def test_every_order_break_is_found_at_any_block_size(self, block, monkeypatch):
@@ -977,6 +989,128 @@ class TestTagBlocks:
         with pytest.raises(TagFormatError, match="ended") as err:
             read_tags(path)
         assert err.value.offset == len(blob) - 20
+
+
+def first_defect(blob, reserved=True):
+    """The first defect of a tag file's records as a reader reports it, from a
+    record-by-record scan; with ``reserved`` false, the first bad event of the
+    records' events as ``TagStream`` reports it.  None where there is none."""
+    last = None
+    for offset in range(30, len(blob), 16):
+        ts, flags = struct.unpack_from("<QQ", blob, offset)
+        ch, og = flags & 0xFF, flags >> 8 & 0xFF
+        if last is not None and (ts, ch) < last:
+            rule, field = "records not sorted by (timestamp, channel)", 0
+        elif ch > 3:
+            rule, field = "unknown channel code", 8
+        elif og > 2:
+            rule, field = "unknown origin code", 9
+        elif reserved and flags >> 16:
+            rule, field = "reserved record bytes not zero", 10
+        else:
+            last = ts, ch
+            continue
+        if reserved:
+            return f"{rule} (byte offset {offset + field})"
+        return f"{rule} at event {(offset - 30) // 16}"
+    return None
+
+
+@st.composite
+def defective_files(draw):
+    """A tag file of 2-20 sorted records, then 1-3 defects written into random records."""
+    n = draw(st.integers(2, 20))
+    rows = sorted(draw(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 3),
+                                          st.integers(0, 2)), min_size=n, max_size=n)))
+    ts, ch, og = (np.array(column, dtype) for column, dtype
+                  in zip(zip(*rows), (np.uint64, np.uint8, np.uint8)))
+    blob = bytearray(tag_file_bytes(CLOCK, ts, ch, og))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["order", "tie", "channel", "origin", "reserved"]))
+        at = 30 + 16 * draw(st.integers(1 if kind in ("order", "tie") else 0, n - 1))
+        if kind == "order":  # a timestamp before the record before it, whose is at least 1
+            blob[at : at + 8] = bytes(8)
+        elif kind == "tie":  # the timestamp before it, on a lower channel
+            blob[at : at + 8], blob[at - 8], blob[at + 8] = blob[at - 16 : at - 8], 3, 0
+        elif kind == "channel":
+            blob[at + 8] = draw(st.integers(4, 255))
+        elif kind == "origin":
+            blob[at + 9] = draw(st.integers(3, 255))
+        else:
+            blob[at + draw(st.integers(10, 15))] = draw(st.integers(1, 255))
+    return bytes(blob)
+
+
+def reported(read, *args):
+    """The message of the ``ValueError`` that ``read(*args)`` raises, or None."""
+    try:
+        read(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def stream_of(blob):
+    """``(timestamps, channels, origins)`` of a tag file's records, reserved bits dropped."""
+    records = np.frombuffer(blob, dtype=[("timestamp", "<u8"), ("flags", "<u8")], offset=30)
+    flags = records["flags"]
+    return (records["timestamp"], (flags & 0xFF).astype(np.uint8),
+            (flags >> 8 & 0xFF).astype(np.uint8))
+
+
+class TestFirstDefect:
+    """A tag file reports the defect at its lowest byte offset, and a stream its
+    first bad event, as a record-by-record scan finds them, at any block size."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, _BLOCK_RECORDS])
+    @given(blob=defective_files())
+    @settings(deadline=None, max_examples=100)
+    def test_every_reader_reports_what_the_scan_finds(self, block, blob, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / f"oracle{block}.hdtt"
+        path.write_bytes(blob)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tagstream, "_BLOCK_RECORDS", block)
+            assert reported(read_tags, path) == first_defect(blob)
+            assert reported(read_streamed, path) == first_defect(blob)
+            assert reported(TagStream, CLOCK, *stream_of(blob)) == first_defect(blob, False)
+
+    @READERS
+    def test_order_break_at_a_block_start_before_a_code_in_that_block(self, read, tmp_path,
+                                                                        monkeypatch):
+        """Record 4 opens the second block of 4 records and sorts before record 3,
+        the ``last`` event of the first block; record 6 has a bad channel."""
+        monkeypatch.setattr(tagstream, "_BLOCK_RECORDS", 4)
+        ts, ch, og = sorted_records(12, seed=4)
+        ts[4], ch[3], ch[4] = ts[3], 3, 0
+        blob = bytearray(tag_file_bytes(CLOCK, ts, ch, og))
+        blob[30 + 16 * 6 + 8] = 7
+        path = tmp_path / "w.hdtt"
+        path.write_bytes(blob)
+        assert reported(read, path) == first_defect(blob) == (
+            "records not sorted by (timestamp, channel) (byte offset 94)")
+        assert reported(TagStream, CLOCK, *stream_of(bytes(blob))) == (
+            "records not sorted by (timestamp, channel) at event 4")
+
+    def test_a_corrupt_file_is_read_no_further_than_its_first_defective_block(
+            self, tmp_path, monkeypatch):
+        """A file of 3 blocks with a channel defect in block 0: one block is read."""
+        monkeypatch.setattr(tagstream, "_BLOCK_RECORDS", 4)
+        blob = bytearray(tag_file_bytes(CLOCK, *sorted_records(12)))
+        blob[30 + 16 + 8] = 7
+        path = tmp_path / "c.hdtt"
+        path.write_bytes(blob)
+        reads = []
+
+        class CountingReader(io.BufferedReader):
+            def readinto(self, buffer):
+                reads.append(len(buffer))
+                return super().readinto(buffer)
+
+        monkeypatch.setattr(tagstream, "open", lambda name, mode: CountingReader(io.FileIO(name)),
+                            raising=False)
+        with pytest.raises(TagFormatError, match="channel"):
+            read_streamed(path)
+        assert reads == [4]
 
 
 @pytest.fixture(scope="module")

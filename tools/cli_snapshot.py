@@ -17,18 +17,19 @@ that ``derive`` makes once ``COMMANDS`` have run.  The exit codes of
 The set covers every subcommand on the default and small configs, a
 jitter-free stream whose signal and noise events often share a tick and
 detector, a tag-file pair without origin labels, tag files corrupted in each
-way ``read_tags`` detects, a good HV file with a truncated or bad-magic DA
-file, faults in both files or in a file and ``--dims`` (``certify-et`` must
-name the first in its error order), an HV/DA pair whose clocks differ, one
-tag file named as both HV and DA, an HV/DA pair recorded over different frame
-spans, a clock whose imbalance is one whole frame (in a config and in a tag
-file's header), config values and flags that must fail before any output is
-written, a default sweep so sparse that one of its Poisson replicates draws
-an empty basis, ``mub-sweep`` at d = 2 (whose MUB set is built apart from the
-odd primes') and with ``--k`` out of order, and ``mub-sweep`` grids whose
-points are too close to get seeds of their own or, with
-``--export-matrices``, file names of their own, and a ``mub-sweep --counts``
-above NumPy's largest Poisson mean.
+way ``read_tags`` detects, tag files with two defects (each must report the
+one at its lowest byte offset, whatever their kinds), a good HV file with a
+truncated or bad-magic DA file, faults in both files or in a file and
+``--dims`` (``certify-et`` must name the first in its error order), an HV/DA
+pair whose clocks differ, one tag file named as both HV and DA, an HV/DA
+pair recorded over different frame spans, a clock whose imbalance is one
+whole frame (in a config and in a tag file's header), config values and
+flags that must fail before any output is written, a default sweep so sparse
+that one of its Poisson replicates draws an empty basis, ``mub-sweep`` at
+d = 2 (whose MUB set is built apart from the odd primes') and with ``--k`` out
+of order, and ``mub-sweep`` grids whose points are too close to get seeds of
+their own or, with ``--export-matrices``, file names of their own, and a
+``mub-sweep --counts`` above NumPy's largest Poisson mean.
 """
 
 import os
@@ -104,6 +105,9 @@ CORRUPTIONS = {
     "origin": [(30 + 16 * 3 + 9, b"\x05")],
     "unsorted": [(30, (2 ** 40).to_bytes(8, "little"))],
     "two_defects": [(30, (2 ** 40).to_bytes(8, "little")), (30 + 16 * 4 + 10, b"\x01")],
+    # an unknown origin code in record 2, then an unknown channel code in record 4:
+    # the file reports the first, the origin
+    "origin_then_channel": [(30 + 16 * 2 + 9, b"\x05"), (30 + 16 * 4 + 8, b"\x07")],
     # a zero imbalance in the header's clock, then reserved bits in a record
     "clock_reserved": [(18, b"\x00\x00\x00\x00"), (30 + 16 * 2 + 13, b"\x01")],
     # an imbalance of one whole frame in the header's clock
